@@ -109,7 +109,11 @@ def load_checkpoint(path) -> Checkpoint:
     pos += 8
     if pos + hlen > len(data):
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(data[pos : pos + hlen].decode("utf-8"))
+    try:
+        header = json.loads(data[pos : pos + hlen].decode("utf-8"))
+        stage, config, entries = header["stage"], header["config"], header["params"]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed header ({e!r})") from e
     pos += hlen
     plen = int.from_bytes(data[pos : pos + 8], "little")
     pos += 8
@@ -121,20 +125,23 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
     arrays, m1, m2 = {}, {}, {}
-    for entry in header["params"]:
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=_DTYPE_CODES[entry["dtype"]]).reshape(entry["shape"])
-        arr = arr.astype(entry["dtype"], copy=True)
-        name = entry["name"]
-        if name.startswith("moment1."):
-            m1[name[len("moment1.") :]] = arr
-        elif name.startswith("moment2."):
-            m2[name[len("moment2.") :]] = arr
-        else:
-            arrays[name] = arr
+    try:
+        for entry in entries:
+            raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+            arr = np.frombuffer(raw, dtype=_DTYPE_CODES[entry["dtype"]]).reshape(entry["shape"])
+            arr = arr.astype(entry["dtype"], copy=True)
+            name = entry["name"]
+            if name.startswith("moment1."):
+                m1[name[len("moment1.") :]] = arr
+            elif name.startswith("moment2."):
+                m2[name[len("moment2.") :]] = arr
+            else:
+                arrays[name] = arr
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed parameter table ({e!r})") from e
     return Checkpoint(
-        stage=header["stage"],
-        config=header["config"],
+        stage=stage,
+        config=config,
         labels=header.get("labels"),
         arrays=arrays,
         moments1=m1,
@@ -154,6 +161,8 @@ def restore_component(ckpt: Checkpoint, comp_name: str, component) -> None:
             raise CheckpointError(
                 f"shape mismatch for {full!r}: checkpoint {arr.shape} vs model {p.data.shape}"
             )
+        if full not in ckpt.moments1 or full not in ckpt.moments2:
+            raise CheckpointError(f"checkpoint is missing AdamW moments for {full!r}")
         p.tensor.data = arr.astype(p.data.dtype, copy=True)
         p.m = ckpt.moments1[full].astype(p.data.dtype, copy=True)
         p.v = ckpt.moments2[full].astype(p.data.dtype, copy=True)

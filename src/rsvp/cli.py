@@ -112,7 +112,6 @@ def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
     if getattr(args, "init_ckpt", None):
         ckpt, ckpt_cfg, encoder, decoder, classifier = tr.load_stage_checkpoint(args.init_ckpt)
         tr.check_stage_transition(ckpt.stage, next_stage)
-        ad.set_default_dtype(cfg.precision)
         return encoder
     hub = SeedHub(seed)
     return ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))

@@ -33,7 +33,7 @@ class EncoderConfig:
     pooled_dim: int = 128
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
+        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
@@ -93,12 +93,23 @@ class MultiHeadAttention:
         self.wo = Linear(f"{name}.wo", d_model, d_model, rng)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor, bias, dropout_p, rng, training) -> Tensor:
-        B, Tq, dm = x_q.shape
-        Tk = x_kv.shape[1]
+        k, v = self.project_kv(x_kv)
+        return self.attend(x_q, k, v, bias, dropout_p, rng, training)
+
+    def project_kv(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
+        """Per-head keys and values, each (B, n_heads, Tk, d_head)."""
+        B, Tk, _ = x_kv.shape
         h, dh = self.n_heads, self.d_head
-        q = self.wq(x_q).reshape(B, Tq, h, dh).transpose(0, 2, 1, 3)
         k = self.wk(x_kv).reshape(B, Tk, h, dh).transpose(0, 2, 1, 3)
         v = self.wv(x_kv).reshape(B, Tk, h, dh).transpose(0, 2, 1, 3)
+        return k, v
+
+    def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng, training) -> Tensor:
+        """Attention of the queries projected from ``x_q`` over per-head keys
+        and values from ``project_kv``; ``bias`` is added to the logits."""
+        B, Tq, dm = x_q.shape
+        h, dh = self.n_heads, self.d_head
+        q = self.wq(x_q).reshape(B, Tq, h, dh).transpose(0, 2, 1, 3)
         scores = ad.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
         if bias is not None:
             scores = scores + bias
@@ -261,6 +272,23 @@ class DecoderBlock:
         f = self.ffn(x)
         return self.ln2(x + ad.dropout(f, dropout_p, rng, training))
 
+    def step(self, x, self_kv, t: int, cross_kv):
+        """Eval-mode pass of the one position ``t``, x (1, 1, d_model).
+
+        Its self-attention key and value are written into row ``t`` of the
+        ``self_kv`` buffers (1, n_heads, >t, d_head), and it attends over
+        rows 0..t with no bias: every cached position precedes it.
+        ``cross_kv`` is ``cross_attn.project_kv`` of one unpadded utterance.
+        """
+        k, v = self.self_attn.project_kv(x)
+        for buf, new in zip(self_kv, (k, v)):
+            buf[:, :, t] = new.data[:, :, 0]
+        # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
+        k, v = (ad._as_tensor(buf[:, :, : t + 1], x) for buf in self_kv)
+        x = self.ln1(x + self.self_attn.attend(x, k, v, None, 0.0, None, False))
+        x = self.ln_cross(x + self.cross_attn.attend(x, *cross_kv, None, 0.0, None, False))
+        return self.ln2(x + self.ffn(x))
+
     def parameters(self):
         return (
             self.self_attn.parameters()
@@ -326,19 +354,39 @@ class ResponseDecoder:
         return self.lm_head(x), mask
 
     def generate(self, encoder: ConversationalEncoder, u_ids, max_t: int) -> list[int]:
-        """Greedy decoding from [BOS] until [EOS] or max_t tokens; deterministic."""
+        """Greedy decoding from [BOS] until [EOS] or max_t tokens; deterministic.
+
+        Decoding is incremental. The utterance's encoder states are projected
+        to each block's cross-attention keys/values once per call; each step
+        then runs only the newest token, one row, through the blocks and the
+        LM head, attending over the self-attention keys/values cached by the
+        earlier steps. Step t emits what the last row of
+        ``forward_teacher_forced`` over [BOS] and the t tokens before it
+        would pick, and raises ValueError where that sequence would exceed
+        ``max_positions``.
+        """
         if max_t <= 0:
             return []
-        enc_hidden, enc_mask = encoder.forward_hidden([list(u_ids)])
-        seq = [self.bos_id]
-        out: list[int] = []
-        for _ in range(max_t):
-            logits, _ = self.forward_teacher_forced(enc_hidden, enc_mask, [seq])
-            nxt = int(np.argmax(logits.data[0, -1]))
-            if nxt == self.eos_id:
+        enc_hidden, _ = encoder.forward_hidden([list(u_ids)])
+        cross_kv = [blk.cross_attn.project_kv(enc_hidden) for blk in self.blocks]
+        n_heads = self.cfg.n_heads
+        shape = (1, n_heads, min(max_t, self.cfg.max_positions), self.cfg.d_model // n_heads)
+        dtype = self.tok_emb.data.dtype
+        self_kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in self.blocks]
+        tok, out = self.bos_id, []
+        for t in range(max_t):
+            if t >= self.cfg.max_positions:
+                raise ValueError(
+                    f"sequence length {t + 1} exceeds max_positions {self.cfg.max_positions}"
+                )
+            x = ad.embedding(self.tok_emb.tensor, [[tok]]) + ad.embedding(self.pos_emb.tensor, [t])
+            x = self.emb_ln(x)
+            for blk, kv, ckv in zip(self.blocks, self_kv, cross_kv):
+                x = blk.step(x, kv, t, ckv)
+            tok = int(np.argmax(self.lm_head(x).data[0, 0]))
+            if tok == self.eos_id:
                 break
-            out.append(nxt)
-            seq.append(nxt)
+            out.append(tok)
         return out
 
 

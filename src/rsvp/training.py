@@ -19,7 +19,13 @@ import numpy as np
 from scipy.special import expit as _expit
 
 from . import autodiff as ad
-from .checkpoint import Checkpoint, load_checkpoint, restore_component, save_checkpoint
+from .checkpoint import (
+    Checkpoint,
+    CheckpointError,
+    load_checkpoint,
+    restore_component,
+    save_checkpoint,
+)
 from .config import StageConfig
 from .losses import (
     classification_loss,
@@ -240,7 +246,11 @@ def compute_metrics(preds, multi_label: bool = False) -> dict:
         "mrr5": mrr_at_k(preds, 5),
     }
     # rank-1 hits contribute fully to all three, deeper ranks only to MRR
-    assert out["accuracy"] <= out["mrr3"] <= out["mrr5"] <= 1.0
+    if not out["accuracy"] <= out["mrr3"] <= out["mrr5"] <= 1.0:
+        raise ValueError(
+            "metric ordering violated: need accuracy <= mrr3 <= mrr5 <= 1, got "
+            f"accuracy={out['accuracy']!r}, mrr3={out['mrr3']!r}, mrr5={out['mrr5']!r}"
+        )
     return out
 
 
@@ -579,21 +589,28 @@ def save_stage_checkpoint(path, stage, cfg: StageConfig, vocab_size: int,
 def load_stage_checkpoint(path):
     """Rebuild (cfg, encoder, decoder?, classifier?) from a checkpoint file."""
     ckpt = load_checkpoint(path)
-    conf = dict(ckpt.config)
-    vocab_size = conf.pop("vocab_size")
-    cfg = StageConfig(**conf)
-    ad.set_default_dtype(cfg.precision)
+    try:
+        conf = dict(ckpt.config)
+        vocab_size = conf.pop("vocab_size")
+        cfg = StageConfig(**conf)
+        enc_cfg = cfg.encoder_config(vocab_size)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: invalid config snapshot ({e!r})") from e
     rng = np.random.default_rng(0)  # weights are overwritten by the restore
-    encoder = ConversationalEncoder(cfg.encoder_config(vocab_size), rng)
-    restore_component(ckpt, "encoder", encoder)
     decoder = classifier = None
-    if any(name.startswith("decoder.") for name in ckpt.arrays):
-        decoder = init_decoder_from_encoder(encoder, rng, bos_id=BOS_ID, eos_id=EOS_ID)
-        restore_component(ckpt, "decoder", decoder)
-    if any(name.startswith("classifier.") for name in ckpt.arrays):
-        n_classes = ckpt.arrays["classifier.clf.lin2.b"].shape[0]
-        classifier = IntentClassifier(cfg.pooled_dim, n_classes, rng)
-        restore_component(ckpt, "classifier", classifier)
+    # the modules take the checkpoint's precision; the caller's default stays
+    with ad.precision(cfg.precision):
+        encoder = ConversationalEncoder(enc_cfg, rng)
+        restore_component(ckpt, "encoder", encoder)
+        if any(name.startswith("decoder.") for name in ckpt.arrays):
+            decoder = init_decoder_from_encoder(encoder, rng, bos_id=BOS_ID, eos_id=EOS_ID)
+            restore_component(ckpt, "decoder", decoder)
+        if any(name.startswith("classifier.") for name in ckpt.arrays):
+            if "classifier.clf.lin2.b" not in ckpt.arrays:
+                raise CheckpointError(f"{path}: checkpoint is missing 'classifier.clf.lin2.b'")
+            n_classes = ckpt.arrays["classifier.clf.lin2.b"].shape[0]
+            classifier = IntentClassifier(cfg.pooled_dim, n_classes, rng)
+            restore_component(ckpt, "classifier", classifier)
     return ckpt, cfg, encoder, decoder, classifier
 
 

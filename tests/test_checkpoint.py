@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from rsvp import autodiff as ad
-from rsvp.checkpoint import CheckpointError, load_checkpoint
+from rsvp.checkpoint import CheckpointError, load_checkpoint, restore_component
 from rsvp.config import StageConfig
-from rsvp.model import ConversationalEncoder
+from rsvp.model import ConversationalEncoder, IntentClassifier
 from rsvp.rng import SeedHub
 from rsvp.training import (
     check_stage_transition,
@@ -102,3 +104,99 @@ def test_bitwise_identical_files_for_identical_models(tmp_path):
     save_stage_checkpoint(p1, "retrieval", cfg, 30, enc)
     save_stage_checkpoint(p2, "retrieval", cfg, 30, enc)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_float64_checkpoint_leaves_default_dtype(tmp_path):
+    cfg = StageConfig(d_model=32, n_layers=1, n_heads=2, d_ffn=64, pooled_dim=16, max_len=24,
+                      precision="float64")
+    seqs = [[2, 7, 9, 11], [2, 13]]
+    path = tmp_path / "model.ckpt"
+    with ad.precision("float64"):
+        enc = ConversationalEncoder(cfg.encoder_config(30), SeedHub(8).stream("encoder_init"))
+        clf = IntentClassifier(16, 3, SeedHub(8).stream("classifier_init"))
+        save_stage_checkpoint(path, "finetuned", cfg, 30, enc, classifier=clf, labels=["A", "B", "C"])
+        _, _, ref_enc, _, ref_clf = load_stage_checkpoint(path)
+        expected = ref_clf(ref_enc.encode_batch(seqs)).data
+    assert ad.default_dtype() == np.float32
+    _, _, restored, _, classifier = load_stage_checkpoint(path)
+    assert ad.default_dtype() == np.float32
+    scores = classifier(restored.encode_batch(seqs)).data
+    assert scores.dtype == np.float64
+    np.testing.assert_array_equal(scores, expected)
+
+
+def _saved_blob(tmp_path):
+    enc, cfg = _encoder_and_cfg()
+    path = tmp_path / "model.ckpt"
+    save_stage_checkpoint(path, "retrieval", cfg, 30, enc)
+    return path, path.read_bytes()
+
+
+def _with_header(blob: bytes, header: bytes) -> bytes:
+    """The checkpoint ``blob`` with its JSON header replaced by ``header``."""
+    hlen = int.from_bytes(blob[12:20], "little")
+    return blob[:12] + len(header).to_bytes(8, "little") + header + blob[20 + hlen :]
+
+
+def _header(blob: bytes) -> dict:
+    hlen = int.from_bytes(blob[12:20], "little")
+    return json.loads(blob[20 : 20 + hlen])
+
+
+@pytest.mark.parametrize("header", [b"{not json", b'{"stage": "\xff\xfe"}', b"[1, 2]"])
+def test_unreadable_header_raises_checkpoint_error(tmp_path, header):
+    path, blob = _saved_blob(tmp_path)
+    path.write_bytes(_with_header(blob, header))
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["params", "stage", "config"])
+def test_header_missing_key_raises_checkpoint_error(tmp_path, key):
+    path, blob = _saved_blob(tmp_path)
+    header = _header(blob)
+    del header[key]
+    path.write_bytes(_with_header(blob, json.dumps(header).encode()))
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("moment", ["moment1.", "moment2."])
+def test_missing_moment_buffers_raise_checkpoint_error(tmp_path, moment):
+    path, blob = _saved_blob(tmp_path)
+    header = _header(blob)
+    header["params"] = [e for e in header["params"] if not e["name"].startswith(moment)]
+    path.write_bytes(_with_header(blob, json.dumps(header).encode()))
+    ckpt = load_checkpoint(path)
+    enc, _ = _encoder_and_cfg()
+    with pytest.raises(CheckpointError, match="moments"):
+        restore_component(ckpt, "encoder", enc)
+
+
+def test_truncated_or_bit_flipped_checkpoints_fail_only_as_checkpoint_error(tmp_path):
+    """Loading a damaged file either succeeds or raises CheckpointError."""
+    cfg = StageConfig(d_model=16, n_layers=1, n_heads=2, d_ffn=32, pooled_dim=8, max_len=12)
+    enc = ConversationalEncoder(cfg.encoder_config(20), SeedHub(8).stream("encoder_init"))
+    clf = IntentClassifier(8, 3, SeedHub(8).stream("classifier_init"))
+    path = tmp_path / "model.ckpt"
+    save_stage_checkpoint(path, "finetuned", cfg, 20, enc, classifier=clf, labels=["A", "B", "C"])
+    blob = path.read_bytes()
+    header_end = 20 + int.from_bytes(blob[12:20], "little")
+    rng = np.random.default_rng(2024)
+    damaged = tmp_path / "damaged.ckpt"
+    failures = 0
+    for trial in range(600):
+        data = bytearray(blob)
+        if trial % 4 == 0:
+            data = data[: int(rng.integers(0, len(blob)))]
+        else:
+            for _ in range(int(rng.integers(1, 4))):
+                # mostly the unchecksummed prefix and header, sometimes anywhere
+                end = header_end if rng.random() < 0.8 else len(blob)
+                data[int(rng.integers(0, end))] ^= 1 << int(rng.integers(0, 8))
+        damaged.write_bytes(bytes(data))
+        try:
+            load_stage_checkpoint(damaged)
+        except CheckpointError:
+            failures += 1
+    assert failures > 500

@@ -35,6 +35,10 @@ class TestEncoderConfig:
         with pytest.raises(ValueError, match="divisible"):
             small_config(d_model=30, n_heads=4)
 
+    def test_zero_heads_rejected(self):
+        with pytest.raises(ValueError, match="n_heads 0"):
+            small_config(n_heads=0)
+
     def test_dropout_range_enforced(self):
         with pytest.raises(ValueError):
             small_config(dropout_p=1.0)
@@ -189,6 +193,114 @@ class TestDecoder:
             adamw_step(params, lr=3e-3)
             zero_grad(params)
         assert dec.generate(enc, u, 10) == [20, 21, 22, 23]
+
+
+def _uncached_generate(dec, enc, u_ids, max_t, rows):
+    """Reference greedy loop: a teacher-forced pass over [BOS] and every
+    token so far, then the argmax of its last row. Appends each step's
+    logit row to ``rows``."""
+    hidden, mask = enc.forward_hidden([list(u_ids)])
+    seq = [dec.bos_id]
+    for _ in range(max_t):
+        logits, _ = dec.forward_teacher_forced(hidden, mask, [seq])
+        rows.append(logits.data[0, -1])
+        nxt = int(np.argmax(rows[-1]))
+        if nxt == dec.eos_id:
+            break
+        seq.append(nxt)
+    return seq[1:]
+
+
+def _cached_generate(dec, enc, u_ids, max_t, rows):
+    """``generate``, appending the logit row of each step to ``rows``."""
+    head = dec.lm_head
+
+    def recording_head(x):
+        out = head(x)
+        rows.append(out.data[0, -1])
+        return out
+
+    dec.lm_head = recording_head
+    try:
+        return dec.generate(enc, u_ids, max_t)
+    finally:
+        dec.lm_head = head
+
+
+def _random_models(seed, n_layers=2, **kw):
+    cfg = small_config(n_layers=n_layers, **kw)
+    enc = ConversationalEncoder(cfg, SeedHub(seed).stream("encoder_init"))
+    dec = init_decoder_from_encoder(enc, SeedHub(seed).stream("decoder_init"))
+    return enc, dec
+
+
+def _assert_same_steps(cached, oracle):
+    assert len(cached) == len(oracle)
+    for a, b in zip(cached, oracle):
+        assert a.dtype == b.dtype
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+class TestIncrementalGenerate:
+    """generate's cached steps against the uncached loop, in float64."""
+
+    @pytest.mark.parametrize("n_layers,utt_len,seed", [(1, 1, 0), (2, 5, 1), (2, 17, 2), (1, 17, 3)])
+    def test_matches_uncached_loop(self, n_layers, utt_len, seed):
+        with ad.precision("float64"):
+            enc, dec = _random_models(seed, n_layers=n_layers)
+            dec.lm_head.b.tensor.data[dec.eos_id] = -1e3  # decode all max_t steps
+            u = [2] + list(np.random.default_rng(seed).integers(6, 40, size=utt_len - 1))
+            cached, oracle = [], []
+            tokens = _cached_generate(dec, enc, u, 20, cached)
+            assert tokens == _uncached_generate(dec, enc, u, 20, oracle)
+        assert len(tokens) == 20
+        _assert_same_steps(cached, oracle)
+
+    def test_float64_model_under_float32_default(self):
+        with ad.precision("float64"):
+            enc, dec = _random_models(4)
+        assert ad.default_dtype() == np.float32
+        cached, oracle = [], []
+        tokens = _cached_generate(dec, enc, [2, 9, 11, 13], 12, cached)
+        assert tokens == _uncached_generate(dec, enc, [2, 9, 11, 13], 12, oracle)
+        assert cached[0].dtype == np.float64
+        _assert_same_steps(cached, oracle)
+
+    def test_eos_at_first_step_returns_empty(self):
+        with ad.precision("float64"):
+            enc, dec = _random_models(5)
+            dec.lm_head.b.tensor.data[dec.eos_id] = 1e3
+            cached, oracle = [], []
+            assert _cached_generate(dec, enc, [2, 7], 8, cached) == []
+            assert _uncached_generate(dec, enc, [2, 7], 8, oracle) == []
+        _assert_same_steps(cached, oracle)
+
+    def test_max_t_one(self):
+        with ad.precision("float64"):
+            enc, dec = _random_models(6)
+            dec.lm_head.b.tensor.data[dec.eos_id] = -1e3
+            cached, oracle = [], []
+            tokens = _cached_generate(dec, enc, [2, 7, 9], 1, cached)
+            assert tokens == _uncached_generate(dec, enc, [2, 7, 9], 1, oracle)
+        assert len(tokens) == 1
+        _assert_same_steps(cached, oracle)
+
+    @pytest.mark.parametrize("max_t,raises", [(8, False), (9, True), (1000, True)])
+    def test_max_positions_limit_at_same_step(self, max_t, raises):
+        with ad.precision("float64"):
+            enc, dec = _random_models(7, max_positions=8)
+            dec.lm_head.b.tensor.data[dec.eos_id] = -1e3
+            cached, oracle = [], []
+            if raises:
+                with pytest.raises(ValueError, match="sequence length 9 exceeds max_positions 8"):
+                    _cached_generate(dec, enc, [2, 7], max_t, cached)
+                with pytest.raises(ValueError, match="sequence length 9 exceeds max_positions 8"):
+                    _uncached_generate(dec, enc, [2, 7], max_t, oracle)
+            else:
+                tokens = _cached_generate(dec, enc, [2, 7], max_t, cached)
+                assert tokens == _uncached_generate(dec, enc, [2, 7], max_t, oracle)
+        assert len(cached) == 8
+        _assert_same_steps(cached, oracle)
 
 
 class TestSharedOptimizerPath:

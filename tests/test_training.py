@@ -9,6 +9,7 @@ import pytest
 from rsvp import autodiff as ad
 from rsvp.config import StageConfig
 from rsvp.losses import classification_loss
+from rsvp.metrics import Prediction
 from rsvp.model import ConversationalEncoder, IntentClassifier
 from rsvp.optim import adamw_step, zero_grad
 from rsvp.rng import SeedHub
@@ -316,3 +317,10 @@ class TestMultiLabelMode:
         prepared = tr.prepare(records, cfg)
         report = tr.run_rsvp(prepared, cfg)
         assert set(report.mean) == {"micro_f1", "macro_f1", "subset_accuracy"}
+
+
+def test_compute_metrics_rejects_broken_ordering(monkeypatch):
+    preds = [Prediction(scores=np.array([0.1, 0.7, 0.2]), gold=1)]
+    monkeypatch.setattr(tr, "mrr_at_k", lambda preds, k: 0.5)
+    with pytest.raises(ValueError, match="accuracy=1.0, mrr3=0.5, mrr5=0.5"):
+        tr.compute_metrics(preds)
