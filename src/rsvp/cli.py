@@ -108,21 +108,22 @@ def cmd_build_vocab(args) -> int:
 
 
 def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
-    ad.set_default_dtype(cfg.precision)
     if getattr(args, "init_ckpt", None):
         ckpt, ckpt_cfg, encoder, decoder, classifier = tr.load_stage_checkpoint(args.init_ckpt)
         tr.check_stage_transition(ckpt.stage, next_stage)
         return encoder
     hub = SeedHub(seed)
-    return ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+    with ad.precision(cfg.precision):
+        return ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
 
 
 def cmd_pretrain_retrieval(args) -> int:
     cfg = _resolve_config(args)
     seed = _stage_seed(args, cfg)
     prepared = _load_prepared(args, cfg)
-    encoder = _init_encoder(args, cfg, prepared, seed, "retrieval")
-    history = tr.pretrain_retrieval(encoder, prepared.train, cfg, SeedHub(seed))
+    with ad.precision(cfg.precision):
+        encoder = _init_encoder(args, cfg, prepared, seed, "retrieval")
+        history = tr.pretrain_retrieval(encoder, prepared.train, cfg, SeedHub(seed))
     _write_resolved_config(args.out, cfg)
     ckpt_path = os.path.join(args.out, "retrieval.ckpt")
     tr.save_stage_checkpoint(ckpt_path, "retrieval", cfg, len(prepared.vocab), encoder,
@@ -137,8 +138,9 @@ def cmd_pretrain_generation(args) -> int:
     cfg = _resolve_config(args)
     seed = _stage_seed(args, cfg)
     prepared = _load_prepared(args, cfg)
-    encoder = _init_encoder(args, cfg, prepared, seed, "generation")
-    decoder, history = tr.pretrain_generation(encoder, prepared.train, cfg, SeedHub(seed))
+    with ad.precision(cfg.precision):
+        encoder = _init_encoder(args, cfg, prepared, seed, "generation")
+        decoder, history = tr.pretrain_generation(encoder, prepared.train, cfg, SeedHub(seed))
     _write_resolved_config(args.out, cfg)
     ckpt_path = os.path.join(args.out, "generation.ckpt")
     tr.save_stage_checkpoint(ckpt_path, "generation", cfg, len(prepared.vocab), encoder,
@@ -153,10 +155,11 @@ def cmd_finetune(args) -> int:
     cfg = _resolve_config(args)
     seed = _stage_seed(args, cfg)
     prepared = _load_prepared(args, cfg)
-    encoder = _init_encoder(args, cfg, prepared, seed, "finetuned")
-    classifier, history = tr.finetune(
-        encoder, prepared.train, prepared.valid, cfg, SeedHub(seed), len(prepared.label_names)
-    )
+    with ad.precision(cfg.precision):
+        encoder = _init_encoder(args, cfg, prepared, seed, "finetuned")
+        classifier, history = tr.finetune(
+            encoder, prepared.train, prepared.valid, cfg, SeedHub(seed), len(prepared.label_names)
+        )
     _write_resolved_config(args.out, cfg)
     ckpt_path = os.path.join(args.out, "finetuned.ckpt")
     tr.save_stage_checkpoint(ckpt_path, "finetuned", cfg, len(prepared.vocab), encoder,

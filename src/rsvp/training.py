@@ -212,10 +212,28 @@ def pretrain_generation(encoder, examples, cfg: StageConfig, hub: SeedHub, decod
     return decoder, history
 
 
-def _eval_scores(encoder, classifier, utterance_seqs, multi_label: bool, batch: int = 64):
+# padded token slots per eval forward: keeps long utterances in small
+# batches and short ones in large batches
+_EVAL_TOKEN_BUDGET = 1024
+
+
+def _token_chunks(seqs, budget: int):
+    """Consecutive (start, stop) runs whose count x longest length fits
+    the budget; a single sequence longer than the budget gets its own run."""
+    start, longest = 0, 0
+    for i, s in enumerate(seqs):
+        longest = max(longest, len(s))
+        if i > start and (i + 1 - start) * longest > budget:
+            yield start, i
+            start, longest = i, len(s)
+    if seqs:
+        yield start, len(seqs)
+
+
+def _eval_scores(encoder, classifier, utterance_seqs, multi_label: bool):
     scores = []
-    for i in range(0, len(utterance_seqs), batch):
-        chunk = utterance_seqs[i : i + batch]
+    for start, stop in _token_chunks(utterance_seqs, _EVAL_TOKEN_BUDGET):
+        chunk = utterance_seqs[start:stop]
         q = encoder.encode_batch(chunk)
         logits = classifier(q).data.astype(np.float64)
         if multi_label:
@@ -443,26 +461,26 @@ def run_rsvp(
     With ``checkpoint_dir`` set, the fine-tuned model for each seed is
     saved as finetuned_seed<seed>.ckpt.
     """
-    ad.set_default_dtype(cfg.precision)
     t0 = time.perf_counter()
     per_seed, curves = [], {}
-    for seed in cfg.seeds:
-        metrics, stage_curves, encoder, classifier = _seed_pipeline(
-            prepared, cfg, seed, pretraining=True
-        )
-        per_seed.append({"seed": seed, **metrics})
-        curves[str(seed)] = stage_curves
-        if checkpoint_dir is not None:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            save_stage_checkpoint(
-                os.path.join(checkpoint_dir, f"finetuned_seed{seed}.ckpt"),
-                "finetuned",
-                cfg,
-                len(prepared.vocab),
-                encoder,
-                classifier=classifier,
-                labels=prepared.label_names,
+    with ad.precision(cfg.precision):
+        for seed in cfg.seeds:
+            metrics, stage_curves, encoder, classifier = _seed_pipeline(
+                prepared, cfg, seed, pretraining=True
             )
+            per_seed.append({"seed": seed, **metrics})
+            curves[str(seed)] = stage_curves
+            if checkpoint_dir is not None:
+                os.makedirs(checkpoint_dir, exist_ok=True)
+                save_stage_checkpoint(
+                    os.path.join(checkpoint_dir, f"finetuned_seed{seed}.ckpt"),
+                    "finetuned",
+                    cfg,
+                    len(prepared.vocab),
+                    encoder,
+                    classifier=classifier,
+                    labels=prepared.label_names,
+                )
     report = RunReport(
         variant=variant,
         per_seed=per_seed,
@@ -479,13 +497,13 @@ def run_baseline_classifier(
 ) -> RunReport:
     """Fine-tuning only, skipping both pre-training stages entirely."""
     eff = cfg if with_uns_cl else cfg.replace(lam=0.0)
-    ad.set_default_dtype(eff.precision)
     t0 = time.perf_counter()
     per_seed, curves = [], {}
-    for seed in eff.seeds:
-        metrics, stage_curves, _, _ = _seed_pipeline(prepared, eff, seed, pretraining=False)
-        per_seed.append({"seed": seed, **metrics})
-        curves[str(seed)] = stage_curves
+    with ad.precision(eff.precision):
+        for seed in eff.seeds:
+            metrics, stage_curves, _, _ = _seed_pipeline(prepared, eff, seed, pretraining=False)
+            per_seed.append({"seed": seed, **metrics})
+            curves[str(seed)] = stage_curves
     return RunReport(
         variant="baseline_uns_cl" if with_uns_cl else "baseline",
         per_seed=per_seed,

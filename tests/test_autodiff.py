@@ -52,6 +52,67 @@ class TestMatmul:
         _check_grads(lambda: ad.tsum(ad.matmul(a, b)), [a, b])
 
 
+class TestLinearMatmul:
+    """(..., D) @ (D, O) with more than one leading matrix runs as one 2-D GEMM."""
+
+    def test_gradients_match_finite_differences(self, rng):
+        ad.set_default_dtype("float64")
+        a = _leaf(rng, (2, 3, 4))
+        b = _leaf(rng, (4, 5))
+        _check_grads(lambda: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b])
+
+    def test_float32_matches_batched_product_and_batch_sum(self, rng):
+        x = rng.normal(size=(3, 7, 16)).astype(np.float32)
+        w = rng.normal(size=(16, 8)).astype(np.float32)
+        g = rng.normal(size=(3, 7, 8)).astype(np.float32)
+        a, b = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ad.matmul(a, b)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        assert out.dtype == a.grad.dtype == b.grad.dtype == np.float32
+        assert out.shape == (3, 7, 8) and a.grad.shape == x.shape and b.grad.shape == w.shape
+        np.testing.assert_allclose(out.data, np.matmul(x, w), rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(a.grad, np.matmul(g, w.T), rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(b.grad, np.matmul(x.transpose(0, 2, 1), g).sum(axis=0),
+                                   rtol=1e-5, atol=1e-5)
+
+    def test_single_matrix_input_keeps_the_plain_product(self, rng):
+        x = rng.normal(size=(1, 5, 6)).astype(np.float32)
+        w = rng.normal(size=(6, 3)).astype(np.float32)
+        assert np.array_equal(ad.matmul(Tensor(x), Tensor(w)).data, x @ w)
+
+
+class TestGelu:
+    def test_float32_erf_against_scipy(self):
+        from scipy.special import erf
+
+        x = np.concatenate([np.linspace(-10.0, 10.0, 400_001), [np.inf, -np.inf]]).astype(np.float32)
+        y = ad._erf_f32(x)
+        assert y.dtype == np.float32
+        assert np.abs(y.astype(np.float64) - erf(x.astype(np.float64))).max() <= 1e-6
+        assert np.array_equal(ad._erf_f32(-x), -y)
+        assert np.abs(y).max() <= 1.0
+        assert y[-2] == 1.0 and y[-1] == -1.0
+
+    def test_float64_equals_scipy_formula(self, rng):
+        from scipy.special import erf
+
+        ad.set_default_dtype("float64")
+        x = rng.normal(0.0, 3.0, size=(4, 9, 128))
+        y = ad.gelu(Tensor(x)).data
+        assert y.dtype == np.float64
+        assert np.array_equal(y, x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 256), (2, 16, 256)])
+    def test_float32_small_and_large_inputs_match_scipy(self, rng, shape):
+        from scipy.special import erf
+
+        x = rng.normal(0.0, 3.0, size=shape).astype(np.float32)
+        y = ad.gelu(Tensor(x)).data
+        ref = x.astype(np.float64) * 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
+        assert y.dtype == np.float32
+        np.testing.assert_allclose(y, ref, rtol=1e-5, atol=5e-6)
+
+
 class TestSoftmax:
     def test_uniform_on_zeros(self):
         out = ad.softmax(Tensor(np.zeros(3)))

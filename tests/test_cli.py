@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
+from rsvp import autodiff as ad
+from rsvp import cli
+from rsvp import training as tr
 from rsvp.cli import main
 from rsvp.config import StageConfig, load_config
 from rsvp.metrics import load_embeddings
+from rsvp.text import load_jsonl
 
 
 MICRO = [
@@ -114,6 +119,30 @@ class TestStageCommands:
         assert main(["finetune", "--data", data_path, "--out", str(d3),
                      "--init-ckpt", str(d2 / "generation.ckpt"), "--seed", "0"] + _sets()) == 0
         assert (d3 / "finetuned.ckpt").exists()
+
+
+class TestDtypeScope:
+    """A float64 config runs in float64 and leaves the process default alone."""
+
+    def test_init_encoder_builds_in_config_precision(self, data_path):
+        cfg = load_config(None, MICRO + ["precision=float64"])
+        prepared = tr.prepare(load_jsonl(data_path), cfg)
+        encoder = cli._init_encoder(argparse.Namespace(init_ckpt=None), cfg, prepared, 0, "retrieval")
+        assert encoder.tok_emb.data.dtype == np.float64
+        assert ad.default_dtype() is np.float32
+
+    def test_stage_commands_leave_float32_default(self, data_path, tmp_path):
+        init = []
+        for cmd, ckpt in (("pretrain-retrieval", "retrieval.ckpt"),
+                          ("pretrain-generation", "generation.ckpt"),
+                          ("finetune", "finetuned.ckpt")):
+            out = tmp_path / cmd
+            assert main([cmd, "--data", data_path, "--out", str(out), "--seed", "0"] + init
+                        + _sets(["precision=float64"])) == 0
+            assert ad.default_dtype() is np.float32
+            init = ["--init-ckpt", str(out / ckpt)]
+            _, _, encoder, _, _ = tr.load_stage_checkpoint(str(out / ckpt))
+            assert encoder.tok_emb.data.dtype == np.float64
 
 
 class TestRunCommands:

@@ -211,6 +211,27 @@ class TestFinetune:
         assert abs(accuracy(preds) - best) < 1e-12
 
 
+class TestEvalChunks:
+    def test_chunks_are_consecutive_and_fit_the_token_budget(self):
+        rng = np.random.default_rng(5)
+        seqs = [[1] * int(n) for n in rng.integers(1, 90, size=200)]
+        chunks = list(tr._token_chunks(seqs, 1024))
+        assert chunks[0][0] == 0 and chunks[-1][1] == len(seqs)
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        for start, stop in chunks:
+            assert stop > start
+            assert (stop - start) * max(len(s) for s in seqs[start:stop]) <= 1024
+
+    def test_desk_and_long_shapes(self):
+        assert list(tr._token_chunks([[1] * 16] * 100, 1024)) == [(0, 64), (64, 100)]
+        assert [b - a for a, b in tr._token_chunks([[1] * 85] * 30, 1024)] == [12, 12, 6]
+
+    def test_oversized_sequence_gets_its_own_chunk(self):
+        seqs = [[1] * 3, [1] * 2000, [1] * 3]
+        assert list(tr._token_chunks(seqs, 1024)) == [(0, 1), (1, 2), (2, 3)]
+        assert list(tr._token_chunks([], 1024)) == []
+
+
 class TestPipelines:
     def test_stage_isolation_zero_epochs_equals_baseline(self, dataset):
         prepared, cfg = dataset
@@ -234,6 +255,19 @@ class TestPipelines:
         prepared, cfg = dataset
         report = tr.run_rsvp(prepared, cfg.replace(task_order="generation_first"))
         assert set(report.curves["0"]) == {"retrieval", "generation", "finetune"}
+
+    @pytest.mark.parametrize("run", [tr.run_rsvp, tr.run_baseline_classifier])
+    def test_float64_run_leaves_float32_default(self, dataset, run, tmp_path):
+        prepared, cfg = dataset
+        run_cfg = cfg.replace(precision="float64", retrieval_epochs=1, generation_epochs=1,
+                              finetune_epochs=1)
+        kwargs = {"checkpoint_dir": str(tmp_path)} if run is tr.run_rsvp else {}
+        report = run(prepared, run_cfg, **kwargs)
+        assert ad.default_dtype() is np.float32
+        assert report.per_seed
+        if run is tr.run_rsvp:
+            _, _, encoder, _, _ = tr.load_stage_checkpoint(str(tmp_path / "finetuned_seed0.ckpt"))
+            assert encoder.tok_emb.data.dtype == np.float64
 
     def test_run_rsvp_deterministic(self, dataset):
         prepared, cfg = dataset
