@@ -233,46 +233,35 @@ def backward(loss: Tensor) -> None:
 # elementwise ops
 
 
+def _operand_grads(a: Tensor, b: Tensor, grad_a, grad_b):
+    """(operand, gradient) pairs of a broadcasting binary op, for the
+    operands that require grad only: ``grad_a``/``grad_b`` are called lazily,
+    so a constant scale or mask costs no product and no broadcast reduction."""
+    return [(t, _unbroadcast(grad(), t.data.shape))
+            for t, grad in ((a, grad_a), (b, grad_b)) if t.requires_grad]
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def grad_fn(g):
-        return [(a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape))]
-
-    return _make(data, (a, b), grad_fn)
+    return _make(a.data + b.data, (a, b), lambda g: _operand_grads(a, b, lambda: g, lambda: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def grad_fn(g):
-        return [(a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(-g, b.data.shape))]
-
-    return _make(data, (a, b), grad_fn)
+    return _make(a.data - b.data, (a, b), lambda g: _operand_grads(a, b, lambda: g, lambda: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
     def grad_fn(g):
-        return [
-            (a, _unbroadcast(g * b.data, a.data.shape)),
-            (b, _unbroadcast(g * a.data, b.data.shape)),
-        ]
+        return _operand_grads(a, b, lambda: g * b.data, lambda: g * a.data)
 
-    return _make(data, (a, b), grad_fn)
+    return _make(a.data * b.data, (a, b), grad_fn)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
     def grad_fn(g):
-        return [
-            (a, _unbroadcast(g / b.data, a.data.shape)),
-            (b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
-        ]
+        return _operand_grads(a, b, lambda: g / b.data,
+                              lambda: -g * a.data / (b.data * b.data))
 
-    return _make(data, (a, b), grad_fn)
+    return _make(a.data / b.data, (a, b), grad_fn)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -568,16 +557,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(y, (x, gamma, beta), grad_fn)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True,
+            mask_shape=None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
     Evaluation mode (training=False) and p=0 are exact identities.
+    ``mask_shape`` draws the mask at that larger shape and applies its
+    leading corner, so ``rng`` advances as it would for an input of that
+    shape and ``x`` gets exactly the mask entries such an input's leading
+    corner would get.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
+    if mask_shape is None:
+        draw = rng.random(x.data.shape)
+    else:
+        if len(mask_shape) != x.data.ndim or any(m < n for m, n in zip(mask_shape, x.data.shape)):
+            raise ValueError(f"mask shape {tuple(mask_shape)} does not cover input {x.data.shape}")
+        draw = rng.random(mask_shape)[tuple(slice(n) for n in x.data.shape)]
+    keep = (draw >= p).astype(x.data.dtype)
     keep *= np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype)
     data = x.data * keep
 

@@ -1,10 +1,11 @@
 """Self-describing binary checkpoints.
 
 Layout: magic, format version, a JSON header (stage tag, config snapshot,
-optional label names, parameter/optimizer blob table), then the raw
-little-endian array bytes, then a CRC32 of the payload. Loading verifies
-the magic, version, declared lengths and checksum, so truncation or
-corruption fails loudly.
+optional label names, parameter/optimizer blob table), a CRC32 of every
+byte so far, then the raw little-endian array bytes, then a CRC32 of the
+payload. Loading verifies the magic, version and declared lengths, the
+header checksum before parsing the header and the payload checksum before
+reading an array, so truncation or corruption fails loudly.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import zlib
 import numpy as np
 
 MAGIC = b"RSVPCKP1"
-VERSION = 1
+VERSION = 2  # 2 added the header checksum
 STAGES = ("retrieval", "generation", "finetuned")
 
 _DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
@@ -86,10 +87,10 @@ def save_checkpoint(path, stage: str, components: dict, config: dict, labels=Non
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = b"".join(blobs)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(VERSION.to_bytes(4, "little"))
-        f.write(len(header_bytes).to_bytes(8, "little"))
-        f.write(header_bytes)
+        head = (MAGIC + VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(8, "little")
+                + header_bytes)
+        f.write(head)
+        f.write(zlib.crc32(head).to_bytes(4, "little"))
         f.write(len(payload).to_bytes(8, "little"))
         f.write(payload)
         f.write(zlib.crc32(payload).to_bytes(4, "little"))
@@ -107,14 +108,17 @@ def load_checkpoint(path) -> Checkpoint:
     pos += 4
     hlen = int.from_bytes(data[pos : pos + 8], "little")
     pos += 8
-    if pos + hlen > len(data):
+    if pos + hlen + 4 > len(data):
         raise CheckpointError(f"{path}: truncated header")
+    crc = int.from_bytes(data[pos + hlen : pos + hlen + 4], "little")
+    if zlib.crc32(data[: pos + hlen]) != crc:
+        raise CheckpointError(f"{path}: header checksum mismatch")
     try:
         header = json.loads(data[pos : pos + hlen].decode("utf-8"))
         stage, config, entries = header["stage"], header["config"], header["params"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: malformed header ({e!r})") from e
-    pos += hlen
+    pos += hlen + 4
     plen = int.from_bytes(data[pos : pos + 8], "little")
     pos += 8
     if pos + plen + 4 > len(data):

@@ -241,7 +241,7 @@ def cmd_predict(args) -> int:
     if ckpt.labels is None:
         raise ValueError("checkpoint does not carry label names")
     vocab = Vocab.load(args.vocab)
-    outputs = []
+    ids, seqs = [], []
     with open(args.input, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -251,20 +251,21 @@ def cmd_predict(args) -> int:
             if not turns:
                 raise ValueError(f"{args.input}: line {lineno}: missing utterance_turns")
             text = " [SEP] ".join(turns)
-            ids = [vocab.cls_id] + vocab.encode_tokens(tokenize(text, cfg.char_fallback))
-            ids = ids[: cfg.max_len]
-            q = encoder.encode_batch([ids])
-            logits = classifier(q).data.astype(np.float64)[0]
+            seq = [vocab.cls_id] + vocab.encode_tokens(tokenize(text, cfg.char_fallback))
+            ids.append(raw.get("id", f"line{lineno}"))
+            seqs.append(seq[: cfg.max_len])
+    outputs = []
+    if seqs:
+        # the batched scorer predict_examples uses, so scores match it bit for bit
+        scores = tr.score_utterances(encoder, classifier, seqs, cfg.multi_label)
+        for record_id, row in zip(ids, scores):
             if cfg.multi_label:
-                scores = 1.0 / (1.0 + np.exp(-logits))
-                chosen = [ckpt.labels[i] for i in np.flatnonzero(scores > 0.5)]
+                chosen = [ckpt.labels[i] for i in np.flatnonzero(row > 0.5)]
             else:
-                e = np.exp(logits - logits.max())
-                scores = e / e.sum()
-                chosen = ckpt.labels[int(np.argmax(scores))]
+                chosen = ckpt.labels[int(np.argmax(row))]
             outputs.append(
-                {"id": raw.get("id", f"line{lineno}"), "intent": chosen,
-                 "scores": {name: float(s) for name, s in zip(ckpt.labels, scores)}}
+                {"id": record_id, "intent": chosen,
+                 "scores": {name: float(s) for name, s in zip(ckpt.labels, row)}}
             )
     text_out = "\n".join(json.dumps(o, sort_keys=True) for o in outputs) + "\n"
     if args.out:

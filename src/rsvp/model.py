@@ -104,9 +104,14 @@ class MultiHeadAttention:
         v = self.wv(x_kv).reshape(B, Tk, h, dh).transpose(0, 2, 1, 3)
         return k, v
 
-    def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng, training) -> Tensor:
+    def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng, training,
+               mask_rows=None) -> Tensor:
         """Attention of the queries projected from ``x_q`` over per-head keys
-        and values from ``project_kv``; ``bias`` is added to the logits."""
+        and values from ``project_kv``; ``bias`` is added to the logits.
+
+        ``mask_rows`` draws the attention dropout mask for that many query
+        rows, of which ``x_q`` holds the leading ones (default: all of them).
+        """
         B, Tq, dm = x_q.shape
         h, dh = self.n_heads, self.d_head
         q = self.wq(x_q).reshape(B, Tq, h, dh).transpose(0, 2, 1, 3)
@@ -114,7 +119,8 @@ class MultiHeadAttention:
         if bias is not None:
             scores = scores + bias
         probs = ad.softmax(scores, axis=-1)
-        probs = ad.dropout(probs, dropout_p, rng, training)
+        mask_shape = None if mask_rows is None else (B, h, mask_rows, k.shape[2])
+        probs = ad.dropout(probs, dropout_p, rng, training, mask_shape=mask_shape)
         ctx = ad.matmul(probs, v).transpose(0, 2, 1, 3).reshape(B, Tq, dm)
         return self.wo(ctx)
 
@@ -143,11 +149,21 @@ class EncoderBlock:
         self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.d_ffn, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", cfg.d_model)
 
-    def __call__(self, x: Tensor, bias, dropout_p, rng, training) -> Tensor:
-        a = self.attn(x, x, bias, dropout_p, rng, training)
-        x = self.ln1(x + ad.dropout(a, dropout_p, rng, training))
+    def __call__(self, x: Tensor, bias, dropout_p, rng, training, cls_only=False) -> Tensor:
+        """(B, T, d) states in, (B, T, d) out; with ``cls_only``, only the
+        position-0 row is computed, (B, 1, d), attending over all T keys.
+
+        Each dropout mask is still drawn at the full-sequence shape and cut
+        to row 0, so ``rng`` ends where the full-sequence pass leaves it.
+        """
+        B, T, d = x.shape
+        k, v = self.attn.project_kv(x)
+        if cls_only:
+            x = ad.token_at(x, 0).reshape(B, 1, d)
+        a = self.attn.attend(x, k, v, bias, dropout_p, rng, training, mask_rows=T)
+        x = self.ln1(x + ad.dropout(a, dropout_p, rng, training, mask_shape=(B, T, d)))
         f = self.ffn(x)
-        return self.ln2(x + ad.dropout(f, dropout_p, rng, training))
+        return self.ln2(x + ad.dropout(f, dropout_p, rng, training, mask_shape=(B, T, d)))
 
     def parameters(self):
         return (
@@ -217,19 +233,23 @@ class ConversationalEncoder:
         x = self.emb_ln(x)
         return ad.dropout(x, dropout_p, rng, training)
 
-    def forward_hidden(self, seqs, training=False, rng=None, pad_to=None, dropout_p=None):
+    def forward_hidden(self, seqs, training=False, rng=None, pad_to=None, dropout_p=None, *,
+                       cls_only=False):
         """Per-position hidden states for a batch of id sequences.
 
         Returns (hidden (B, T, d_model) tensor, validity mask (B, T) array).
         Attention never reads PAD positions. ``dropout_p`` overrides the
         construction-time rate; evaluation mode always disables dropout.
+        With ``cls_only``, the last block computes only the [CLS] row and
+        hidden is (B, 1, d_model); ``rng`` advances exactly as without it.
         """
         p = (self.cfg.dropout_p if dropout_p is None else dropout_p) if training else 0.0
         ids, mask = pad_batch(seqs, pad_id=0, pad_to=pad_to)
         bias = _key_bias(mask, self.tok_emb.data.dtype)
         x = self._embed(ids, p, rng, training)
-        for blk in self.blocks:
-            x = blk(x, bias, p, rng, training)
+        last = len(self.blocks) - 1
+        for i, blk in enumerate(self.blocks):
+            x = blk(x, bias, p, rng, training, cls_only=cls_only and i == last)
         return x, mask
 
     def pool_cls(self, hidden: Tensor) -> Tensor:
@@ -237,8 +257,10 @@ class ConversationalEncoder:
         return ad.tanh(self.pool(ad.token_at(hidden, 0)))
 
     def encode_batch(self, seqs, training=False, rng=None, pad_to=None, dropout_p=None) -> Tensor:
+        """Pooled (B, pooled_dim) embeddings; only the [CLS] row of the
+        last block is computed, since pooling reads nothing else."""
         hidden, _ = self.forward_hidden(
-            seqs, training=training, rng=rng, pad_to=pad_to, dropout_p=dropout_p
+            seqs, training=training, rng=rng, pad_to=pad_to, dropout_p=dropout_p, cls_only=True
         )
         return self.pool_cls(hidden)
 

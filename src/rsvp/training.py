@@ -230,7 +230,10 @@ def _token_chunks(seqs, budget: int):
         yield start, len(seqs)
 
 
-def _eval_scores(encoder, classifier, utterance_seqs, multi_label: bool):
+def score_utterances(encoder, classifier, utterance_seqs, multi_label: bool):
+    """Eval-mode class scores (n, n_classes), float64: sigmoid per class
+    when ``multi_label``, softmax otherwise. Utterances run in input order,
+    in chunks of at most ``_EVAL_TOKEN_BUDGET`` padded tokens."""
     scores = []
     for start, stop in _token_chunks(utterance_seqs, _EVAL_TOKEN_BUDGET):
         chunk = utterance_seqs[start:stop]
@@ -251,7 +254,7 @@ def predict_examples(encoder, classifier, examples, multi_label: bool = False):
     golds = [ex.label for ex in examples]
     if not examples:
         return []
-    scores = _eval_scores(encoder, classifier, seqs, multi_label)
+    scores = score_utterances(encoder, classifier, seqs, multi_label)
     return [Prediction(scores=scores[i], gold=golds[i]) for i in range(len(examples))]
 
 
@@ -294,7 +297,7 @@ def finetune(encoder, train_examples, valid_examples, cfg: StageConfig, hub: See
     def _valid_score():
         if not valid_feats:
             return None
-        scores = _eval_scores(encoder, classifier, [u for u, _ in valid_feats], cfg.multi_label)
+        scores = score_utterances(encoder, classifier, [u for u, _ in valid_feats], cfg.multi_label)
         preds = [Prediction(scores=scores[i], gold=y) for i, (_, y) in enumerate(valid_feats)]
         if cfg.multi_label:
             return multilabel_metrics(preds)["subset_accuracy"]

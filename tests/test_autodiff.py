@@ -214,6 +214,42 @@ class TestDropout:
             with pytest.raises(ValueError):
                 ad.dropout(x, p, np.random.default_rng(0))
 
+    def test_mask_shape_applies_the_leading_corner_of_a_full_draw(self, rng):
+        x = Tensor(rng.normal(size=(2, 1, 5)))
+        full_rng, cut_rng = np.random.default_rng(4), np.random.default_rng(4)
+        full = ad.dropout(Tensor(np.broadcast_to(x.data, (2, 3, 5))), 0.3, full_rng)
+        cut = ad.dropout(x, 0.3, cut_rng, mask_shape=(2, 3, 5))
+        np.testing.assert_array_equal(cut.data, full.data[:, :1, :])
+        assert cut_rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("mask_shape", [(2, 3), (2, 3, 4), (1, 3, 5)])
+    def test_mask_shape_must_cover_the_input(self, mask_shape):
+        x = Tensor(np.ones((2, 3, 5)))
+        with pytest.raises(ValueError, match="does not cover"):
+            ad.dropout(x, 0.3, np.random.default_rng(0), mask_shape=mask_shape)
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    def test_closure_yields_only_the_operand_that_requires_grad(self, op, rng):
+        a = _leaf(rng, (2, 3))
+        c = Tensor(rng.uniform(1.0, 2.0, size=(1, 3)))
+        for out in (op(a, c), op(c, a)):
+            pairs = out._grad_fn(np.ones(out.shape))
+            assert len(pairs) == 1 and pairs[0][0] is a
+            assert pairs[0][1].shape == a.shape
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    def test_gradient_unchanged_by_constant_partner(self, op, rng):
+        ad.set_default_dtype("float64")
+        a = _leaf(rng, (2, 3))
+        c_data = rng.uniform(1.0, 2.0, size=(1, 3))
+        ad.backward(ad.tsum(op(a, Tensor(c_data))))
+        const_grad = a.grad.copy()
+        a.grad = None
+        ad.backward(ad.tsum(op(a, Tensor(c_data, requires_grad=True))))
+        np.testing.assert_array_equal(const_grad, a.grad)
+
 
 class TestBackward:
     def test_sum_of_leaf_gives_ones(self):

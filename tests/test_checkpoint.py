@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -133,9 +134,11 @@ def _saved_blob(tmp_path):
 
 
 def _with_header(blob: bytes, header: bytes) -> bytes:
-    """The checkpoint ``blob`` with its JSON header replaced by ``header``."""
+    """The checkpoint ``blob`` with its JSON header replaced by ``header``
+    and the header checksum rewritten to match it."""
     hlen = int.from_bytes(blob[12:20], "little")
-    return blob[:12] + len(header).to_bytes(8, "little") + header + blob[20 + hlen :]
+    head = blob[:12] + len(header).to_bytes(8, "little") + header
+    return head + zlib.crc32(head).to_bytes(4, "little") + blob[24 + hlen :]
 
 
 def _header(blob: bytes) -> dict:
@@ -200,3 +203,37 @@ def test_truncated_or_bit_flipped_checkpoints_fail_only_as_checkpoint_error(tmp_
         except CheckpointError:
             failures += 1
     assert failures > 500
+
+
+def test_every_single_bit_flip_of_the_header_fails(tmp_path):
+    """Magic, version, header length, JSON header and header checksum: no
+    single flipped bit among them loads."""
+    cfg = StageConfig(d_model=4, n_layers=0, n_heads=1, d_ffn=4, pooled_dim=2, max_len=4)
+    enc = ConversationalEncoder(cfg.encoder_config(8), SeedHub(8).stream("encoder_init"))
+    path = tmp_path / "model.ckpt"
+    save_stage_checkpoint(path, "retrieval", cfg, 8, enc, labels=["A", "B"])
+    blob = path.read_bytes()
+    header_end = 24 + int.from_bytes(blob[12:20], "little")
+    damaged = tmp_path / "damaged.ckpt"
+    loaded = []
+    for byte in range(header_end):
+        for bit in range(8):
+            data = bytearray(blob)
+            data[byte] ^= 1 << bit
+            damaged.write_bytes(bytes(data))
+            try:
+                load_checkpoint(damaged)
+            except CheckpointError:
+                continue
+            loaded.append((byte, bit))
+    assert loaded == []
+
+
+def test_version_1_file_fails_as_checkpoint_error(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    hlen = int.from_bytes(blob[12:20], "little")
+    # the version-1 layout: no header checksum after the JSON header
+    v1 = blob[:8] + (1).to_bytes(4, "little") + blob[12 : 20 + hlen] + blob[24 + hlen :]
+    path.write_bytes(v1)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)

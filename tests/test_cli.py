@@ -13,7 +13,8 @@ from rsvp import training as tr
 from rsvp.cli import main
 from rsvp.config import StageConfig, load_config
 from rsvp.metrics import load_embeddings
-from rsvp.text import load_jsonl
+from rsvp.text import Vocab, load_jsonl
+from rsvp.text import encode as encode_record
 
 
 MICRO = [
@@ -210,6 +211,36 @@ class TestPredict:
         assert lines[0]["id"] == "q1"
         assert isinstance(lines[0]["intent"], str)
         assert abs(sum(lines[0]["scores"].values()) - 1.0) < 1e-6
+
+
+    @pytest.mark.parametrize("multi_label", [False, True])
+    def test_scores_bit_equal_to_predict_examples(self, data_path, tmp_path, capsys,
+                                                  multi_label):
+        out = tmp_path / "ft"
+        extra = ("retrieval_epochs=0", "generation_epochs=0", f"multi_label={multi_label}")
+        assert main(["finetune", "--data", data_path, "--out", str(out), "--seed", "0"]
+                    + _sets(extra)) == 0
+        ckpt = out / "finetuned.ckpt"
+        vocab_path = out / "vocab.txt"
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", str(ckpt), "--vocab", str(vocab_path),
+                     "--input", data_path]) == 0
+        rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+
+        meta, cfg, encoder, _, classifier = tr.load_stage_checkpoint(str(ckpt))
+        records = load_jsonl(data_path)
+        vocab = Vocab.load(str(vocab_path))
+        examples = [encode_record(rec, vocab, meta.labels, h_max=cfg.max_len, t_max=cfg.max_len,
+                                  mode="multi" if multi_label else "single")
+                    for rec in records]
+        preds = tr.predict_examples(encoder, classifier, examples, multi_label)
+        assert [r["id"] for r in rows] == [rec.id for rec in records]
+        for row, pred in zip(rows, preds):
+            assert [row["scores"][name] for name in meta.labels] == pred.scores.tolist()
+            if multi_label:
+                assert row["intent"] == [n for n, s in zip(meta.labels, pred.scores) if s > 0.5]
+            else:
+                assert row["intent"] == meta.labels[int(np.argmax(pred.scores))]
 
 
 class TestExportEmbeddings:

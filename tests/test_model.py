@@ -78,6 +78,57 @@ class TestEncode:
             encoder.encode([])
 
 
+def _pooled_with_grads(enc, pooled):
+    """Run ``pooled()`` and backpropagate a fixed projection of its output;
+    returns (embeddings, every parameter gradient)."""
+    params = enc.parameters()
+    for p in params:
+        p.tensor.grad = None
+    out = pooled()
+    weights = np.random.default_rng(11).normal(size=out.shape)
+    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(weights))))
+    return out.data.copy(), [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                             for p in params]
+
+
+class TestClsOnlyLastBlock:
+    """encode_batch runs the last block for the [CLS] row only; pooling the
+    full-sequence forward_hidden is its oracle."""
+
+    CASES = {
+        "unequal_lengths": ([[2, 7, 9, 11, 13, 30], [2, 8], [2, 31, 32, 33]], None),
+        "pad_to": ([[2, 7, 9], [2, 8, 10, 12]], 9),
+        "batch_1": ([[2, 7, 9, 11]], None),
+    }
+
+    @pytest.mark.parametrize("precision,tol", [("float64", 1e-12), ("float32", 1e-5)])
+    @pytest.mark.parametrize("n_layers", [2, 1, 0])
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_pooled_full_sequence(self, precision, tol, n_layers, training, case):
+        seqs, pad_to = self.CASES[case]
+        with ad.precision(precision):
+            enc = ConversationalEncoder(small_config(n_layers=n_layers),
+                                        SeedHub(3).stream("encoder_init"))
+            rng_fast, rng_full = np.random.default_rng(17), np.random.default_rng(17)
+            fast, fast_grads = _pooled_with_grads(enc, lambda: enc.encode_batch(
+                seqs, training=training, rng=rng_fast, pad_to=pad_to, dropout_p=0.1))
+            full, full_grads = _pooled_with_grads(enc, lambda: enc.pool_cls(enc.forward_hidden(
+                seqs, training, rng_full, pad_to, 0.1)[0]))
+        assert fast.dtype == full.dtype == np.dtype(precision)
+        assert np.abs(fast - full).max() <= tol
+        for g_fast, g_full in zip(fast_grads, full_grads):
+            assert np.abs(g_fast - g_full).max() <= tol * max(1.0, np.abs(g_full).max())
+        assert rng_fast.bit_generator.state == rng_full.bit_generator.state
+
+    def test_cls_only_hidden_is_one_row(self, encoder):
+        hidden, mask = encoder.forward_hidden([[2, 7, 9], [2, 8]], cls_only=True)
+        assert hidden.shape == (2, 1, 32)
+        assert mask.shape == (2, 3)
+        full, _ = encoder.forward_hidden([[2, 7, 9], [2, 8]])
+        assert full.shape == (2, 3, 32)
+
+
 class TestEncodePair:
     def test_identical_sequences_identical_embeddings_bitwise(self, encoder):
         q, p = encoder.encode_pair([2, 7, 9], [2, 7, 9])
