@@ -6,7 +6,7 @@ and fine-tunes an intent classifier with cross-entropy plus an
 unsupervised dropout-consistency contrastive term. Everything runs on a
 small NumPy reverse-mode autodiff core.
 """
-from .autodiff import Tensor, backward, precision, set_default_dtype
+from .autodiff import Tensor, backward, no_grad, precision, set_default_dtype
 from .config import StageConfig, load_config
 from .losses import (
     classification_loss,

@@ -8,9 +8,14 @@ accumulate across calls until explicitly reset.
 Two precision modes exist: float32 (training default) and float64 (used
 by the finite-difference gradient checks). Within one mode, identical
 inputs produce bitwise-identical outputs.
+
+Inside ``no_grad()`` operations record nothing: they return plain
+tensors with the same values, and every intermediate is freed as soon as
+nothing reads it. Evaluation paths run there.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -18,6 +23,8 @@ from scipy.special import erf as _erf, expit as _expit
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _default_dtype = np.float32
+# process-wide, like the default dtype; False inside no_grad()
+_grad_enabled = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -62,6 +69,23 @@ class precision:
     def __exit__(self, *exc):
         set_default_dtype(self._saved)
         return False
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Context manager (or decorator) under which operations build no graph.
+
+    Results carry the values they would carry outside it, but no parents,
+    no gradient closure and ``requires_grad=False``, so ``backward`` on
+    them raises. The previous state comes back on exit, also when the
+    block raises, so contexts nest.
+    """
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -159,7 +183,7 @@ def _make(data: np.ndarray, parents, grad_fn) -> Tensor:
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         t.requires_grad = True
         t._parents = tuple(parents)
         t._grad_fn = grad_fn
@@ -194,7 +218,9 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
-        raise ValueError("loss does not depend on any tensor that requires grad")
+        raise ValueError(
+            "loss does not depend on any tensor that requires grad (or was made under no_grad)"
+        )
 
     # DFS postorder (parents appended before children), then walk reversed
     topo: list[Tensor] = []

@@ -26,7 +26,7 @@ from .metrics import export_embeddings
 from .rng import SeedHub
 from .model import ConversationalEncoder
 from .synth import gen_data
-from .text import CLS, Vocab, load_jsonl, tokenize
+from .text import Vocab, encode_utterance, load_jsonl
 
 logger = logging.getLogger("rsvp.cli")
 
@@ -250,10 +250,8 @@ def cmd_predict(args) -> int:
             turns = raw.get("utterance_turns")
             if not turns:
                 raise ValueError(f"{args.input}: line {lineno}: missing utterance_turns")
-            text = " [SEP] ".join(turns)
-            seq = [vocab.cls_id] + vocab.encode_tokens(tokenize(text, cfg.char_fallback))
             ids.append(raw.get("id", f"line{lineno}"))
-            seqs.append(seq[: cfg.max_len])
+            seqs.append(encode_utterance(turns, vocab, cfg.max_len, cfg.char_fallback))
     outputs = []
     if seqs:
         # the batched scorer predict_examples uses, so scores match it bit for bit

@@ -92,14 +92,16 @@ def in_batch_recall_at_1(q: np.ndarray, p: np.ndarray) -> float:
 def export_embeddings(encoder, examples, label_names: list[str], path) -> None:
     """Write eval-mode utterance embeddings as CSV: id, intent, e0..e{d-1}.
 
-    Output is deterministic, so re-export of the same model and examples is
+    The utterances run graph-free in token-budget chunks through
+    ``encoder.embed``, the path eval scoring takes. Output is
+    deterministic, so re-export of the same model and examples is
     byte-identical.
     """
     d = encoder.cfg.pooled_dim
     header = "id,intent," + ",".join(f"e{i}" for i in range(d))
     lines = [header]
-    for ex in examples:
-        q = encoder.encode(ex.utterance_ids).data
+    embeddings = encoder.embed([ex.utterance_ids for ex in examples]) if examples else []
+    for ex, q in zip(examples, embeddings):
         if isinstance(ex.label, (int, np.integer)):
             intent = label_names[int(ex.label)]
         else:

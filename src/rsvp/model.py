@@ -19,6 +19,9 @@ from .optim import Parameter
 
 MASK_BIAS = -1e9  # additive logit bias for disallowed attention edges
 INIT_STD = 0.1  # larger than the 768-dim convention; desk-scale models train from scratch
+# padded token slots per eval forward: keeps long utterances in small
+# batches and short ones in large batches
+_EVAL_TOKEN_BUDGET = 1024
 
 
 @dataclass
@@ -39,18 +42,6 @@ class EncoderConfig:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.vocab_size < 1 or self.max_positions < 1:
             raise ValueError("vocab_size and max_positions must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ffn": self.d_ffn,
-            "dropout_p": self.dropout_p,
-            "max_positions": self.max_positions,
-            "pooled_dim": self.pooled_dim,
-        }
 
 
 def _normal(rng: np.random.Generator, shape, std=None):
@@ -188,6 +179,19 @@ def pad_batch(seqs, pad_id: int = 0, pad_to: int | None = None):
     return ids, mask
 
 
+def _token_chunks(seqs, budget: int):
+    """Consecutive (start, stop) runs whose count x longest length fits
+    the budget; a single sequence longer than the budget gets its own run."""
+    start, longest = 0, 0
+    for i, s in enumerate(seqs):
+        longest = max(longest, len(s))
+        if i > start and (i + 1 - start) * longest > budget:
+            yield start, i
+            start, longest = i, len(s)
+    if seqs:
+        yield start, len(seqs)
+
+
 def _key_bias(mask: np.ndarray, dtype) -> np.ndarray:
     # (B, T) validity mask -> additive (B, 1, 1, T) bias over key positions
     return ((1.0 - mask) * MASK_BIAS)[:, None, None, :].astype(dtype)
@@ -263,6 +267,24 @@ class ConversationalEncoder:
             seqs, training=training, rng=rng, pad_to=pad_to, dropout_p=dropout_p, cls_only=True
         )
         return self.pool_cls(hidden)
+
+    def embed(self, seqs, head=None) -> np.ndarray:
+        """Eval-mode pooled embeddings of ``seqs`` as one (n, pooled_dim)
+        array, in input order, built graph-free under ``ad.no_grad()``.
+
+        Sequences run in consecutive chunks of at most ``_EVAL_TOKEN_BUDGET``
+        padded tokens. ``head``, when given, maps each chunk's embedding
+        tensor to the tensor whose rows are returned instead (a classifier's
+        logits, say), so it runs once per chunk and graph-free as well.
+        """
+        if not len(seqs):
+            raise ValueError("cannot embed an empty list of sequences")
+        out = []
+        with ad.no_grad():
+            for start, stop in _token_chunks(seqs, _EVAL_TOKEN_BUDGET):
+                q = self.encode_batch(seqs[start:stop])
+                out.append((q if head is None else head(q)).data)
+        return np.concatenate(out, axis=0)
 
     def encode(self, ids) -> Tensor:
         """Deterministic eval-mode embedding of a single id sequence."""
@@ -375,8 +397,10 @@ class ResponseDecoder:
             x = blk(x, self_bias, enc_hidden, cross_bias, p, rng, training)
         return self.lm_head(x), mask
 
+    @ad.no_grad()
     def generate(self, encoder: ConversationalEncoder, u_ids, max_t: int) -> list[int]:
-        """Greedy decoding from [BOS] until [EOS] or max_t tokens; deterministic.
+        """Greedy decoding from [BOS] until [EOS] or max_t tokens; deterministic,
+        and graph-free: it runs under ``ad.no_grad()``.
 
         Decoding is incremental. The utterance's encoder states are projected
         to each block's cross-attention keys/values once per call; each step

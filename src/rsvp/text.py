@@ -43,6 +43,7 @@ _EMOJI_RE = re.compile(
     "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
 )
 _WS_RE = re.compile(r"\s+")
+_TURN_JOINER = f" {SEP} "
 
 
 def preprocess(text: str) -> str:
@@ -70,8 +71,7 @@ class DialogueRecord:
 
 def flatten_dialogue(rec: DialogueRecord) -> tuple[str, str]:
     """Join each side's turns, in order, with the separator marker."""
-    joiner = f" {SEP} "
-    return joiner.join(rec.utterance_turns), joiner.join(rec.response_turns)
+    return _TURN_JOINER.join(rec.utterance_turns), _TURN_JOINER.join(rec.response_turns)
 
 
 def tokenize(text: str, char_fallback: bool = False) -> list[str]:
@@ -157,6 +157,14 @@ def build_vocab(corpus, min_freq: int = 1, char_fallback: bool = False) -> Vocab
     return Vocab(list(RESERVED_TOKENS) + kept)
 
 
+def encode_utterance(turns, vocab: Vocab, h_max: int, char_fallback: bool = False) -> list[int]:
+    """[CLS] plus the ids of the customer turns joined with the separator
+    marker, right-truncated to ``h_max`` ids. The one utterance encoding
+    that training data and raw serving input share."""
+    text = _TURN_JOINER.join(turns)
+    return ([vocab.cls_id] + vocab.encode_tokens(tokenize(text, char_fallback)))[:h_max]
+
+
 @dataclass
 class EncodedExample:
     """Token-encoded (utterance, response, label) triple."""
@@ -187,9 +195,8 @@ def encode(
         if name not in label_index:
             raise ValueError(f"record {rec.id!r}: unknown intent label {name!r}")
 
-    u_text, r_text = flatten_dialogue(rec)
-    u_ids = [vocab.cls_id] + vocab.encode_tokens(tokenize(u_text, char_fallback))
-    u_ids = u_ids[:h_max]
+    u_ids = encode_utterance(rec.utterance_turns, vocab, h_max, char_fallback)
+    r_text = _TURN_JOINER.join(rec.response_turns)
     r_content = vocab.encode_tokens(tokenize(r_text, char_fallback))
     r_ids = [vocab.bos_id] + r_content[: t_max - 2] + [vocab.eos_id]
 

@@ -12,8 +12,7 @@ import csv
 import json
 import logging
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as _expit
@@ -212,40 +211,17 @@ def pretrain_generation(encoder, examples, cfg: StageConfig, hub: SeedHub, decod
     return decoder, history
 
 
-# padded token slots per eval forward: keeps long utterances in small
-# batches and short ones in large batches
-_EVAL_TOKEN_BUDGET = 1024
-
-
-def _token_chunks(seqs, budget: int):
-    """Consecutive (start, stop) runs whose count x longest length fits
-    the budget; a single sequence longer than the budget gets its own run."""
-    start, longest = 0, 0
-    for i, s in enumerate(seqs):
-        longest = max(longest, len(s))
-        if i > start and (i + 1 - start) * longest > budget:
-            yield start, i
-            start, longest = i, len(s)
-    if seqs:
-        yield start, len(seqs)
-
-
 def score_utterances(encoder, classifier, utterance_seqs, multi_label: bool):
     """Eval-mode class scores (n, n_classes), float64: sigmoid per class
-    when ``multi_label``, softmax otherwise. Utterances run in input order,
-    in chunks of at most ``_EVAL_TOKEN_BUDGET`` padded tokens."""
-    scores = []
-    for start, stop in _token_chunks(utterance_seqs, _EVAL_TOKEN_BUDGET):
-        chunk = utterance_seqs[start:stop]
-        q = encoder.encode_batch(chunk)
-        logits = classifier(q).data.astype(np.float64)
-        if multi_label:
-            scores.append(_expit(logits))
-        else:
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            scores.append(e / e.sum(axis=1, keepdims=True))
-    return np.concatenate(scores, axis=0)
+    when ``multi_label``, softmax otherwise. The encoder and classifier run
+    graph-free through ``encoder.embed``, in input order and in chunks of
+    at most ``model._EVAL_TOKEN_BUDGET`` padded tokens."""
+    logits = encoder.embed(utterance_seqs, head=classifier).astype(np.float64)
+    if multi_label:
+        return _expit(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def predict_examples(encoder, classifier, examples, multi_label: bool = False):
@@ -372,19 +348,15 @@ class RunReport:
     mean: dict
     curves: dict
     config: dict
-    wall_clock: float | None = None
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "variant": self.variant,
             "per_seed": self.per_seed,
             "mean": self.mean,
             "curves": self.curves,
             "config": self.config,
         }
-        if include_timing and self.wall_clock is not None:
-            out["wall_clock_seconds"] = self.wall_clock
-        return out
 
     def save(self, out_dir, name: str = "report") -> dict:
         """Write <name>.json plus a long-format <name>_curves.csv; returns paths."""
@@ -417,7 +389,6 @@ def load_report(path) -> RunReport:
         mean=raw["mean"],
         curves=raw["curves"],
         config=raw["config"],
-        wall_clock=raw.get("wall_clock_seconds"),
     )
 
 
@@ -464,7 +435,6 @@ def run_rsvp(
     With ``checkpoint_dir`` set, the fine-tuned model for each seed is
     saved as finetuned_seed<seed>.ckpt.
     """
-    t0 = time.perf_counter()
     per_seed, curves = [], {}
     with ad.precision(cfg.precision):
         for seed in cfg.seeds:
@@ -484,15 +454,13 @@ def run_rsvp(
                     classifier=classifier,
                     labels=prepared.label_names,
                 )
-    report = RunReport(
+    return RunReport(
         variant=variant,
         per_seed=per_seed,
         mean=_mean_metrics(per_seed),
         curves=curves,
         config=cfg.to_dict(),
-        wall_clock=time.perf_counter() - t0,
     )
-    return report
 
 
 def run_baseline_classifier(
@@ -500,7 +468,6 @@ def run_baseline_classifier(
 ) -> RunReport:
     """Fine-tuning only, skipping both pre-training stages entirely."""
     eff = cfg if with_uns_cl else cfg.replace(lam=0.0)
-    t0 = time.perf_counter()
     per_seed, curves = [], {}
     with ad.precision(eff.precision):
         for seed in eff.seeds:
@@ -513,7 +480,6 @@ def run_baseline_classifier(
         mean=_mean_metrics(per_seed),
         curves=curves,
         config=eff.to_dict(),
-        wall_clock=time.perf_counter() - t0,
     )
 
 

@@ -313,3 +313,73 @@ def test_values_stay_finite_through_deep_graph(rng):
     loss.backward()
     assert np.all(np.isfinite(loss.data))
     assert np.all(np.isfinite(x.grad))
+
+
+class TestNoGrad:
+    @staticmethod
+    def _composite(x, w, gamma, beta):
+        h = ad.gelu(ad.matmul(x, w))
+        h = ad.layer_norm(h, gamma, beta)
+        return ad.tsum(ad.softmax(h, axis=-1) * ad.tanh(h))
+
+    def _leaves(self, rng):
+        return (_leaf(rng, (2, 5, 6)), _leaf(rng, (6, 4)), _leaf(rng, (4,)), _leaf(rng, (4,)))
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_values_bit_equal_inside_and_outside(self, precision, rng):
+        with ad.precision(precision):
+            leaves = self._leaves(rng)
+            outside = self._composite(*leaves)
+            with ad.no_grad():
+                inside = self._composite(*leaves)
+        assert inside.dtype == outside.dtype == np.dtype(precision)
+        assert np.array_equal(inside.data, outside.data)
+
+    def test_outputs_are_plain_tensors_and_backward_raises(self, rng):
+        leaves = self._leaves(rng)
+        with ad.no_grad():
+            out = self._composite(*leaves)
+            mid = ad.matmul(leaves[0], leaves[1])
+        for t in (out, mid):
+            assert t.requires_grad is False
+            assert t._parents == () and t._grad_fn is None
+        with pytest.raises(ValueError, match="no_grad"):
+            ad.backward(out)
+        assert all(leaf.grad is None for leaf in leaves)
+
+    def test_leaves_keep_requires_grad(self):
+        with ad.no_grad():
+            w = Tensor(np.ones(3), requires_grad=True)
+        assert w.requires_grad
+        ad.tsum(w * w).backward()
+        np.testing.assert_array_equal(w.grad, 2 * np.ones(3))
+
+    def test_state_restored_after_an_exception(self, rng):
+        w = _leaf(rng, (3,))
+        with pytest.raises(RuntimeError, match="boom"):
+            with ad.no_grad():
+                assert not ad.tsum(w).requires_grad
+                raise RuntimeError("boom")
+        loss = ad.tsum(w * w)
+        assert loss.requires_grad
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, 2 * w.data)
+
+    def test_contexts_nest(self, rng):
+        w = _leaf(rng, (3,))
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not (w * w).requires_grad
+            # leaving the inner context keeps the outer one in force
+            assert not (w * w).requires_grad
+        assert (w * w).requires_grad
+
+    def test_decorator_form(self, rng):
+        w = _leaf(rng, (3,))
+
+        @ad.no_grad()
+        def square(t):
+            return t * t
+
+        assert not square(w).requires_grad
+        assert (w * w).requires_grad

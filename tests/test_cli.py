@@ -13,8 +13,10 @@ from rsvp import training as tr
 from rsvp.cli import main
 from rsvp.config import StageConfig, load_config
 from rsvp.metrics import load_embeddings
-from rsvp.text import Vocab, load_jsonl
+from rsvp.text import Vocab, load_jsonl, tokenize
 from rsvp.text import encode as encode_record
+
+from .test_training import _graph_scores
 
 
 MICRO = [
@@ -241,6 +243,56 @@ class TestPredict:
                 assert row["intent"] == [n for n, s in zip(meta.labels, pred.scores) if s > 0.5]
             else:
                 assert row["intent"] == meta.labels[int(np.argmax(pred.scores))]
+
+
+def _previous_predict_output(ckpt_path, vocab_path, input_path) -> bytes:
+    """What `rsvp predict` wrote before its utterance encoding moved into
+    rsvp.text and eval scoring went graph-free: its own inline encoder,
+    graph-built chunked scoring and the same JSON lines."""
+    meta, cfg, encoder, _, classifier = tr.load_stage_checkpoint(ckpt_path)
+    vocab = Vocab.load(vocab_path)
+    ids, seqs = [], []
+    with open(input_path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            raw = json.loads(line)
+            text = " [SEP] ".join(raw["utterance_turns"])
+            seq = [vocab.cls_id] + vocab.encode_tokens(tokenize(text, cfg.char_fallback))
+            ids.append(raw.get("id", f"line{lineno}"))
+            seqs.append(seq[: cfg.max_len])
+    scores = _graph_scores(encoder, classifier, seqs, cfg.multi_label)
+    outputs = [
+        {"id": record_id, "intent": meta.labels[int(np.argmax(row))],
+         "scores": {name: float(s) for name, s in zip(meta.labels, row)}}
+        for record_id, row in zip(ids, scores)
+    ]
+    return ("\n".join(json.dumps(o, sort_keys=True) for o in outputs) + "\n").encode("utf-8")
+
+
+class TestPredictOutputUnchanged:
+    @pytest.mark.parametrize("char_fallback", [False, True])
+    def test_bytes_equal_previous_predict(self, data_path, tmp_path, char_fallback):
+        out = tmp_path / "ft"
+        extra = ("retrieval_epochs=0", "generation_epochs=0", "max_len=12",
+                 f"char_fallback={char_fallback}")
+        assert main(["finetune", "--data", data_path, "--out", str(out), "--seed", "0"]
+                    + _sets(extra)) == 0
+        ckpt, vocab_path = str(out / "finetuned.ckpt"), str(out / "vocab.txt")
+        long_turns = ["hello i need help with my refund please, it was charged twice",
+                      "the order number is 12345 https://shop.example/o/12345 \U0001F600"]
+        assert len(tokenize(" [SEP] ".join(long_turns))) + 1 > 12
+        inputs = tmp_path / "incoming.jsonl"
+        inputs.write_text(
+            json.dumps({"id": "long", "utterance_turns": long_turns, "response_turns": []}) + "\n"
+            + json.dumps({"id": "short", "utterance_turns": ["cancel"]}) + "\n\n"
+            + json.dumps({"utterance_turns": ["my parcel is lost", "id999"]}) + "\n",
+            encoding="utf-8",
+        )
+        pred_path = tmp_path / "pred.jsonl"
+        assert main(["predict", "--ckpt", ckpt, "--vocab", vocab_path, "--input", str(inputs),
+                     "--out", str(pred_path)]) == 0
+        assert pred_path.read_bytes() == _previous_predict_output(ckpt, vocab_path, inputs)
 
 
 class TestExportEmbeddings:

@@ -176,3 +176,49 @@ class TestExportEmbeddings:
         for row, ex in zip(mat, examples):
             again = enc.encode(ex.utterance_ids).data
             assert np.abs(row - again).max() < 1e-6
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_batched_export_matches_per_example_encode(self, tmp_path, precision):
+        """Unequal lengths across several token-budget chunks, with a
+        multi-label example among them."""
+        from rsvp import autodiff as ad
+        from rsvp.model import ConversationalEncoder, EncoderConfig
+        from rsvp.rng import SeedHub
+        from rsvp.text import EncodedExample
+
+        with ad.precision(precision):
+            cfg = EncoderConfig(vocab_size=30, d_model=16, n_layers=2, n_heads=2,
+                                d_ffn=32, max_positions=64, pooled_dim=8)
+            enc = ConversationalEncoder(cfg, SeedHub(5).stream("encoder_init"))
+        rng = np.random.default_rng(9)
+        lengths = [1, 64, 3, 17, 40, 2] * 6
+        examples = [
+            EncodedExample(f"ex{i}", np.array([2] + list(rng.integers(6, 30, size=n - 1))),
+                           np.array([4, 5]), i % 3)
+            for i, n in enumerate(lengths)
+        ]
+        examples[4].label = np.array([1.0, 0.0, 1.0], dtype=np.float32)
+        forwards = []
+        encode_batch = enc.encode_batch
+
+        def counting_encode_batch(seqs, *args, **kwargs):
+            out = encode_batch(seqs, *args, **kwargs)
+            forwards.append(out.requires_grad)
+            return out
+
+        enc.encode_batch = counting_encode_batch
+        path = tmp_path / "emb.csv"
+        M.export_embeddings(enc, examples, ["A", "B", "C"], path)
+        assert 1 < len(forwards) < len(examples)
+        assert not any(forwards)
+        ids, intents, mat = M.load_embeddings(path)
+        assert ids == [ex.example_id for ex in examples]
+        assert intents[4] == "A|C" and intents[:4] == ["A", "B", "C", "A"]
+        for row, ex in zip(mat, examples):
+            assert np.abs(row - enc.encode(ex.utterance_ids).data).max() <= 1e-6
+
+    def test_empty_split_writes_the_header_only(self, tmp_path):
+        enc, _ = self._encoder_and_examples()
+        path = tmp_path / "emb.csv"
+        M.export_embeddings(enc, [], ["Refund", "Cancel"], path)
+        assert path.read_text().splitlines() == ["id,intent," + ",".join(f"e{i}" for i in range(8))]

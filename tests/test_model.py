@@ -7,9 +7,12 @@ from rsvp import autodiff as ad
 from rsvp.config import StageConfig
 from rsvp.losses import generation_loss
 from rsvp.model import (
+    _EVAL_TOKEN_BUDGET,
     ConversationalEncoder,
     EncoderConfig,
     IntentClassifier,
+    ResponseDecoder,
+    _token_chunks,
     init_decoder_from_encoder,
 )
 from rsvp.optim import adamw_step, zero_grad
@@ -376,3 +379,77 @@ class TestClassifier:
         x = ad.Tensor(rng.normal(size=(3, 16)))
         out = clf(x)
         assert out.shape == (3, 5)
+
+
+class TestGraphFreeEval:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_encode_batch_bit_equal_under_no_grad(self, precision):
+        with ad.precision(precision):
+            enc = ConversationalEncoder(small_config(), SeedHub(8).stream("encoder_init"))
+        seqs = [[2, 7, 9], [2] + list(range(6, 26)), [2, 11]]
+        outside = enc.encode_batch(seqs)
+        with ad.no_grad():
+            inside = enc.encode_batch(seqs)
+        assert outside.requires_grad and not inside.requires_grad
+        assert inside._parents == ()
+        assert inside.dtype == np.dtype(precision)
+        assert np.array_equal(inside.data, outside.data)
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_generate_runs_graph_free_and_bit_equal(self, precision):
+        """generate against its undecorated body, which builds the graph."""
+        with ad.precision(precision):
+            enc, dec = _random_models(9)
+        dec.lm_head.b.tensor.data[dec.eos_id] = -1e3  # decode all max_t steps
+        head, runs = dec.lm_head, []
+        for run in (lambda: dec.generate(enc, [2, 8, 13, 21], 10),
+                    lambda: ResponseDecoder.generate.__wrapped__(dec, enc, [2, 8, 13, 21], 10)):
+            rows = []
+
+            def recording_head(x, rows=rows):
+                rows.append(head(x))
+                return rows[-1]
+
+            dec.lm_head = recording_head
+            try:
+                runs.append((run(), rows))
+            finally:
+                dec.lm_head = head
+        (free_tokens, free_rows), (graph_tokens, graph_rows) = runs
+        assert free_tokens == graph_tokens and len(free_tokens) == 10
+        assert not any(r.requires_grad for r in free_rows)
+        assert all(r.requires_grad for r in graph_rows)
+        for a, b in zip(free_rows, graph_rows):
+            assert a.dtype == np.dtype(precision)
+            assert np.array_equal(a.data, b.data)
+
+    def test_embed_matches_per_chunk_encode_batch(self, encoder):
+        rng = np.random.default_rng(4)
+        # 24-token sequences: 42 fit one 1024-slot chunk, so this spans three
+        seqs = [[2] + list(rng.integers(6, 40, size=int(n))) for n in rng.integers(0, 24, size=100)]
+        seqs[5] = [2] + [7] * 23
+        head = IntentClassifier(16, 3, SeedHub(1).stream("classifier_init"))
+        chunks = list(_token_chunks(seqs, _EVAL_TOKEN_BUDGET))
+        assert len(chunks) > 1
+        emb = encoder.embed(seqs)
+        logits = encoder.embed(seqs, head=head)
+        assert emb.shape == (100, 16) and logits.shape == (100, 3)
+        for start, stop in chunks:
+            q = encoder.encode_batch(seqs[start:stop])
+            assert np.array_equal(emb[start:stop], q.data)
+            assert np.array_equal(logits[start:stop], head(q).data)
+
+    def test_embed_builds_no_graph(self, encoder):
+        seen = []
+
+        def head(q):
+            seen.append(q.requires_grad)
+            return q
+
+        encoder.embed([[2, 7], [2, 9, 11]], head=head)
+        assert seen == [False]
+        assert (encoder.encode_batch([[2, 7]])).requires_grad
+
+    def test_embed_rejects_an_empty_list(self, encoder):
+        with pytest.raises(ValueError, match="empty"):
+            encoder.embed([])

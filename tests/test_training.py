@@ -5,12 +5,13 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rsvp import autodiff as ad
 from rsvp.config import StageConfig
 from rsvp.losses import classification_loss
 from rsvp.metrics import Prediction
-from rsvp.model import ConversationalEncoder, IntentClassifier
+from rsvp.model import _EVAL_TOKEN_BUDGET, ConversationalEncoder, IntentClassifier, _token_chunks
 from rsvp.optim import adamw_step, zero_grad
 from rsvp.rng import SeedHub
 from rsvp.synth import gen_data
@@ -215,7 +216,7 @@ class TestEvalChunks:
     def test_chunks_are_consecutive_and_fit_the_token_budget(self):
         rng = np.random.default_rng(5)
         seqs = [[1] * int(n) for n in rng.integers(1, 90, size=200)]
-        chunks = list(tr._token_chunks(seqs, 1024))
+        chunks = list(_token_chunks(seqs, 1024))
         assert chunks[0][0] == 0 and chunks[-1][1] == len(seqs)
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         for start, stop in chunks:
@@ -223,13 +224,79 @@ class TestEvalChunks:
             assert (stop - start) * max(len(s) for s in seqs[start:stop]) <= 1024
 
     def test_desk_and_long_shapes(self):
-        assert list(tr._token_chunks([[1] * 16] * 100, 1024)) == [(0, 64), (64, 100)]
-        assert [b - a for a, b in tr._token_chunks([[1] * 85] * 30, 1024)] == [12, 12, 6]
+        assert list(_token_chunks([[1] * 16] * 100, 1024)) == [(0, 64), (64, 100)]
+        assert [b - a for a, b in _token_chunks([[1] * 85] * 30, 1024)] == [12, 12, 6]
 
     def test_oversized_sequence_gets_its_own_chunk(self):
         seqs = [[1] * 3, [1] * 2000, [1] * 3]
-        assert list(tr._token_chunks(seqs, 1024)) == [(0, 1), (1, 2), (2, 3)]
-        assert list(tr._token_chunks([], 1024)) == []
+        assert list(_token_chunks(seqs, 1024)) == [(0, 1), (1, 2), (2, 3)]
+        assert list(_token_chunks([], 1024)) == []
+
+
+def _graph_scores(encoder, classifier, seqs, multi_label):
+    """Eval scoring as it ran before it went graph-free: every token-budget
+    chunk through encode_batch and the classifier with the graph built,
+    then sigmoid or softmax per chunk."""
+    out = []
+    for start, stop in _token_chunks(seqs, _EVAL_TOKEN_BUDGET):
+        logits = classifier(encoder.encode_batch(seqs[start:stop]))
+        assert logits.requires_grad
+        logits = logits.data.astype(np.float64)
+        if multi_label:
+            out.append(expit(logits))
+        else:
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            out.append(e / e.sum(axis=1, keepdims=True))
+    return np.concatenate(out, axis=0)
+
+
+class TestGraphFreeScoring:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("multi_label", [False, True])
+    def test_scores_bit_equal_to_graph_scoring(self, dataset, precision, multi_label):
+        prepared, cfg = dataset
+        with ad.precision(precision):
+            hub = SeedHub(4)
+            enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)),
+                                        hub.stream("encoder_init"))
+            clf = IntentClassifier(cfg.pooled_dim, len(prepared.label_names),
+                                   hub.stream("classifier_init"))
+        # repeated so the scoring runs over several token-budget chunks
+        seqs = [ex.utterance_ids for ex in prepared.train] * 3
+        assert len(list(_token_chunks(seqs, _EVAL_TOKEN_BUDGET))) > 1
+        reference = _graph_scores(enc, clf, seqs, multi_label)
+        outside = tr.score_utterances(enc, clf, seqs, multi_label)
+        with ad.no_grad():
+            inside = tr.score_utterances(enc, clf, seqs, multi_label)
+        assert reference.dtype == outside.dtype == inside.dtype == np.float64
+        assert np.array_equal(outside, reference)
+        assert np.array_equal(inside, reference)
+
+    @pytest.mark.parametrize("selection", ["final", "best_valid"])
+    def test_finetune_unchanged_by_graph_free_validation(self, dataset, monkeypatch, selection):
+        prepared, cfg = dataset
+        run_cfg = cfg.replace(finetune_epochs=3, checkpoint_selection=selection)
+
+        def run():
+            hub = SeedHub(6)
+            enc = ConversationalEncoder(run_cfg.encoder_config(len(prepared.vocab)),
+                                        hub.stream("encoder_init"))
+            clf, history = tr.finetune(enc, prepared.train, prepared.valid, run_cfg, hub,
+                                       len(prepared.label_names))
+            # gradients of one more loss on the fine-tuned weights
+            batch = prepared.train[:8]
+            probs = ad.softmax(clf(enc.encode_batch([ex.utterance_ids for ex in batch])), axis=-1)
+            ad.backward(classification_loss(probs, np.array([ex.label for ex in batch])))
+            params = enc.parameters() + clf.parameters()
+            return history, [p.data.copy() for p in params], [p.tensor.grad.copy() for p in params]
+
+        free = run()
+        monkeypatch.setattr(tr, "score_utterances", _graph_scores)
+        graph = run()
+        assert free[0] == graph[0]
+        assert all(np.isfinite(row["valid_score"]) for row in free[0])
+        for got, want in zip(free[1] + free[2], graph[1] + graph[2]):
+            assert np.array_equal(got, want)
 
 
 class TestPipelines:
