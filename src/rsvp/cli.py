@@ -26,7 +26,7 @@ from .metrics import export_embeddings
 from .rng import SeedHub
 from .model import ConversationalEncoder
 from .synth import gen_data
-from .text import Vocab, encode_utterance, load_jsonl
+from .text import Vocab, encode_utterance, load_jsonl, split
 
 logger = logging.getLogger("rsvp.cli")
 
@@ -65,17 +65,6 @@ def _write_resolved_config(out_dir, cfg: StageConfig):
     return path
 
 
-def _curves_csv(path, history):
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        keys = list(history[0].keys()) if history else ["epoch"]
-        writer.writerow(keys)
-        for row in history:
-            writer.writerow([row[k] for k in keys])
-
-
 def cmd_gen_data(args) -> int:
     records = gen_data(
         n_intents=args.n_intents,
@@ -91,17 +80,9 @@ def cmd_gen_data(args) -> int:
 def cmd_build_vocab(args) -> int:
     cfg = _resolve_config(args)
     records = load_jsonl(args.data)
-    from .text import build_vocab, flatten_dialogue, split
-
     if args.scope == "train":
         records = split(records, cfg.split_ratios, cfg.split_seed)[0]
-    corpus = []
-    for rec in records:
-        u_text, r_text = flatten_dialogue(rec)
-        corpus.append(u_text)
-        if r_text:
-            corpus.append(r_text)
-    vocab = build_vocab(corpus, min_freq=cfg.min_freq, char_fallback=cfg.char_fallback)
+    vocab = tr.records_vocab(records, cfg)
     vocab.save(args.out)
     print(f"wrote {len(vocab)} tokens to {args.out}")
     return 0
@@ -117,6 +98,19 @@ def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
         return ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
 
 
+def _save_stage(args, cfg: StageConfig, seed: int, prepared, stage: str, ckpt_stage: str,
+                history, encoder, **heads) -> str:
+    """Write a stage command's outputs into --out: the resolved config, the
+    checkpoint, <stage>_curves.csv and vocab.txt; returns the checkpoint path."""
+    _write_resolved_config(args.out, cfg)
+    ckpt_path = os.path.join(args.out, f"{ckpt_stage}.ckpt")
+    tr.save_stage_checkpoint(ckpt_path, ckpt_stage, cfg, len(prepared.vocab), encoder,
+                             labels=prepared.label_names, **heads)
+    tr.write_curves_csv(os.path.join(args.out, f"{stage}_curves.csv"), {str(seed): {stage: history}})
+    prepared.vocab.save(os.path.join(args.out, "vocab.txt"))
+    return ckpt_path
+
+
 def cmd_pretrain_retrieval(args) -> int:
     cfg = _resolve_config(args)
     seed = _stage_seed(args, cfg)
@@ -124,12 +118,7 @@ def cmd_pretrain_retrieval(args) -> int:
     with ad.precision(cfg.precision):
         encoder = _init_encoder(args, cfg, prepared, seed, "retrieval")
         history = tr.pretrain_retrieval(encoder, prepared.train, cfg, SeedHub(seed))
-    _write_resolved_config(args.out, cfg)
-    ckpt_path = os.path.join(args.out, "retrieval.ckpt")
-    tr.save_stage_checkpoint(ckpt_path, "retrieval", cfg, len(prepared.vocab), encoder,
-                             labels=prepared.label_names)
-    _curves_csv(os.path.join(args.out, "retrieval_curves.csv"), history)
-    prepared.vocab.save(os.path.join(args.out, "vocab.txt"))
+    ckpt_path = _save_stage(args, cfg, seed, prepared, "retrieval", "retrieval", history, encoder)
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -141,12 +130,8 @@ def cmd_pretrain_generation(args) -> int:
     with ad.precision(cfg.precision):
         encoder = _init_encoder(args, cfg, prepared, seed, "generation")
         decoder, history = tr.pretrain_generation(encoder, prepared.train, cfg, SeedHub(seed))
-    _write_resolved_config(args.out, cfg)
-    ckpt_path = os.path.join(args.out, "generation.ckpt")
-    tr.save_stage_checkpoint(ckpt_path, "generation", cfg, len(prepared.vocab), encoder,
-                             decoder=decoder, labels=prepared.label_names)
-    _curves_csv(os.path.join(args.out, "generation_curves.csv"), history)
-    prepared.vocab.save(os.path.join(args.out, "vocab.txt"))
+    ckpt_path = _save_stage(args, cfg, seed, prepared, "generation", "generation", history,
+                            encoder, decoder=decoder)
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -160,12 +145,8 @@ def cmd_finetune(args) -> int:
         classifier, history = tr.finetune(
             encoder, prepared.train, prepared.valid, cfg, SeedHub(seed), len(prepared.label_names)
         )
-    _write_resolved_config(args.out, cfg)
-    ckpt_path = os.path.join(args.out, "finetuned.ckpt")
-    tr.save_stage_checkpoint(ckpt_path, "finetuned", cfg, len(prepared.vocab), encoder,
-                             classifier=classifier, labels=prepared.label_names)
-    _curves_csv(os.path.join(args.out, "finetune_curves.csv"), history)
-    prepared.vocab.save(os.path.join(args.out, "vocab.txt"))
+    ckpt_path = _save_stage(args, cfg, seed, prepared, "finetune", "finetuned", history,
+                            encoder, classifier=classifier)
     preds = tr.predict_examples(encoder, classifier, prepared.test, cfg.multi_label)
     if preds:
         print(json.dumps(tr.compute_metrics(preds, cfg.multi_label), sort_keys=True))
@@ -214,14 +195,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _checkpoint_split(args, cfg: StageConfig, encoder):
+    """Prepare ``--data`` with the checkpoint's config; returns (prepared,
+    the ``--split`` examples). Without ``--vocab`` the vocabulary is rebuilt
+    from the data. A vocabulary whose size is not the checkpoint's is an error."""
+    prepared = _load_prepared(args, cfg)
+    expected = encoder.cfg.vocab_size
+    if len(prepared.vocab) != expected:
+        source = args.vocab or f"rebuilt from {args.data}"
+        raise ValueError(
+            f"vocabulary ({source}) has {len(prepared.vocab)} tokens but the checkpoint was "
+            f"trained with {expected}; pass --vocab with the vocab.txt written beside it"
+        )
+    splits = {"train": prepared.train, "valid": prepared.valid, "test": prepared.test}
+    return prepared, splits[args.split]
+
+
 def cmd_evaluate(args) -> int:
     ckpt, cfg, encoder, _, classifier = tr.load_stage_checkpoint(args.ckpt)
     if classifier is None:
         raise ValueError("evaluate needs a finetuned checkpoint with a classifier head")
-    vocab = Vocab.load(args.vocab) if args.vocab else None
-    records = load_jsonl(args.data)
-    prepared = tr.prepare(records, cfg, vocab=vocab)
-    examples = {"train": prepared.train, "valid": prepared.valid, "test": prepared.test}[args.split]
+    _, examples = _checkpoint_split(args, cfg, encoder)
     preds = tr.predict_examples(encoder, classifier, examples, cfg.multi_label)
     metrics = tr.compute_metrics(preds, cfg.multi_label)
     print(json.dumps(metrics, sort_keys=True))
@@ -277,10 +271,7 @@ def cmd_predict(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     ckpt, cfg, encoder, _, _ = tr.load_stage_checkpoint(args.ckpt)
-    vocab = Vocab.load(args.vocab) if args.vocab else None
-    records = load_jsonl(args.data)
-    prepared = tr.prepare(records, cfg, vocab=vocab)
-    examples = {"train": prepared.train, "valid": prepared.valid, "test": prepared.test}[args.split]
+    prepared, examples = _checkpoint_split(args, cfg, encoder)
     export_embeddings(encoder, examples, prepared.label_names, args.out)
     print(f"embeddings: {args.out}")
     return 0

@@ -18,13 +18,7 @@ import numpy as np
 from scipy.special import expit as _expit
 
 from . import autodiff as ad
-from .checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    load_checkpoint,
-    restore_component,
-    save_checkpoint,
-)
+from .checkpoint import CheckpointError, load_checkpoint, restore_component, save_checkpoint
 from .config import StageConfig
 from .losses import (
     classification_loss,
@@ -38,7 +32,7 @@ from .metrics import Prediction, accuracy, in_batch_recall_at_1, mrr_at_k, multi
 from .model import ConversationalEncoder, IntentClassifier, init_decoder_from_encoder
 from .optim import adamw_step, zero_grad
 from .rng import SeedHub
-from .text import EncodedExample, Vocab, build_vocab, flatten_dialogue, label_set, split
+from .text import Vocab, build_vocab, flatten_dialogue, label_set, split
 from .text import encode as encode_record
 
 logger = logging.getLogger("rsvp.training")
@@ -61,6 +55,17 @@ class PreparedData:
     label_names: list
 
 
+def records_vocab(records, cfg: StageConfig) -> Vocab:
+    """The vocabulary of every utterance and non-empty response in ``records``."""
+    corpus = []
+    for rec in records:
+        u_text, r_text = flatten_dialogue(rec)
+        corpus.append(u_text)
+        if r_text:
+            corpus.append(r_text)
+    return build_vocab(corpus, min_freq=cfg.min_freq, char_fallback=cfg.char_fallback)
+
+
 def prepare(records, cfg: StageConfig, vocab: Vocab | None = None) -> PreparedData:
     """Split records, build the vocabulary from the training split only
     (unless one is supplied), and encode every split."""
@@ -68,13 +73,7 @@ def prepare(records, cfg: StageConfig, vocab: Vocab | None = None) -> PreparedDa
     mode = "multi" if cfg.multi_label else "single"
     train_recs, valid_recs, test_recs = split(records, cfg.split_ratios, cfg.split_seed)
     if vocab is None:
-        corpus = []
-        for rec in train_recs:
-            u_text, r_text = flatten_dialogue(rec)
-            corpus.append(u_text)
-            if r_text:
-                corpus.append(r_text)
-        vocab = build_vocab(corpus, min_freq=cfg.min_freq, char_fallback=cfg.char_fallback)
+        vocab = records_vocab(train_recs, cfg)
 
     def enc(recs):
         return [
@@ -102,65 +101,88 @@ def _usable_pairs(examples):
     return usable
 
 
-def _epoch_batches(n: int, batch_size: int, rng, min_last: int = 1):
-    perm = rng.permutation(n)
-    batches = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
-    if batches and len(batches[-1]) < min_last:
-        logger.info("dropping a %d-pair trailing batch", len(batches[-1]))
-        batches.pop()
-    return batches
+def _run_epochs(stage: str, cfg: StageConfig, hub: SeedHub, params, n_items: int,
+                batch_size: int, n_epochs: int, epoch_offset: int, step,
+                min_last: int = 1, end_epoch=None) -> list:
+    """The training loop every stage runs; returns one history row per epoch.
 
-
-def pretrain_retrieval(encoder, examples, cfg: StageConfig, hub: SeedHub, epoch_offset: int = 0):
-    """Contrastive utterance-to-response training; returns per-epoch stats.
-
-    Random streams are derived per absolute epoch index, so training in
-    chunks (``epoch_offset`` advancing) matches one monolithic run exactly.
+    Each absolute epoch draws its shuffle and dropout substreams
+    (``shuffle_<stage>``, ``dropout_<stage>``), so training in chunks
+    (``epoch_offset`` advancing) matches one monolithic run exactly. The
+    epoch's permutation of ``n_items`` is cut into batches of ``batch_size``;
+    a trailing batch shorter than ``min_last`` is dropped. ``step(idx,
+    dropout_rng)`` builds the batch of item indices ``idx`` and returns
+    ``(loss, weight, stats)``: the history row holds the ``weight``-weighted
+    mean of each ``stats`` value, and ``end_epoch()``, if given, returns
+    further entries for it. A non-finite loss raises ``FloatingPointError``
+    before that batch's backward pass, so the weights and optimizer state
+    stay those of the last finite step.
     """
-    usable = _usable_pairs(examples)
-    if cfg.retrieval_epochs > 0 and len(usable) < 2:
-        raise ValueError("retrieval pre-training needs at least two usable pairs")
-    params = encoder.parameters()
     history = []
-    for local_epoch in range(cfg.retrieval_epochs):
-        epoch = epoch_offset + local_epoch
-        shuffle_rng = hub.stream("shuffle_retrieval", epoch)
-        drop_rng = hub.stream("dropout_retrieval", epoch)
-        # a single-pair batch has no negatives and a zero gradient; drop it
-        batches = _epoch_batches(len(usable), cfg.pretrain_batch, shuffle_rng, min_last=2)
-        loss_sum = recall_sum = count = 0
-        for idx in batches:
-            batch = [usable[i] for i in idx]
-            bs = len(idx)
-            # both sides run through the one shared encoder in a single pass
-            both = encoder.encode_batch(
-                [ex.utterance_ids for ex in batch] + [ex.response_ids for ex in batch],
-                training=True,
-                rng=drop_rng,
-                dropout_p=cfg.dropout_p,
-            )
-            q = ad.narrow0(both, 0, bs)
-            p = ad.narrow0(both, bs, 2 * bs)
-            loss = retrieval_loss(q, p, cfg.tau)
+    for epoch in range(epoch_offset, epoch_offset + n_epochs):
+        shuffle_rng = hub.stream(f"shuffle_{stage}", epoch)
+        drop_rng = hub.stream(f"dropout_{stage}", epoch)
+        perm = shuffle_rng.permutation(n_items)
+        batches = [perm[i : i + batch_size] for i in range(0, n_items, batch_size)]
+        if batches and len(batches[-1]) < min_last:
+            logger.info("dropping a %d-pair trailing batch", len(batches[-1]))
+            batches.pop()
+        sums, total = {"loss": 0.0}, 0  # an epoch without batches reports loss 0.0
+        for b, idx in enumerate(batches):
+            loss, weight, stats = step(idx, drop_rng)
+            loss_value = loss.item()
+            if not np.isfinite(loss_value):
+                raise FloatingPointError(
+                    f"{stage}: non-finite loss {loss_value} at epoch {epoch}, batch {b}"
+                )
             ad.backward(loss)
             adamw_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
             zero_grad(params)
-            loss_sum += loss.item() * bs
-            recall_sum += in_batch_recall_at_1(q.data, p.data) * bs
-            count += bs
-        history.append(
-            {"epoch": epoch, "loss": loss_sum / count, "recall_at_1": recall_sum / count}
-        )
-        logger.debug("retrieval epoch %d: loss %.4f recall@1 %.3f", epoch, history[-1]["loss"], history[-1]["recall_at_1"])
+            for key, mean in stats.items():
+                sums[key] = sums.get(key, 0.0) + mean * weight
+            total += weight
+        row = {"epoch": epoch, **{key: s / max(total, 1) for key, s in sums.items()}}
+        if end_epoch is not None:
+            row.update(end_epoch())
+        history.append(row)
+        logger.debug("%s epoch %s", stage, row)
     return history
+
+
+def pretrain_retrieval(encoder, examples, cfg: StageConfig, hub: SeedHub, epoch_offset: int = 0):
+    """Contrastive utterance-to-response training; returns per-epoch stats
+    (loss and in-batch recall@1, averaged over pairs)."""
+    usable = _usable_pairs(examples)
+    if cfg.retrieval_epochs > 0 and len(usable) < 2:
+        raise ValueError("retrieval pre-training needs at least two usable pairs")
+
+    def step(idx, drop_rng):
+        batch = [usable[i] for i in idx]
+        bs = len(batch)
+        # both sides run through the one shared encoder in a single pass
+        both = encoder.encode_batch(
+            [ex.utterance_ids for ex in batch] + [ex.response_ids for ex in batch],
+            training=True,
+            rng=drop_rng,
+            dropout_p=cfg.dropout_p,
+        )
+        q = ad.narrow0(both, 0, bs)
+        p = ad.narrow0(both, bs, 2 * bs)
+        loss = retrieval_loss(q, p, cfg.tau)
+        return loss, bs, {"loss": loss.item(), "recall_at_1": in_batch_recall_at_1(q.data, p.data)}
+
+    # a single-pair batch has no negatives and a zero gradient; drop it
+    return _run_epochs("retrieval", cfg, hub, encoder.parameters(), len(usable),
+                       cfg.pretrain_batch, cfg.retrieval_epochs, epoch_offset, step, min_last=2)
 
 
 def pretrain_generation(encoder, examples, cfg: StageConfig, hub: SeedHub, decoder=None,
                         epoch_offset: int = 0):
     """Teacher-forced response generation; encoder and decoder update jointly.
 
-    Returns (decoder, per-epoch stats). The decoder starts as a value copy
-    of the encoder blocks with fresh cross-attention and LM head.
+    Returns (decoder, per-epoch stats); the epoch loss is per target
+    token. The decoder starts as a value copy of the encoder blocks with
+    fresh cross-attention and LM head.
     """
     if decoder is None:
         decoder = init_decoder_from_encoder(
@@ -169,45 +191,36 @@ def pretrain_generation(encoder, examples, cfg: StageConfig, hub: SeedHub, decod
     usable = _usable_pairs(examples)
     if cfg.generation_epochs > 0 and not usable:
         raise ValueError("generation pre-training needs at least one usable pair")
+
+    def step(idx, drop_rng):
+        batch = [usable[i] for i in idx]
+        enc_hidden, enc_mask = encoder.forward_hidden(
+            [ex.utterance_ids for ex in batch], training=True, rng=drop_rng,
+            dropout_p=cfg.dropout_p,
+        )
+        in_seqs = [ex.response_ids[:-1] for ex in batch]
+        max_t = max(len(s) for s in in_seqs)
+        targets = np.full((len(batch), max_t), PAD_ID, dtype=np.int64)
+        for i, ex in enumerate(batch):
+            targets[i, : len(ex.response_ids) - 1] = ex.response_ids[1:]
+        logits, _ = decoder.forward_teacher_forced(
+            enc_hidden, enc_mask, in_seqs, training=True, rng=drop_rng,
+            dropout_p=cfg.dropout_p,
+        )
+        loss = generation_loss(
+            logits, targets, pad_id=PAD_ID, reduction=cfg.gen_loss_reduction
+        )
+        n_tok = int((targets != PAD_ID).sum())
+        per_token = loss.item() if cfg.gen_loss_reduction == "token_mean" else (
+            loss.item() * len(batch) / n_tok
+        )
+        return loss, n_tok, {"loss": per_token}
+
     # the pooling head sees no gradient from teacher forcing; update only
     # the parameters this objective reaches
     params = encoder.backbone_parameters() + decoder.parameters()
-    history = []
-    for local_epoch in range(cfg.generation_epochs):
-        epoch = epoch_offset + local_epoch
-        shuffle_rng = hub.stream("shuffle_generation", epoch)
-        drop_rng = hub.stream("dropout_generation", epoch)
-        batches = _epoch_batches(len(usable), cfg.pretrain_batch, shuffle_rng)
-        loss_sum = token_count = 0
-        for idx in batches:
-            batch = [usable[i] for i in idx]
-            enc_hidden, enc_mask = encoder.forward_hidden(
-                [ex.utterance_ids for ex in batch], training=True, rng=drop_rng,
-                dropout_p=cfg.dropout_p,
-            )
-            in_seqs = [ex.response_ids[:-1] for ex in batch]
-            max_t = max(len(s) for s in in_seqs)
-            targets = np.full((len(batch), max_t), PAD_ID, dtype=np.int64)
-            for i, ex in enumerate(batch):
-                targets[i, : len(ex.response_ids) - 1] = ex.response_ids[1:]
-            logits, _ = decoder.forward_teacher_forced(
-                enc_hidden, enc_mask, in_seqs, training=True, rng=drop_rng,
-                dropout_p=cfg.dropout_p,
-            )
-            loss = generation_loss(
-                logits, targets, pad_id=PAD_ID, reduction=cfg.gen_loss_reduction
-            )
-            ad.backward(loss)
-            adamw_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
-            zero_grad(params)
-            n_tok = int((targets != PAD_ID).sum())
-            per_token = loss.item() if cfg.gen_loss_reduction == "token_mean" else (
-                loss.item() * len(batch) / n_tok
-            )
-            loss_sum += per_token * n_tok
-            token_count += n_tok
-        history.append({"epoch": epoch, "loss": loss_sum / token_count})
-        logger.debug("generation epoch %d: per-token loss %.4f", epoch, history[-1]["loss"])
+    history = _run_epochs("generation", cfg, hub, params, len(usable), cfg.pretrain_batch,
+                          cfg.generation_epochs, epoch_offset, step)
     return decoder, history
 
 
@@ -266,69 +279,49 @@ def finetune(encoder, train_examples, valid_examples, cfg: StageConfig, hub: See
     if classifier is None:
         classifier = IntentClassifier(cfg.pooled_dim, n_classes, hub.stream("classifier_init"))
     params = encoder.parameters() + classifier.parameters()
-    history = []
     best_score = -np.inf
     best_snapshot = None
 
-    def _valid_score():
+    def step(idx, drop_rng):
+        batch = [train_feats[i] for i in idx]
+        seqs = [u for u, _ in batch]
+        b = len(seqs)
+        if cfg.lam > 0:
+            # one forward over three stacked copies: the classification
+            # view plus the two dropout views, each with its own masks
+            q_all = encoder.encode_batch(seqs * 3, training=True, rng=drop_rng, dropout_p=cfg.dropout_p)
+            q = ad.narrow0(q_all, 0, b)
+            q_hat = ad.narrow0(q_all, b, 2 * b)
+            q_bar = ad.narrow0(q_all, 2 * b, 3 * b)
+        else:
+            q = encoder.encode_batch(seqs, training=True, rng=drop_rng, dropout_p=cfg.dropout_p)
+        logits = classifier(q)
+        if cfg.multi_label:
+            y = np.stack([lab for _, lab in batch])
+            ce = multilabel_loss(logits, y)
+        else:
+            y = np.asarray([lab for _, lab in batch], dtype=np.int64)
+            ce = classification_loss(ad.softmax(logits, axis=-1), y)
+        if cfg.lam > 0:
+            loss = combined_finetune_loss(ce, unsup_contrastive_loss(q_hat, q_bar, cfg.tau), cfg.lam)
+        else:
+            loss = ce
+        return loss, b, {"loss": loss.item()}
+
+    def end_epoch():
+        nonlocal best_score, best_snapshot
         if not valid_feats:
-            return None
+            return {"valid_score": float("nan")}
         scores = score_utterances(encoder, classifier, [u for u, _ in valid_feats], cfg.multi_label)
         preds = [Prediction(scores=scores[i], gold=y) for i, (_, y) in enumerate(valid_feats)]
-        if cfg.multi_label:
-            return multilabel_metrics(preds)["subset_accuracy"]
-        return accuracy(preds)
-
-    for local_epoch in range(cfg.finetune_epochs):
-        epoch = epoch_offset + local_epoch
-        shuffle_rng = hub.stream("shuffle_finetune", epoch)
-        drop_rng = hub.stream("dropout_finetune", epoch)
-        batches = _epoch_batches(len(train_feats), cfg.finetune_batch, shuffle_rng)
-        loss_sum = count = 0
-        for idx in batches:
-            batch = [train_feats[i] for i in idx]
-            seqs = [u for u, _ in batch]
-            b = len(seqs)
-            if cfg.lam > 0:
-                # one forward over three stacked copies: the classification
-                # view plus the two dropout views, each with its own masks
-                q_all = encoder.encode_batch(seqs * 3, training=True, rng=drop_rng, dropout_p=cfg.dropout_p)
-                q = ad.narrow0(q_all, 0, b)
-                q_hat = ad.narrow0(q_all, b, 2 * b)
-                q_bar = ad.narrow0(q_all, 2 * b, 3 * b)
-            else:
-                q = encoder.encode_batch(seqs, training=True, rng=drop_rng, dropout_p=cfg.dropout_p)
-                q_hat = q_bar = None
-            logits = classifier(q)
-            if cfg.multi_label:
-                y = np.stack([lab for _, lab in batch])
-                ce = multilabel_loss(logits, y)
-            else:
-                y = np.asarray([lab for _, lab in batch], dtype=np.int64)
-                ce = classification_loss(ad.softmax(logits, axis=-1), y)
-            if cfg.lam > 0:
-                loss = combined_finetune_loss(
-                    ce, unsup_contrastive_loss(q_hat, q_bar, cfg.tau), cfg.lam
-                )
-            else:
-                loss = ce
-            ad.backward(loss)
-            adamw_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
-            zero_grad(params)
-            loss_sum += loss.item() * len(batch)
-            count += len(batch)
-        score = _valid_score()
-        history.append(
-            {
-                "epoch": epoch,
-                "loss": loss_sum / max(count, 1),
-                "valid_score": score if score is not None else float("nan"),
-            }
-        )
-        logger.debug("finetune epoch %d: loss %.4f valid %.3f", epoch, history[-1]["loss"], history[-1]["valid_score"])
-        if cfg.checkpoint_selection == "best_valid" and score is not None and score > best_score:
+        score = multilabel_metrics(preds)["subset_accuracy"] if cfg.multi_label else accuracy(preds)
+        if cfg.checkpoint_selection == "best_valid" and score > best_score:
             best_score = score
             best_snapshot = [p.data.copy() for p in params]
+        return {"valid_score": score}
+
+    history = _run_epochs("finetune", cfg, hub, params, len(train_feats), cfg.finetune_batch,
+                          cfg.finetune_epochs, epoch_offset, step, end_epoch=end_epoch)
     if best_snapshot is not None:
         for p, arr in zip(params, best_snapshot):
             p.tensor.data = arr
@@ -366,18 +359,22 @@ class RunReport:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
         csv_path = os.path.join(out_dir, f"{name}_curves.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["seed", "stage", "epoch", "metric", "value"])
-            for seed_key in sorted(self.curves, key=int):
-                stages = self.curves[seed_key]
-                for stage_name, rows in stages.items():
-                    for row in rows:
-                        for metric, value in row.items():
-                            if metric == "epoch":
-                                continue
-                            writer.writerow([seed_key, stage_name, row["epoch"], metric, repr(float(value))])
+        write_curves_csv(csv_path, self.curves)
         return {"report": json_path, "curves": csv_path}
+
+
+def write_curves_csv(path, curves: dict) -> None:
+    """Long-format loss curves, one (seed, stage, epoch, metric, value) row
+    per history entry; ``curves`` maps seed -> stage -> history rows."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["seed", "stage", "epoch", "metric", "value"])
+        for seed_key in sorted(curves, key=int):
+            for stage_name, rows in curves[seed_key].items():
+                for row in rows:
+                    for metric, value in row.items():
+                        if metric != "epoch":
+                            writer.writerow([seed_key, stage_name, row["epoch"], metric, repr(float(value))])
 
 
 def load_report(path) -> RunReport:
@@ -424,6 +421,30 @@ def _seed_pipeline(prepared: PreparedData, cfg: StageConfig, seed: int, pretrain
     return metrics, stage_curves, encoder, classifier
 
 
+def _run_seeds(prepared: PreparedData, cfg: StageConfig, variant: str, pretraining: bool,
+               on_seed=None) -> RunReport:
+    """Run the pipeline once per seed in cfg.seeds, in cfg's precision, and
+    report the per-seed metrics, their mean and the loss curves.
+    ``on_seed(seed, encoder, classifier)`` sees each seed's trained model."""
+    per_seed, curves = [], {}
+    with ad.precision(cfg.precision):
+        for seed in cfg.seeds:
+            metrics, stage_curves, encoder, classifier = _seed_pipeline(
+                prepared, cfg, seed, pretraining
+            )
+            per_seed.append({"seed": seed, **metrics})
+            curves[str(seed)] = stage_curves
+            if on_seed is not None:
+                on_seed(seed, encoder, classifier)
+    return RunReport(
+        variant=variant,
+        per_seed=per_seed,
+        mean=_mean_metrics(per_seed),
+        curves=curves,
+        config=cfg.to_dict(),
+    )
+
+
 def run_rsvp(
     prepared: PreparedData,
     cfg: StageConfig,
@@ -435,32 +456,20 @@ def run_rsvp(
     With ``checkpoint_dir`` set, the fine-tuned model for each seed is
     saved as finetuned_seed<seed>.ckpt.
     """
-    per_seed, curves = [], {}
-    with ad.precision(cfg.precision):
-        for seed in cfg.seeds:
-            metrics, stage_curves, encoder, classifier = _seed_pipeline(
-                prepared, cfg, seed, pretraining=True
-            )
-            per_seed.append({"seed": seed, **metrics})
-            curves[str(seed)] = stage_curves
-            if checkpoint_dir is not None:
-                os.makedirs(checkpoint_dir, exist_ok=True)
-                save_stage_checkpoint(
-                    os.path.join(checkpoint_dir, f"finetuned_seed{seed}.ckpt"),
-                    "finetuned",
-                    cfg,
-                    len(prepared.vocab),
-                    encoder,
-                    classifier=classifier,
-                    labels=prepared.label_names,
-                )
-    return RunReport(
-        variant=variant,
-        per_seed=per_seed,
-        mean=_mean_metrics(per_seed),
-        curves=curves,
-        config=cfg.to_dict(),
-    )
+    def save(seed, encoder, classifier):
+        os.makedirs(checkpoint_dir, exist_ok=True)
+        save_stage_checkpoint(
+            os.path.join(checkpoint_dir, f"finetuned_seed{seed}.ckpt"),
+            "finetuned",
+            cfg,
+            len(prepared.vocab),
+            encoder,
+            classifier=classifier,
+            labels=prepared.label_names,
+        )
+
+    return _run_seeds(prepared, cfg, variant, pretraining=True,
+                      on_seed=save if checkpoint_dir is not None else None)
 
 
 def run_baseline_classifier(
@@ -468,19 +477,8 @@ def run_baseline_classifier(
 ) -> RunReport:
     """Fine-tuning only, skipping both pre-training stages entirely."""
     eff = cfg if with_uns_cl else cfg.replace(lam=0.0)
-    per_seed, curves = [], {}
-    with ad.precision(eff.precision):
-        for seed in eff.seeds:
-            metrics, stage_curves, _, _ = _seed_pipeline(prepared, eff, seed, pretraining=False)
-            per_seed.append({"seed": seed, **metrics})
-            curves[str(seed)] = stage_curves
-    return RunReport(
-        variant="baseline_uns_cl" if with_uns_cl else "baseline",
-        per_seed=per_seed,
-        mean=_mean_metrics(per_seed),
-        curves=curves,
-        config=eff.to_dict(),
-    )
+    variant = "baseline_uns_cl" if with_uns_cl else "baseline"
+    return _run_seeds(prepared, eff, variant, pretraining=False)
 
 
 def ablation_variants(cfg: StageConfig) -> dict:

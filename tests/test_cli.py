@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 
@@ -103,6 +104,16 @@ class TestBuildVocab(object):
         assert lines[:6] == ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[BOS]", "[EOS]"]
         assert len(lines) > 6
 
+    @pytest.mark.parametrize("extra", [(), ("min_freq=2",), ("char_fallback=true",)])
+    def test_train_scope_equals_stage_vocab_file(self, data_path, tmp_path, extra):
+        built = tmp_path / "built.txt"
+        assert main(["build-vocab", "--data", data_path, "--scope", "train",
+                     "--out", str(built)] + _sets(extra)) == 0
+        stage = tmp_path / "retr"
+        assert main(["pretrain-retrieval", "--data", data_path, "--out", str(stage),
+                     "--seed", "0"] + _sets(extra)) == 0
+        assert built.read_bytes() == (stage / "vocab.txt").read_bytes()
+
 
 class TestStageCommands:
     def test_pipeline_of_stage_commands(self, data_path, tmp_path):
@@ -122,6 +133,22 @@ class TestStageCommands:
         assert main(["finetune", "--data", data_path, "--out", str(d3),
                      "--init-ckpt", str(d2 / "generation.ckpt"), "--seed", "0"] + _sets()) == 0
         assert (d3 / "finetuned.ckpt").exists()
+
+    def test_stage_curves_use_the_report_layout(self, data_path, tmp_path):
+        ft = tmp_path / "ft"
+        assert main(["finetune", "--data", data_path, "--out", str(ft), "--seed", "5"] + _sets()) == 0
+        with open(ft / "finetune_curves.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["seed", "stage", "epoch", "metric", "value"]
+        assert [r[:4] for r in rows[1:]] == [
+            ["5", "finetune", "0", "loss"], ["5", "finetune", "0", "valid_score"],
+            ["5", "finetune", "1", "loss"], ["5", "finetune", "1", "valid_score"],
+        ]
+        # the baseline with the consistency term runs the same fine-tuning
+        base = tmp_path / "base"
+        assert main(["run-baseline", "--with-uns-cl", "--data", data_path, "--out", str(base),
+                     "--seeds", "5"] + _sets()) == 0
+        assert (ft / "finetune_curves.csv").read_bytes() == (base / "baseline_report_curves.csv").read_bytes()
 
 
 class TestDtypeScope:
@@ -306,6 +333,35 @@ class TestExportEmbeddings:
         ids, intents, mat = load_embeddings(csv_path)
         assert mat.shape[1] == 32
         assert len(ids) == len(intents) == mat.shape[0] > 0
+
+
+class TestCheckpointVocabulary:
+    """evaluate and export-embeddings without --vocab rebuild the vocabulary
+    from --data; one of another size than the checkpoint's is an error."""
+
+    def test_rebuilt_vocab_of_other_size_exits_1(self, data_path, tmp_path, capsys):
+        ft = tmp_path / "ft"
+        assert main(["finetune", "--data", data_path, "--out", str(ft), "--seed", "0"] + _sets()) == 0
+        other = tmp_path / "other.jsonl"
+        assert main(["gen-data", "--out", str(other), "--n-intents", "4", "--n-per-intent", "12",
+                     "--seed", "9", "--vocab-style", "abstract"]) == 0
+        ckpt_size = len((ft / "vocab.txt").read_text(encoding="utf-8").splitlines())
+        cfg = load_config(None, MICRO)
+        rebuilt_size = len(tr.prepare(load_jsonl(str(other)), cfg).vocab)
+        assert rebuilt_size != ckpt_size
+        commands = (["evaluate"], ["export-embeddings", "--out", str(tmp_path / "emb.csv")])
+        capsys.readouterr()
+        for cmd in commands:
+            rc = main(cmd + ["--data", str(other), "--ckpt", str(ft / "finetuned.ckpt")])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert f"has {rebuilt_size} tokens" in err
+            assert f"trained with {ckpt_size}" in err
+            assert "pass --vocab" in err
+        assert not (tmp_path / "emb.csv").exists()
+        for cmd in commands:
+            assert main(cmd + ["--data", str(other), "--ckpt", str(ft / "finetuned.ckpt"),
+                               "--vocab", str(ft / "vocab.txt")]) == 0
 
 
 class TestErrorPaths:

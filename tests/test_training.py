@@ -212,6 +212,81 @@ class TestFinetune:
         assert abs(accuracy(preds) - best) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
+class TestNonFiniteLoss:
+    """A float32 logit gap of 120 underflows the gold class's softmax
+    probability to zero, so the cross-entropy is inf and every gradient NaN.
+    Without a guard, AdamW writes NaN into all the weights."""
+
+    WRONG = 0
+
+    def _biased(self, dataset, lam):
+        prepared, cfg = dataset
+        run_cfg = cfg.replace(finetune_epochs=1, lam=lam)
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(run_cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        clf = IntentClassifier(run_cfg.pooled_dim, len(prepared.label_names), hub.stream("classifier_init"))
+        clf.lin2.b.tensor.data[self.WRONG] += 200.0
+        train = [ex for ex in prepared.train if ex.label != self.WRONG]
+        logits = enc.embed([ex.utterance_ids for ex in train], head=clf)
+        gold = logits[np.arange(len(train)), [ex.label for ex in train]]
+        assert logits.dtype == np.float32
+        assert np.all(logits[:, self.WRONG] - gold >= 120.0)
+        return run_cfg, hub, enc, clf, train
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_raises_before_the_update_and_keeps_weights(self, dataset, lam):
+        prepared, _ = dataset
+        run_cfg, hub, enc, clf, train = self._biased(dataset, lam)
+        before = _param_bits([enc, clf])
+        with pytest.raises(FloatingPointError, match=r"finetune: non-finite loss inf at epoch 3, batch 0"):
+            tr.finetune(enc, train, prepared.valid, run_cfg, hub, len(prepared.label_names),
+                        classifier=clf, epoch_offset=3)
+        after = _param_bits([enc, clf])
+        assert all(np.all(np.isfinite(a)) for a in after)
+        assert _bits_equal(before, after)
+
+    @pytest.mark.parametrize("stage", ["retrieval", "generation"])
+    def test_pretraining_stages_guarded(self, dataset, monkeypatch, stage):
+        prepared, cfg = dataset
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        loss_name = f"{stage}_loss"
+        real = getattr(tr, loss_name)
+        monkeypatch.setattr(tr, loss_name, lambda *a, **k: real(*a, **k) * float("nan"))
+        before = _param_bits([enc])
+        with pytest.raises(FloatingPointError, match=rf"{stage}: non-finite loss nan at epoch 0, batch 0"):
+            if stage == "retrieval":
+                tr.pretrain_retrieval(enc, prepared.train, cfg, hub)
+            else:
+                tr.pretrain_generation(enc, prepared.train, cfg, hub)
+        assert _bits_equal(before, _param_bits([enc]))
+
+
+class TestEpochLoop:
+    def test_empty_finetune_epoch_reports_zero_loss(self, dataset):
+        prepared, cfg = dataset
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        _, history = tr.finetune(enc, [], prepared.valid, cfg.replace(finetune_epochs=2), hub,
+                                 len(prepared.label_names), epoch_offset=1)
+        assert [h["epoch"] for h in history] == [1, 2]
+        assert all(h["loss"] == 0.0 for h in history)
+        assert [list(h) for h in history] == [["epoch", "loss", "valid_score"]] * 2
+
+    def test_history_keys_per_stage(self, dataset):
+        prepared, cfg = dataset
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        retrieval = tr.pretrain_retrieval(enc, prepared.train, cfg, hub)
+        _, generation = tr.pretrain_generation(enc, prepared.train, cfg, hub)
+        _, finetune = tr.finetune(enc, prepared.train, [], cfg, hub, len(prepared.label_names))
+        assert [list(h) for h in retrieval] == [["epoch", "loss", "recall_at_1"]] * cfg.retrieval_epochs
+        assert [list(h) for h in generation] == [["epoch", "loss"]] * cfg.generation_epochs
+        assert [list(h) for h in finetune] == [["epoch", "loss", "valid_score"]] * cfg.finetune_epochs
+        assert all(np.isnan(h["valid_score"]) for h in finetune)
+
+
 class TestEvalChunks:
     def test_chunks_are_consecutive_and_fit_the_token_budget(self):
         rng = np.random.default_rng(5)
