@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +26,17 @@ class CheckpointError(Exception):
     pass
 
 
+@dataclass
 class Checkpoint:
     """In-memory view of a loaded checkpoint."""
 
-    def __init__(self, stage, config, labels, arrays, moments1, moments2, steps):
-        self.stage = stage
-        self.config = config
-        self.labels = labels
-        self.arrays = arrays
-        self.moments1 = moments1
-        self.moments2 = moments2
-        self.steps = steps
+    stage: str
+    config: dict
+    labels: list | None
+    arrays: dict
+    moments1: dict
+    moments2: dict
+    steps: dict
 
 
 def save_checkpoint(path, stage: str, components: dict, config: dict, labels=None) -> None:

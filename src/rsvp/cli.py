@@ -195,18 +195,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _check_vocab_size(vocab: Vocab, source: str, encoder) -> None:
+    """A vocabulary whose size is not the checkpoint's is an error."""
+    expected = encoder.cfg.vocab_size
+    if len(vocab) != expected:
+        raise ValueError(
+            f"vocabulary ({source}) has {len(vocab)} tokens but the checkpoint was "
+            f"trained with {expected}; pass --vocab with the vocab.txt written beside it"
+        )
+
+
 def _checkpoint_split(args, cfg: StageConfig, encoder):
     """Prepare ``--data`` with the checkpoint's config; returns (prepared,
     the ``--split`` examples). Without ``--vocab`` the vocabulary is rebuilt
-    from the data. A vocabulary whose size is not the checkpoint's is an error."""
+    from the data."""
     prepared = _load_prepared(args, cfg)
-    expected = encoder.cfg.vocab_size
-    if len(prepared.vocab) != expected:
-        source = args.vocab or f"rebuilt from {args.data}"
-        raise ValueError(
-            f"vocabulary ({source}) has {len(prepared.vocab)} tokens but the checkpoint was "
-            f"trained with {expected}; pass --vocab with the vocab.txt written beside it"
-        )
+    _check_vocab_size(prepared.vocab, args.vocab or f"rebuilt from {args.data}", encoder)
     splits = {"train": prepared.train, "valid": prepared.valid, "test": prepared.test}
     return prepared, splits[args.split]
 
@@ -235,6 +239,7 @@ def cmd_predict(args) -> int:
     if ckpt.labels is None:
         raise ValueError("checkpoint does not carry label names")
     vocab = Vocab.load(args.vocab)
+    _check_vocab_size(vocab, args.vocab, encoder)
     ids, seqs = [], []
     with open(args.input, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):

@@ -40,7 +40,6 @@ class StageConfig:
     pooled_dim: int = 128
     # data handling
     max_len: int = 512
-    truncate_side: str = "right"
     min_freq: int = 1
     char_fallback: bool = False
     split_ratios: tuple = (0.8, 0.1, 0.1)
@@ -67,8 +66,6 @@ class StageConfig:
             raise ValueError(f"unknown checkpoint_selection {self.checkpoint_selection!r}")
         if self.gen_loss_reduction not in ("token_mean", "sequence_sum"):
             raise ValueError(f"unknown gen_loss_reduction {self.gen_loss_reduction!r}")
-        if self.truncate_side != "right":
-            raise ValueError("only right truncation is implemented")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         self.seeds = tuple(int(s) for s in self.seeds)

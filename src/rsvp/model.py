@@ -48,7 +48,30 @@ def _normal(rng: np.random.Generator, shape, std=None):
     return rng.normal(0.0, INIT_STD if std is None else std, size=shape)
 
 
-class Linear:
+class Module:
+    """Base of every layer and model. ``parameters()`` walks the attributes
+    in the order the constructor assigned them and collects each
+    ``Parameter``, each ``Module`` and each list of ``Module``s; that order
+    is the checkpoint layout and the order of the gradient-norm sum."""
+
+    def parameters(self) -> list:
+        params = []
+        for value in vars(self).values():
+            if isinstance(value, Parameter):
+                params.append(value)
+            elif isinstance(value, Module):
+                params.extend(value.parameters())
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, Module):
+                        params.extend(item.parameters())
+        return params
+
+    def named_parameters(self) -> list:
+        return [(p.name, p) for p in self.parameters()]
+
+
+class Linear(Module):
     def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator):
         self.w = Parameter(f"{name}.w", _normal(rng, (d_in, d_out)))
         self.b = Parameter(f"{name}.b", np.zeros(d_out))
@@ -56,11 +79,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.w.tensor) + self.b.tensor
 
-    def parameters(self):
-        return [self.w, self.b]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, name: str, dim: int):
         self.gamma = Parameter(f"{name}.gamma", np.ones(dim))
         self.beta = Parameter(f"{name}.beta", np.zeros(dim))
@@ -68,11 +88,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma.tensor, self.beta.tensor)
 
-    def parameters(self):
-        return [self.gamma, self.beta]
 
-
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention over full query/key projections."""
 
     def __init__(self, name: str, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -115,11 +132,8 @@ class MultiHeadAttention:
         ctx = ad.matmul(probs, v).transpose(0, 2, 1, 3).reshape(B, Tq, dm)
         return self.wo(ctx)
 
-    def parameters(self):
-        return self.wq.parameters() + self.wk.parameters() + self.wv.parameters() + self.wo.parameters()
 
-
-class FeedForward:
+class FeedForward(Module):
     def __init__(self, name: str, d_model: int, d_ffn: int, rng: np.random.Generator):
         self.lin1 = Linear(f"{name}.lin1", d_model, d_ffn, rng)
         self.lin2 = Linear(f"{name}.lin2", d_ffn, d_model, rng)
@@ -127,11 +141,8 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(ad.gelu(self.lin1(x)))
 
-    def parameters(self):
-        return self.lin1.parameters() + self.lin2.parameters()
 
-
-class EncoderBlock:
+class EncoderBlock(Module):
     """Post-norm transformer block: attention and FFN sublayers with residuals."""
 
     def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator):
@@ -155,14 +166,6 @@ class EncoderBlock:
         x = self.ln1(x + ad.dropout(a, dropout_p, rng, training, mask_shape=(B, T, d)))
         f = self.ffn(x)
         return self.ln2(x + ad.dropout(f, dropout_p, rng, training, mask_shape=(B, T, d)))
-
-    def parameters(self):
-        return (
-            self.attn.parameters()
-            + self.ln1.parameters()
-            + self.ffn.parameters()
-            + self.ln2.parameters()
-        )
 
 
 def pad_batch(seqs, pad_id: int = 0, pad_to: int | None = None):
@@ -202,40 +205,43 @@ def _causal_bias(T: int, dtype) -> np.ndarray:
     return bias[None, None, :, :].astype(dtype)
 
 
-class ConversationalEncoder:
-    """Shared transformer encoder + linear/tanh pooling over the [CLS] state."""
+class _Embedded(Module):
+    """Token and position embeddings with their layer norm, the input path
+    the encoder and the decoder share."""
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.tok_emb = Parameter("tok_emb", _normal(rng, (cfg.vocab_size, cfg.d_model)))
         self.pos_emb = Parameter("pos_emb", _normal(rng, (cfg.max_positions, cfg.d_model)))
         self.emb_ln = LayerNorm("emb_ln", cfg.d_model)
+
+    def _embed(self, ids: np.ndarray, start: int = 0) -> Tensor:
+        """Layer-normed token plus position embeddings of (B, T) ``ids``
+        standing at positions start .. start + T - 1."""
+        stop = start + ids.shape[1]
+        if stop > self.cfg.max_positions:
+            raise ValueError(
+                f"sequence length {stop} exceeds max_positions {self.cfg.max_positions}"
+            )
+        x = ad.embedding(self.tok_emb.tensor, ids) + ad.embedding(
+            self.pos_emb.tensor, np.arange(start, stop)
+        )
+        return self.emb_ln(x)
+
+
+class ConversationalEncoder(_Embedded):
+    """Shared transformer encoder + linear/tanh pooling over the [CLS] state."""
+
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+        super().__init__(cfg, rng)
         self.blocks = [EncoderBlock(f"layer{i}", cfg, rng) for i in range(cfg.n_layers)]
         self.pool = Linear("pool", cfg.d_model, cfg.pooled_dim, rng)
-
-    def parameters(self):
-        return self.backbone_parameters() + self.pool.parameters()
 
     def backbone_parameters(self):
         """Everything except the pooling head; the per-position hidden-state
         path that response generation trains."""
-        params = [self.tok_emb, self.pos_emb] + self.emb_ln.parameters()
-        for blk in self.blocks:
-            params.extend(blk.parameters())
-        return params
-
-    def named_parameters(self):
-        return [(p.name, p) for p in self.parameters()]
-
-    def _embed(self, ids: np.ndarray, dropout_p, rng, training) -> Tensor:
-        T = ids.shape[1]
-        if T > self.cfg.max_positions:
-            raise ValueError(f"sequence length {T} exceeds max_positions {self.cfg.max_positions}")
-        x = ad.embedding(self.tok_emb.tensor, ids) + ad.embedding(
-            self.pos_emb.tensor, np.arange(T)
-        )
-        x = self.emb_ln(x)
-        return ad.dropout(x, dropout_p, rng, training)
+        pool = self.pool.parameters()
+        return [p for p in self.parameters() if not any(p is q for q in pool)]
 
     def forward_hidden(self, seqs, training=False, rng=None, pad_to=None, dropout_p=None, *,
                        cls_only=False):
@@ -250,7 +256,7 @@ class ConversationalEncoder:
         p = (self.cfg.dropout_p if dropout_p is None else dropout_p) if training else 0.0
         ids, mask = pad_batch(seqs, pad_id=0, pad_to=pad_to)
         bias = _key_bias(mask, self.tok_emb.data.dtype)
-        x = self._embed(ids, p, rng, training)
+        x = ad.dropout(self._embed(ids), p, rng, training)
         last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
             x = blk(x, bias, p, rng, training, cls_only=cls_only and i == last)
@@ -292,12 +298,8 @@ class ConversationalEncoder:
             raise ValueError("cannot encode an empty id sequence")
         return self.encode_batch([list(ids)]).reshape(self.cfg.pooled_dim)
 
-    def encode_pair(self, u_ids, r_ids) -> tuple[Tensor, Tensor]:
-        """Embed an utterance and a response with the same shared weights."""
-        return self.encode(u_ids), self.encode(r_ids)
 
-
-class DecoderBlock:
+class DecoderBlock(Module):
     """Causal self-attention, cross-attention over encoder states, FFN."""
 
     def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator):
@@ -333,39 +335,16 @@ class DecoderBlock:
         x = self.ln_cross(x + self.cross_attn.attend(x, *cross_kv, None, 0.0, None, False))
         return self.ln2(x + self.ffn(x))
 
-    def parameters(self):
-        return (
-            self.self_attn.parameters()
-            + self.ln1.parameters()
-            + self.cross_attn.parameters()
-            + self.ln_cross.parameters()
-            + self.ffn.parameters()
-            + self.ln2.parameters()
-        )
 
-
-class ResponseDecoder:
+class ResponseDecoder(_Embedded):
     """Causal decoder with cross-attention and a language-model head."""
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, bos_id: int, eos_id: int):
-        self.cfg = cfg
+        super().__init__(cfg, rng)
         self.bos_id = bos_id
         self.eos_id = eos_id
-        self.tok_emb = Parameter("tok_emb", _normal(rng, (cfg.vocab_size, cfg.d_model)))
-        self.pos_emb = Parameter("pos_emb", _normal(rng, (cfg.max_positions, cfg.d_model)))
-        self.emb_ln = LayerNorm("emb_ln", cfg.d_model)
         self.blocks = [DecoderBlock(f"layer{i}", cfg, rng) for i in range(cfg.n_layers)]
         self.lm_head = Linear("lm_head", cfg.d_model, cfg.vocab_size, rng)
-
-    def parameters(self):
-        params = [self.tok_emb, self.pos_emb] + self.emb_ln.parameters()
-        for blk in self.blocks:
-            params.extend(blk.parameters())
-        params.extend(self.lm_head.parameters())
-        return params
-
-    def named_parameters(self):
-        return [(p.name, p) for p in self.parameters()]
 
     def forward_teacher_forced(self, enc_hidden, enc_mask, r_seqs, training=False, rng=None,
                                dropout_p=None):
@@ -382,17 +361,10 @@ class ResponseDecoder:
                 raise ValueError(f"response sequence {i} is missing the leading BOS token")
         p = (self.cfg.dropout_p if dropout_p is None else dropout_p) if training else 0.0
         ids, mask = pad_batch(r_seqs, pad_id=0)
-        T = ids.shape[1]
-        if T > self.cfg.max_positions:
-            raise ValueError(f"sequence length {T} exceeds max_positions {self.cfg.max_positions}")
+        x = ad.dropout(self._embed(ids), p, rng, training)
         dtype = self.tok_emb.data.dtype
-        self_bias = _causal_bias(T, dtype) + _key_bias(mask, dtype)
+        self_bias = _causal_bias(ids.shape[1], dtype) + _key_bias(mask, dtype)
         cross_bias = _key_bias(enc_mask, dtype)
-        x = ad.embedding(self.tok_emb.tensor, ids) + ad.embedding(
-            self.pos_emb.tensor, np.arange(T)
-        )
-        x = self.emb_ln(x)
-        x = ad.dropout(x, p, rng, training)
         for blk in self.blocks:
             x = blk(x, self_bias, enc_hidden, cross_bias, p, rng, training)
         return self.lm_head(x), mask
@@ -421,12 +393,7 @@ class ResponseDecoder:
         self_kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in self.blocks]
         tok, out = self.bos_id, []
         for t in range(max_t):
-            if t >= self.cfg.max_positions:
-                raise ValueError(
-                    f"sequence length {t + 1} exceeds max_positions {self.cfg.max_positions}"
-                )
-            x = ad.embedding(self.tok_emb.tensor, [[tok]]) + ad.embedding(self.pos_emb.tensor, [t])
-            x = self.emb_ln(x)
+            x = self._embed(np.array([[tok]]), start=t)
             for blk, kv, ckv in zip(self.blocks, self_kv, cross_kv):
                 x = blk.step(x, kv, t, ckv)
             tok = int(np.argmax(self.lm_head(x).data[0, 0]))
@@ -442,31 +409,22 @@ def init_decoder_from_encoder(
     bos_id: int = 4,
     eos_id: int = 5,
 ) -> ResponseDecoder:
-    """Build a decoder whose self-attention/FFN/embedding weights are value
-    copies of the encoder's; cross-attention and LM head are fresh.
+    """Build a decoder whose parameters that share a name with the
+    encoder's (embeddings, self-attention, FFN and their norms) are value
+    copies of them; cross-attention and LM head stay fresh.
 
     The copies are independent: training the decoder afterwards never
     mutates the encoder weights, and vice versa.
     """
     dec = ResponseDecoder(encoder.cfg, rng, bos_id=bos_id, eos_id=eos_id)
-    dec.tok_emb.tensor.data = encoder.tok_emb.data.copy()
-    dec.pos_emb.tensor.data = encoder.pos_emb.data.copy()
-    dec.emb_ln.gamma.tensor.data = encoder.emb_ln.gamma.data.copy()
-    dec.emb_ln.beta.tensor.data = encoder.emb_ln.beta.data.copy()
-    for dblk, eblk in zip(dec.blocks, encoder.blocks):
-        for dst, src in (
-            (dblk.self_attn, eblk.attn),
-            (dblk.ffn, eblk.ffn),
-        ):
-            for dp, sp in zip(dst.parameters(), src.parameters()):
-                dp.tensor.data = sp.data.copy()
-        for dln, eln in ((dblk.ln1, eblk.ln1), (dblk.ln2, eblk.ln2)):
-            dln.gamma.tensor.data = eln.gamma.data.copy()
-            dln.beta.tensor.data = eln.beta.data.copy()
+    shared = dict(encoder.named_parameters())
+    for name, p in dec.named_parameters():
+        if name in shared:
+            p.tensor.data = shared[name].data.copy()
     return dec
 
 
-class IntentClassifier:
+class IntentClassifier(Module):
     """Two-layer MLP over pooled embeddings: linear, tanh, linear."""
 
     def __init__(self, pooled_dim: int, n_classes: int, rng: np.random.Generator):
@@ -476,9 +434,3 @@ class IntentClassifier:
 
     def __call__(self, q: Tensor) -> Tensor:
         return self.lin2(ad.tanh(self.lin1(q)))
-
-    def parameters(self):
-        return self.lin1.parameters() + self.lin2.parameters()
-
-    def named_parameters(self):
-        return [(p.name, p) for p in self.parameters()]

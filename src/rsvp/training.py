@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import expit as _expit
@@ -343,13 +343,7 @@ class RunReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "per_seed": self.per_seed,
-            "mean": self.mean,
-            "curves": self.curves,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def save(self, out_dir, name: str = "report") -> dict:
         """Write <name>.json plus a long-format <name>_curves.csv; returns paths."""
@@ -380,13 +374,7 @@ def write_curves_csv(path, curves: dict) -> None:
 def load_report(path) -> RunReport:
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
-    return RunReport(
-        variant=raw["variant"],
-        per_seed=raw["per_seed"],
-        mean=raw["mean"],
-        curves=raw["curves"],
-        config=raw["config"],
-    )
+    return RunReport(**{field.name: raw[field.name] for field in fields(RunReport)})
 
 
 def _mean_metrics(per_seed: list) -> dict:
@@ -521,13 +509,19 @@ def run_sweep(prepared: PreparedData, cfg: StageConfig, axis: str) -> list:
     return rows
 
 
-def sweep_to_csv(axis: str, rows: list, path) -> None:
-    metric_keys = [k for k in rows[0][1].mean]
+def _write_means_csv(path, head: list, rows: list) -> None:
+    """One line per (key cells, report) row: the key cells, then the
+    report's mean metrics, in the first report's metric order."""
+    metric_keys = list(rows[0][1].mean)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["axis", "value"] + [f"{k}_mean" for k in metric_keys])
-        for value, report in rows:
-            writer.writerow([axis, value] + [repr(report.mean[k]) for k in metric_keys])
+        writer.writerow(head + [f"{k}_mean" for k in metric_keys])
+        for cells, report in rows:
+            writer.writerow(cells + [repr(report.mean[k]) for k in metric_keys])
+
+
+def sweep_to_csv(axis: str, rows: list, path) -> None:
+    _write_means_csv(path, ["axis", "value"], [([axis, value], report) for value, report in rows])
 
 
 def load_sweep_csv(path):
@@ -546,13 +540,7 @@ def load_sweep_csv(path):
 
 
 def ablation_grid_to_csv(reports: dict, path) -> None:
-    first = next(iter(reports.values()))
-    metric_keys = list(first.mean)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["variant"] + [f"{k}_mean" for k in metric_keys])
-        for name, report in reports.items():
-            writer.writerow([name] + [repr(report.mean[k]) for k in metric_keys])
+    _write_means_csv(path, ["variant"], [([name], report) for name, report in reports.items()])
 
 
 # ---------------------------------------------------------------------------

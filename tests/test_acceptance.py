@@ -176,7 +176,7 @@ def test_criterion_3_mask_and_sharing_invariants(capsys, desk_data):
         padded = enc.encode_batch([u], pad_to=len(u) + int(r.integers(1, 6))).data
         assert np.abs(plain - padded).max() <= 1e-6
 
-        q, p = enc.encode_pair(u, u)
+        q, p = enc.encode(u), enc.encode(u)
         assert np.array_equal(q.data, p.data)
     _announce(capsys, "ACCEPTANCE 3 mask-and-sharing-invariants: PASS")
 

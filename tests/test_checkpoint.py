@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rsvp import autodiff as ad
-from rsvp.checkpoint import CheckpointError, load_checkpoint, restore_component
+from rsvp.checkpoint import CheckpointError, load_checkpoint, restore_component, save_checkpoint
 from rsvp.config import StageConfig
 from rsvp.model import ConversationalEncoder, IntentClassifier
 from rsvp.rng import SeedHub
@@ -237,3 +237,12 @@ def test_version_1_file_fails_as_checkpoint_error(tmp_path):
     path.write_bytes(v1)
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
         load_checkpoint(path)
+
+
+def test_config_snapshot_with_removed_key_fails_as_checkpoint_error(tmp_path):
+    enc, cfg = _encoder_and_cfg()
+    config = dict(cfg.to_dict(), vocab_size=30, truncate_side="right")
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, "retrieval", {"encoder": enc}, config)
+    with pytest.raises(CheckpointError, match="invalid config snapshot"):
+        load_stage_checkpoint(path)

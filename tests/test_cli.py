@@ -72,6 +72,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="bogus"):
             load_config(None, ["bogus=3"])
 
+    def test_removed_truncate_side_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"truncate_side": "right"}))
+        with pytest.raises(ValueError, match="unknown config key 'truncate_side'"):
+            load_config(path)
+        with pytest.raises(ValueError, match="unknown config key 'truncate_side'"):
+            load_config(None, ["truncate_side=right"])
+        assert "truncate_side" not in StageConfig().to_dict()
+
     def test_seed_list_parsing(self):
         cfg = load_config(None, ["seeds=7,8,9"])
         assert cfg.seeds == (7, 8, 9)
@@ -362,6 +371,33 @@ class TestCheckpointVocabulary:
         for cmd in commands:
             assert main(cmd + ["--data", str(other), "--ckpt", str(ft / "finetuned.ckpt"),
                                "--vocab", str(ft / "vocab.txt")]) == 0
+
+
+class TestPredictVocabulary:
+    def test_vocab_of_other_size_exits_1(self, data_path, tmp_path, capsys):
+        ft = tmp_path / "ft"
+        assert main(["finetune", "--data", data_path, "--out", str(ft), "--seed", "0"] + _sets()) == 0
+        other = tmp_path / "other.jsonl"
+        assert main(["gen-data", "--out", str(other), "--n-intents", "4", "--n-per-intent", "12",
+                     "--seed", "9", "--vocab-style", "abstract"]) == 0
+        other_vocab = tmp_path / "other_vocab.txt"
+        assert main(["build-vocab", "--data", str(other), "--out", str(other_vocab)]
+                    + _sets()) == 0
+        ckpt_size = len((ft / "vocab.txt").read_text(encoding="utf-8").splitlines())
+        other_size = len(other_vocab.read_text(encoding="utf-8").splitlines())
+        assert other_size != ckpt_size
+        pred_path = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        rc = main(["predict", "--ckpt", str(ft / "finetuned.ckpt"), "--vocab", str(other_vocab),
+                   "--input", str(other), "--out", str(pred_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"has {other_size} tokens" in err
+        assert f"trained with {ckpt_size}" in err
+        assert not pred_path.exists()
+        assert main(["predict", "--ckpt", str(ft / "finetuned.ckpt"),
+                     "--vocab", str(ft / "vocab.txt"), "--input", str(other),
+                     "--out", str(pred_path)]) == 0
 
 
 class TestErrorPaths:

@@ -134,14 +134,14 @@ class TestClsOnlyLastBlock:
 
 class TestEncodePair:
     def test_identical_sequences_identical_embeddings_bitwise(self, encoder):
-        q, p = encoder.encode_pair([2, 7, 9], [2, 7, 9])
+        q, p = encoder.encode([2, 7, 9]), encoder.encode([2, 7, 9])
         assert np.array_equal(q.data, p.data)
 
     def test_shared_parameter_sensitivity(self, encoder):
         u, r = [2, 7, 9], [2, 11, 13, 14]
-        q0, p0 = encoder.encode_pair(u, r)
+        q0, p0 = encoder.encode(u), encoder.encode(r)
         encoder.pool.w.tensor.data[0, 0] += 0.05
-        q1, p1 = encoder.encode_pair(u, r)
+        q1, p1 = encoder.encode(u), encoder.encode(r)
         assert not np.array_equal(q0.data, q1.data)
         assert not np.array_equal(p0.data, p1.data)
 
@@ -369,8 +369,65 @@ class TestSharedOptimizerPath:
         params = encoder.parameters()
         adamw_step(params, lr=1e-3)
         zero_grad(params)
-        q2, p2 = encoder.encode_pair(seq, seq)
+        q2, p2 = encoder.encode(seq), encoder.encode(seq)
         assert np.array_equal(q2.data, p2.data)
+
+
+def _block_names(i, *sublayers):
+    names = []
+    for sub in sublayers:
+        if sub in ("attn", "cross"):
+            names += [f"layer{i}.{sub}.{w}.{x}" for w in ("wq", "wk", "wv", "wo") for x in "wb"]
+        elif sub == "ffn":
+            names += [f"layer{i}.ffn.{w}.{x}" for w in ("lin1", "lin2") for x in "wb"]
+        else:
+            names += [f"layer{i}.{sub}.gamma", f"layer{i}.{sub}.beta"]
+    return names
+
+
+EMB_NAMES = ["tok_emb", "pos_emb", "emb_ln.gamma", "emb_ln.beta"]
+
+
+class TestParameterLayout:
+    """The ordered parameter names are the checkpoint layout and the order
+    of the gradient-norm sum; pin them for a 2-layer model."""
+
+    ENCODER = (EMB_NAMES + _block_names(0, "attn", "ln1", "ffn", "ln2")
+               + _block_names(1, "attn", "ln1", "ffn", "ln2") + ["pool.w", "pool.b"])
+    DECODER = (EMB_NAMES + _block_names(0, "attn", "ln1", "cross", "ln_cross", "ffn", "ln2")
+               + _block_names(1, "attn", "ln1", "cross", "ln_cross", "ffn", "ln2")
+               + ["lm_head.w", "lm_head.b"])
+
+    def test_encoder_names_and_order(self, encoder):
+        assert [name for name, _ in encoder.named_parameters()] == self.ENCODER
+        assert [p.name for p in encoder.backbone_parameters()] == self.ENCODER[:-2]
+        assert all(p is q for (_, p), q in zip(encoder.named_parameters(), encoder.parameters()))
+
+    def test_decoder_names_and_order(self, encoder):
+        dec = init_decoder_from_encoder(encoder, SeedHub(5).stream("decoder_init"))
+        assert [name for name, _ in dec.named_parameters()] == self.DECODER
+
+    def test_classifier_names_and_order(self):
+        clf = IntentClassifier(16, 5, SeedHub(1).stream("classifier_init"))
+        assert [name for name, _ in clf.named_parameters()] == [
+            "clf.lin1.w", "clf.lin1.b", "clf.lin2.w", "clf.lin2.b"]
+
+    def test_decoder_init_copies_exactly_the_shared_names(self, encoder):
+        dec = init_decoder_from_encoder(encoder, SeedHub(5).stream("decoder_init"))
+        fresh = dict(ResponseDecoder(encoder.cfg, SeedHub(5).stream("decoder_init"),
+                                     bos_id=4, eos_id=5).named_parameters())
+        enc = dict(encoder.named_parameters())
+        shared = set(enc) & set(self.DECODER)
+        assert shared == set(EMB_NAMES + _block_names(0, "attn", "ln1", "ffn", "ln2")
+                             + _block_names(1, "attn", "ln1", "ffn", "ln2"))
+        for name, p in dec.named_parameters():
+            if name in shared:
+                assert np.array_equal(p.data, enc[name].data), name
+                assert p.data is not enc[name].data, name
+            else:
+                assert name.startswith(("layer0.cross.", "layer1.cross.", "layer0.ln_cross.",
+                                        "layer1.ln_cross.", "lm_head.")), name
+                assert np.array_equal(p.data, fresh[name].data), name
 
 
 class TestClassifier:
