@@ -29,17 +29,17 @@ for i in range(3):
 print(f"finite differences   = {fd}")
 print(f"max abs deviation    = {np.abs(fd - w.grad).max():.2e}\n")
 
-print("== gradients accumulate until zeroed ==")
+print("== gradients accumulate until zeroed (a Parameter is a Tensor) ==")
 p = Parameter("demo", np.ones(4))
-ad.tsum(p.tensor).backward()
-ad.tsum(p.tensor).backward()
+ad.tsum(p).backward()
+ad.tsum(p).backward()
 print(f"after two backward passes: grad = {p.grad}")
 zero_grad([p])
 print(f"after zero_grad:           grad = {p.grad}\n")
 
 print("== one AdamW step ==")
 p = Parameter("w", np.array([1.0]))
-p.tensor.grad = np.array([1.0])
+p.grad = np.array([1.0])
 adamw_step([p], lr=2e-5)
 print(f"w: 1.0 -> {p.data[0]:.7f}  (first bias-corrected step moves by ~lr)")
 

@@ -418,9 +418,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
-    inv = np.argsort(axes)
     data = a.data.transpose(axes)
-    return _make(data, (a,), lambda g: [(a, g.transpose(inv))])
+    # the inverse permutation is built in the closure: graph-free calls never need it
+    return _make(data, (a,), lambda g: [(a, g.transpose(np.argsort(axes)))])
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

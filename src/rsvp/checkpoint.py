@@ -168,7 +168,7 @@ def restore_component(ckpt: Checkpoint, comp_name: str, component) -> None:
             )
         if full not in ckpt.moments1 or full not in ckpt.moments2:
             raise CheckpointError(f"checkpoint is missing AdamW moments for {full!r}")
-        p.tensor.data = arr.astype(p.data.dtype, copy=True)
+        p.data = arr.astype(p.data.dtype, copy=True)
         p.m = ckpt.moments1[full].astype(p.data.dtype, copy=True)
         p.v = ckpt.moments2[full].astype(p.data.dtype, copy=True)
         p.step = int(ckpt.steps.get(full, 0))

@@ -37,17 +37,12 @@ def _setup_logging():
 
 
 def _resolve_config(args) -> StageConfig:
-    cfg = load_config(getattr(args, "config", None), getattr(args, "set", None) or [])
-    seeds = getattr(args, "seeds", None)
-    if seeds:
-        cfg = cfg.replace(seeds=tuple(int(s) for s in seeds.split(",")))
-    elif getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config, args.set or [])
+    if args.seeds:
+        cfg = cfg.replace(seeds=tuple(int(s) for s in args.seeds.split(",")))
+    elif args.seed is not None:
         cfg = cfg.replace(seeds=(int(args.seed),))
     return cfg
-
-
-def _stage_seed(args, cfg: StageConfig) -> int:
-    return int(args.seed) if getattr(args, "seed", None) is not None else cfg.seeds[0]
 
 
 def _load_prepared(args, cfg: StageConfig):
@@ -113,7 +108,7 @@ def _save_stage(args, cfg: StageConfig, seed: int, prepared, stage: str, ckpt_st
 
 def cmd_pretrain_retrieval(args) -> int:
     cfg = _resolve_config(args)
-    seed = _stage_seed(args, cfg)
+    seed = cfg.seeds[0]
     prepared = _load_prepared(args, cfg)
     with ad.precision(cfg.precision):
         encoder = _init_encoder(args, cfg, prepared, seed, "retrieval")
@@ -125,7 +120,7 @@ def cmd_pretrain_retrieval(args) -> int:
 
 def cmd_pretrain_generation(args) -> int:
     cfg = _resolve_config(args)
-    seed = _stage_seed(args, cfg)
+    seed = cfg.seeds[0]
     prepared = _load_prepared(args, cfg)
     with ad.precision(cfg.precision):
         encoder = _init_encoder(args, cfg, prepared, seed, "generation")
@@ -138,7 +133,7 @@ def cmd_pretrain_generation(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _resolve_config(args)
-    seed = _stage_seed(args, cfg)
+    seed = cfg.seeds[0]
     prepared = _load_prepared(args, cfg)
     with ad.precision(cfg.precision):
         encoder = _init_encoder(args, cfg, prepared, seed, "finetuned")
@@ -274,19 +269,34 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _check_restated(overrides, cfg: StageConfig) -> None:
+    """Each ``--set`` on a checkpoint command may only restate the
+    checkpoint's config, which fixes the model; another value is an error
+    rather than silently ignored."""
+    for item in overrides or []:
+        key = item.partition("=")[0].strip()
+        if getattr(load_config(None, [item]), key) != getattr(cfg, key):
+            raise ValueError(f"--set {item}: the checkpoint has {key}={getattr(cfg, key)!r}")
+
+
 def cmd_export_embeddings(args) -> int:
     ckpt, cfg, encoder, _, _ = tr.load_stage_checkpoint(args.ckpt)
+    _check_restated(args.set, cfg)
     prepared, examples = _checkpoint_split(args, cfg, encoder)
     export_embeddings(encoder, examples, prepared.label_names, args.out)
     print(f"embeddings: {args.out}")
     return 0
 
 
-def _add_common(p, data=True, out=True):
-    p.add_argument("--config", default=None, help="flat JSON config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
+def _add_common(p, data=True, out=True, config=True):
+    """``config=False`` is for commands that take their config from a
+    checkpoint and so have no use for --config, --set and the seeds."""
+    if config:
+        p.add_argument("--config", default=None, help="flat JSON config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
+        seeds = p.add_mutually_exclusive_group()
+        seeds.add_argument("--seed", type=int, default=None)
+        seeds.add_argument("--seeds", default=None, help="comma-separated seed list")
     if data:
         p.add_argument("--data", required=True, help="JSONL dataset file")
         p.add_argument("--vocab", default=None, help="token-per-line vocab file")
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="evaluate a finetuned checkpoint on a split")
-    _add_common(p, out=False)
+    _add_common(p, out=False, config=False)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", default="test", choices=["train", "valid", "test"])
     p.add_argument("--out", default=None, help="optional metrics JSON path")
@@ -351,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("export-embeddings", help="CSV export of utterance embeddings")
-    _add_common(p, out=False)
+    _add_common(p, out=False, config=False)
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="must restate the checkpoint's config")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", default="test", choices=["train", "valid", "test"])
     p.add_argument("--out", required=True, help="CSV output path")

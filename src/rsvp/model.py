@@ -77,7 +77,7 @@ class Linear(Module):
         self.b = Parameter(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.matmul(x, self.w.tensor) + self.b.tensor
+        return ad.matmul(x, self.w) + self.b
 
 
 class LayerNorm(Module):
@@ -86,7 +86,7 @@ class LayerNorm(Module):
         self.beta = Parameter(f"{name}.beta", np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma.tensor, self.beta.tensor)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class MultiHeadAttention(Module):
@@ -100,10 +100,6 @@ class MultiHeadAttention(Module):
         self.wv = Linear(f"{name}.wv", d_model, d_model, rng)
         self.wo = Linear(f"{name}.wo", d_model, d_model, rng)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, bias, dropout_p, rng, training) -> Tensor:
-        k, v = self.project_kv(x_kv)
-        return self.attend(x_q, k, v, bias, dropout_p, rng, training)
-
     def project_kv(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
         """Per-head keys and values, each (B, n_heads, Tk, d_head)."""
         B, Tk, _ = x_kv.shape
@@ -112,7 +108,7 @@ class MultiHeadAttention(Module):
         v = self.wv(x_kv).reshape(B, Tk, h, dh).transpose(0, 2, 1, 3)
         return k, v
 
-    def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng, training,
+    def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng,
                mask_rows=None) -> Tensor:
         """Attention of the queries projected from ``x_q`` over per-head keys
         and values from ``project_kv``; ``bias`` is added to the logits.
@@ -128,7 +124,7 @@ class MultiHeadAttention(Module):
             scores = scores + bias
         probs = ad.softmax(scores, axis=-1)
         mask_shape = None if mask_rows is None else (B, h, mask_rows, k.shape[2])
-        probs = ad.dropout(probs, dropout_p, rng, training, mask_shape=mask_shape)
+        probs = ad.dropout(probs, dropout_p, rng, mask_shape=mask_shape)
         ctx = ad.matmul(probs, v).transpose(0, 2, 1, 3).reshape(B, Tq, dm)
         return self.wo(ctx)
 
@@ -151,7 +147,7 @@ class EncoderBlock(Module):
         self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.d_ffn, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", cfg.d_model)
 
-    def __call__(self, x: Tensor, bias, dropout_p, rng, training, cls_only=False) -> Tensor:
+    def __call__(self, x: Tensor, bias, dropout_p, rng, cls_only=False) -> Tensor:
         """(B, T, d) states in, (B, T, d) out; with ``cls_only``, only the
         position-0 row is computed, (B, 1, d), attending over all T keys.
 
@@ -162,19 +158,20 @@ class EncoderBlock(Module):
         k, v = self.attn.project_kv(x)
         if cls_only:
             x = ad.token_at(x, 0).reshape(B, 1, d)
-        a = self.attn.attend(x, k, v, bias, dropout_p, rng, training, mask_rows=T)
-        x = self.ln1(x + ad.dropout(a, dropout_p, rng, training, mask_shape=(B, T, d)))
+        a = self.attn.attend(x, k, v, bias, dropout_p, rng, mask_rows=T)
+        x = self.ln1(x + ad.dropout(a, dropout_p, rng, mask_shape=(B, T, d)))
         f = self.ffn(x)
-        return self.ln2(x + ad.dropout(f, dropout_p, rng, training, mask_shape=(B, T, d)))
+        return self.ln2(x + ad.dropout(f, dropout_p, rng, mask_shape=(B, T, d)))
 
 
-def pad_batch(seqs, pad_id: int = 0, pad_to: int | None = None):
-    """Right-pad integer sequences to a common length; returns (ids, mask)."""
+def pad_batch(seqs, pad_to: int | None = None):
+    """Right-pad integer sequences with PAD (id 0) to a common length;
+    returns (ids, mask)."""
     lengths = [len(s) for s in seqs]
     T = max(lengths) if pad_to is None else pad_to
     if pad_to is not None and pad_to < max(lengths):
         raise ValueError(f"pad_to {pad_to} shorter than longest sequence {max(lengths)}")
-    ids = np.full((len(seqs), T), pad_id, dtype=np.int64)
+    ids = np.zeros((len(seqs), T), dtype=np.int64)
     mask = np.zeros((len(seqs), T), dtype=np.float64)
     for i, s in enumerate(seqs):
         ids[i, : len(s)] = np.asarray(s, dtype=np.int64)
@@ -223,9 +220,7 @@ class _Embedded(Module):
             raise ValueError(
                 f"sequence length {stop} exceeds max_positions {self.cfg.max_positions}"
             )
-        x = ad.embedding(self.tok_emb.tensor, ids) + ad.embedding(
-            self.pos_emb.tensor, np.arange(start, stop)
-        )
+        x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb, np.arange(start, stop))
         return self.emb_ln(x)
 
 
@@ -254,12 +249,12 @@ class ConversationalEncoder(_Embedded):
         hidden is (B, 1, d_model); ``rng`` advances exactly as without it.
         """
         p = (self.cfg.dropout_p if dropout_p is None else dropout_p) if training else 0.0
-        ids, mask = pad_batch(seqs, pad_id=0, pad_to=pad_to)
-        bias = _key_bias(mask, self.tok_emb.data.dtype)
-        x = ad.dropout(self._embed(ids), p, rng, training)
+        ids, mask = pad_batch(seqs, pad_to=pad_to)
+        bias = _key_bias(mask, self.tok_emb.dtype)
+        x = ad.dropout(self._embed(ids), p, rng)
         last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
-            x = blk(x, bias, p, rng, training, cls_only=cls_only and i == last)
+            x = blk(x, bias, p, rng, cls_only=cls_only and i == last)
         return x, mask
 
     def pool_cls(self, hidden: Tensor) -> Tensor:
@@ -310,30 +305,27 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.d_ffn, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", cfg.d_model)
 
-    def __call__(self, x, self_bias, enc_hidden, cross_bias, dropout_p, rng, training):
-        a = self.self_attn(x, x, self_bias, dropout_p, rng, training)
-        x = self.ln1(x + ad.dropout(a, dropout_p, rng, training))
-        c = self.cross_attn(x, enc_hidden, cross_bias, dropout_p, rng, training)
-        x = self.ln_cross(x + ad.dropout(c, dropout_p, rng, training))
-        f = self.ffn(x)
-        return self.ln2(x + ad.dropout(f, dropout_p, rng, training))
+    def __call__(self, x, self_bias, cross_kv, cross_bias, dropout_p, rng, cache=None, t=0):
+        """(B, T, d) states in, (B, T, d) out; ``cross_kv`` is
+        ``cross_attn.project_kv`` of the encoder states.
 
-    def step(self, x, self_kv, t: int, cross_kv):
-        """Eval-mode pass of the one position ``t``, x (1, 1, d_model).
-
-        Its self-attention key and value are written into row ``t`` of the
-        ``self_kv`` buffers (1, n_heads, >t, d_head), and it attends over
-        rows 0..t with no bias: every cached position precedes it.
-        ``cross_kv`` is ``cross_attn.project_kv`` of one unpadded utterance.
+        With ``cache``, x (1, 1, d) is the one position ``t``: its
+        self-attention key and value are written into row ``t`` of the
+        cache buffers (1, n_heads, >t, d_head), and it attends over rows
+        0..t, every one of which precedes it.
         """
         k, v = self.self_attn.project_kv(x)
-        for buf, new in zip(self_kv, (k, v)):
-            buf[:, :, t] = new.data[:, :, 0]
-        # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
-        k, v = (ad._as_tensor(buf[:, :, : t + 1], x) for buf in self_kv)
-        x = self.ln1(x + self.self_attn.attend(x, k, v, None, 0.0, None, False))
-        x = self.ln_cross(x + self.cross_attn.attend(x, *cross_kv, None, 0.0, None, False))
-        return self.ln2(x + self.ffn(x))
+        if cache is not None:
+            for buf, new in zip(cache, (k, v)):
+                buf[:, :, t] = new.data[:, :, 0]
+            # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
+            k, v = (ad._as_tensor(buf[:, :, : t + 1], x) for buf in cache)
+        a = self.self_attn.attend(x, k, v, self_bias, dropout_p, rng)
+        x = self.ln1(x + ad.dropout(a, dropout_p, rng))
+        c = self.cross_attn.attend(x, *cross_kv, cross_bias, dropout_p, rng)
+        x = self.ln_cross(x + ad.dropout(c, dropout_p, rng))
+        f = self.ffn(x)
+        return self.ln2(x + ad.dropout(f, dropout_p, rng))
 
 
 class ResponseDecoder(_Embedded):
@@ -360,13 +352,13 @@ class ResponseDecoder(_Embedded):
             if len(s) == 0 or int(s[0]) != self.bos_id:
                 raise ValueError(f"response sequence {i} is missing the leading BOS token")
         p = (self.cfg.dropout_p if dropout_p is None else dropout_p) if training else 0.0
-        ids, mask = pad_batch(r_seqs, pad_id=0)
-        x = ad.dropout(self._embed(ids), p, rng, training)
-        dtype = self.tok_emb.data.dtype
+        ids, mask = pad_batch(r_seqs)
+        x = ad.dropout(self._embed(ids), p, rng)
+        dtype = self.tok_emb.dtype
         self_bias = _causal_bias(ids.shape[1], dtype) + _key_bias(mask, dtype)
         cross_bias = _key_bias(enc_mask, dtype)
         for blk in self.blocks:
-            x = blk(x, self_bias, enc_hidden, cross_bias, p, rng, training)
+            x = blk(x, self_bias, blk.cross_attn.project_kv(enc_hidden), cross_bias, p, rng)
         return self.lm_head(x), mask
 
     @ad.no_grad()
@@ -376,12 +368,12 @@ class ResponseDecoder(_Embedded):
 
         Decoding is incremental. The utterance's encoder states are projected
         to each block's cross-attention keys/values once per call; each step
-        then runs only the newest token, one row, through the blocks and the
-        LM head, attending over the self-attention keys/values cached by the
-        earlier steps. Step t emits what the last row of
-        ``forward_teacher_forced`` over [BOS] and the t tokens before it
-        would pick, and raises ValueError where that sequence would exceed
-        ``max_positions``.
+        then runs only the newest token, one row, through the blocks teacher
+        forcing runs and the LM head, attending over the self-attention
+        keys/values cached by the earlier steps. Step t emits what the last
+        row of ``forward_teacher_forced`` over [BOS] and the t tokens before
+        it would pick, and raises ValueError where that sequence would
+        exceed ``max_positions``.
         """
         if max_t <= 0:
             return []
@@ -389,13 +381,13 @@ class ResponseDecoder(_Embedded):
         cross_kv = [blk.cross_attn.project_kv(enc_hidden) for blk in self.blocks]
         n_heads = self.cfg.n_heads
         shape = (1, n_heads, min(max_t, self.cfg.max_positions), self.cfg.d_model // n_heads)
-        dtype = self.tok_emb.data.dtype
+        dtype = self.tok_emb.dtype
         self_kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in self.blocks]
         tok, out = self.bos_id, []
         for t in range(max_t):
             x = self._embed(np.array([[tok]]), start=t)
             for blk, kv, ckv in zip(self.blocks, self_kv, cross_kv):
-                x = blk.step(x, kv, t, ckv)
+                x = blk(x, None, ckv, None, 0.0, None, cache=kv, t=t)
             tok = int(np.argmax(self.lm_head(x).data[0, 0]))
             if tok == self.eos_id:
                 break
@@ -420,7 +412,7 @@ def init_decoder_from_encoder(
     shared = dict(encoder.named_parameters())
     for name, p in dec.named_parameters():
         if name in shared:
-            p.tensor.data = shared[name].data.copy()
+            p.data = shared[name].data.copy()
     return dec
 
 

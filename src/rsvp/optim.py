@@ -3,29 +3,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, default_dtype
+from .autodiff import Tensor
 
 
-class Parameter:
-    """A leaf tensor plus first/second moment buffers and a step counter."""
+class Parameter(Tensor):
+    """A trainable leaf tensor plus its name, AdamW first/second moment
+    buffers and step counter; autodiff ops take it like any tensor."""
 
-    __slots__ = ("name", "tensor", "m", "v", "step")
+    __slots__ = ("name", "m", "v", "step")
 
-    def __init__(self, name: str, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype or default_dtype())
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(arr, requires_grad=True)
-        self.m = np.zeros_like(arr)
-        self.v = np.zeros_like(arr)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
         self.step = 0
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
+    # the parameter itself, for callers written against ``p.tensor``
+    tensor = property(lambda self: self)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -34,16 +29,15 @@ class Parameter:
 def zero_grad(params) -> None:
     """Reset existing gradient buffers to exactly zero."""
     for p in params:
-        if p.tensor.grad is not None:
-            p.tensor.grad.fill(0.0)
+        if p.grad is not None:
+            p.grad.fill(0.0)
 
 
 def global_grad_norm(params) -> float:
     total = 0.0
     for p in params:
-        if p.tensor.grad is not None:
-            g = p.tensor.grad
-            total += float((g * g).sum())
+        if p.grad is not None:
+            total += float((p.grad * p.grad).sum())
     return float(np.sqrt(total))
 
 
@@ -63,7 +57,7 @@ def adamw_step(
     """
     params = list(params)
     for p in params:
-        if p.tensor.grad is None:
+        if p.grad is None:
             raise ValueError(f"parameter '{p.name}' has no gradient; run backward first")
 
     scale = 1.0
@@ -74,7 +68,7 @@ def adamw_step(
 
     beta1, beta2 = betas
     for p in params:
-        g = p.tensor.grad if scale == 1.0 else p.tensor.grad * scale
+        g = p.grad if scale == 1.0 else p.grad * scale
         p.step += 1
         p.m *= beta1
         p.m += (1.0 - beta1) * g
@@ -83,5 +77,5 @@ def adamw_step(
         m_hat = p.m / (1.0 - beta1 ** p.step)
         v_hat = p.v / (1.0 - beta2 ** p.step)
         if weight_decay:
-            p.tensor.data *= 1.0 - lr * weight_decay
-        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            p.data *= 1.0 - lr * weight_decay
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -324,7 +324,7 @@ def finetune(encoder, train_examples, valid_examples, cfg: StageConfig, hub: See
                           cfg.finetune_epochs, epoch_offset, step, end_epoch=end_epoch)
     if best_snapshot is not None:
         for p, arr in zip(params, best_snapshot):
-            p.tensor.data = arr
+            p.data = arr
     return classifier, history
 
 

@@ -413,3 +413,43 @@ class TestErrorPaths:
         rc = main(["evaluate", "--data", data_path, "--ckpt", str(d1 / "retrieval.ckpt")])
         assert rc == 1
         assert "classifier" in capsys.readouterr().err
+
+
+class TestCheckpointCommandFlags:
+    """evaluate and export-embeddings take their config from the checkpoint."""
+
+    REJECTED = [(cmd, flag, value)
+                for cmd in ("evaluate", "export-embeddings")
+                for flag, value in (("--config", "/nonexistent.json"), ("--set", "lr=0.5"),
+                                    ("--seed", "7"), ("--seeds", "3,4"))
+                # export-embeddings keeps --set, checked against the checkpoint
+                if (cmd, flag) != ("export-embeddings", "--set")]
+
+    @pytest.mark.parametrize("cmd,flag,value", REJECTED)
+    def test_config_flags_rejected_by_argparse(self, cmd, flag, value, tmp_path, capsys):
+        argv = [cmd, "--data", str(tmp_path / "d.jsonl"), "--ckpt", str(tmp_path / "m.ckpt"),
+                "--out", str(tmp_path / "o"), flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_export_set_must_restate_checkpoint_config(self, data_path, tmp_path, capsys):
+        ft = tmp_path / "ft"
+        assert main(["finetune", "--data", data_path, "--out", str(ft), "--seed", "0"] + _sets()) == 0
+        csv_path = tmp_path / "emb.csv"
+        capsys.readouterr()
+        rc = main(["export-embeddings", "--data", data_path, "--ckpt", str(ft / "finetuned.ckpt"),
+                   "--vocab", str(ft / "vocab.txt"), "--out", str(csv_path), "--set", "lr=0.5"])
+        assert rc == 1
+        assert "lr=0.001" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+
+def test_seed_and_seeds_are_exclusive(data_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pretrain-retrieval", "--data", data_path, "--out", str(tmp_path / "o"),
+              "--seed", "7", "--seeds", "3,4"] + _sets())
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -86,3 +86,17 @@ def test_matches_reference_adamw_trajectory(rng):
         ref = ref * (1 - lr * wd)
         ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
     np.testing.assert_allclose(p.data, ref, rtol=1e-12)
+
+
+def test_parameter_is_a_tensor_autodiff_takes_directly():
+    ad.set_default_dtype("float64")
+    p = Parameter("w", np.array([1.0, -2.0, 3.0]))
+    assert isinstance(p, ad.Tensor)
+    assert p.tensor is p
+    ad.tsum(ad.mul(p, p)).backward()
+    np.testing.assert_array_equal(p.grad, 2.0 * p.data)
+
+
+def test_parameter_takes_no_dtype_argument():
+    with pytest.raises(TypeError):
+        Parameter("w", np.ones(2), dtype=np.float64)

@@ -37,3 +37,21 @@ def test_every_imported_name_is_used(path):
     assert MODULES
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+def tensor_reads(tree: ast.Module) -> list:
+    """Line numbers of every ``<expr>.tensor`` attribute access in ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "tensor"]
+
+
+def test_tensor_detector_finds_reads_and_writes():
+    tree = ast.parse("x = p.tensor\np.tensor.data = 1\ntensor = property(lambda s: s)\n")
+    assert tensor_reads(tree) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parameters_go_to_autodiff_without_tensor_wrapper(path):
+    # a Parameter is a Tensor: the package passes it to autodiff as it is
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert tensor_reads(tree) == []
