@@ -520,7 +520,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup ``table[ids]``; gradients scatter-add back into the table."""
+    """Row lookup ``table[ids]``; gradients sum back into the rows looked up."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ValueError(
@@ -530,8 +530,17 @@ def embedding(table: Tensor, ids) -> Tensor:
     data = table.data[idx]
 
     def grad_fn(g):
+        # a stable sort groups equal ids and reduceat sums each group, one
+        # write per distinct row: faster than an np.add.at scatter, which it
+        # matches up to summation order
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
+        flat = idx.ravel()
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            ids = flat[order]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            rows = g.reshape(flat.size, *table.data.shape[1:])[order]
+            gt[ids[starts]] = np.add.reduceat(rows, starts, axis=0)
         return [(table, gt)]
 
     return _make(data, (table,), grad_fn)
@@ -583,28 +592,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(y, (x, gamma, beta), grad_fn)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True,
-            mask_shape=None) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
+def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
+    """Inverted dropout from 16-bit draws at the input's own shape.
 
-    Evaluation mode (training=False) and p=0 are exact identities.
-    ``mask_shape`` draws the mask at that larger shape and applies its
-    leading corner, so ``rng`` advances as it would for an input of that
-    shape and ``x`` gets exactly the mask entries such an input's leading
-    corner would get.
+    Each entry draws one uniform uint16 and is kept when the draw is at
+    least ``thr = round(p * 65536)``, so the rate is p quantized to 1/65536.
+    Kept entries are scaled by 65536 / (65536 - thr), which makes the
+    expected output equal the input exactly. Evaluation mode
+    (training=False) and a p that rounds to ``thr == 0`` are exact
+    identities and draw nothing; a p < 1 that rounds to 65536 is rejected.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    thr = round(p * 65536)
+    if thr == 65536:
+        raise ValueError(f"dropout probability {p} rounds to 1 at 16-bit resolution")
+    if not training or thr == 0:
         return x
-    if mask_shape is None:
-        draw = rng.random(x.data.shape)
-    else:
-        if len(mask_shape) != x.data.ndim or any(m < n for m, n in zip(mask_shape, x.data.shape)):
-            raise ValueError(f"mask shape {tuple(mask_shape)} does not cover input {x.data.shape}")
-        draw = rng.random(mask_shape)[tuple(slice(n) for n in x.data.shape)]
-    keep = (draw >= p).astype(x.data.dtype)
-    keep *= np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype)
+    draw = rng.integers(0, 65536, size=x.data.shape, dtype=np.uint16)
+    keep = (draw >= thr).astype(x.data.dtype)
+    keep *= np.asarray(65536 / (65536 - thr), dtype=x.data.dtype)
     data = x.data * keep
 
     def grad_fn(g):

@@ -73,7 +73,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = load_config(args.config, args.set or [])
     records = load_jsonl(args.data)
     if args.scope == "train":
         records = split(records, cfg.split_ratios, cfg.split_seed)[0]
@@ -288,12 +288,16 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
+def _add_config(p):
+    p.add_argument("--config", default=None, help="flat JSON config file")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
+
+
 def _add_common(p, data=True, out=True, config=True):
     """``config=False`` is for commands that take their config from a
     checkpoint and so have no use for --config, --set and the seeds."""
     if config:
-        p.add_argument("--config", default=None, help="flat JSON config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
+        _add_config(p)
         seeds = p.add_mutually_exclusive_group()
         seeds.add_argument("--seed", type=int, default=None)
         seeds.add_argument("--seeds", default=None, help="comma-separated seed list")
@@ -316,8 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
 
+    # the vocabulary depends on the config (split_seed included), not on the
+    # run seeds, and is what --vocab would load
     p = sub.add_parser("build-vocab", help="build and save a vocabulary")
-    _add_common(p, out=False)
+    _add_config(p)
+    p.add_argument("--data", required=True, help="JSONL dataset file")
     p.add_argument("--out", required=True, help="vocab output file")
     p.add_argument("--scope", default="train", choices=["train", "all"])
     p.set_defaults(func=cmd_build_vocab)

@@ -108,14 +108,9 @@ class MultiHeadAttention(Module):
         v = self.wv(x_kv).reshape(B, Tk, h, dh).transpose(0, 2, 1, 3)
         return k, v
 
-    def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng,
-               mask_rows=None) -> Tensor:
+    def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng) -> Tensor:
         """Attention of the queries projected from ``x_q`` over per-head keys
-        and values from ``project_kv``; ``bias`` is added to the logits.
-
-        ``mask_rows`` draws the attention dropout mask for that many query
-        rows, of which ``x_q`` holds the leading ones (default: all of them).
-        """
+        and values from ``project_kv``; ``bias`` is added to the logits."""
         B, Tq, dm = x_q.shape
         h, dh = self.n_heads, self.d_head
         q = self.wq(x_q).reshape(B, Tq, h, dh).transpose(0, 2, 1, 3)
@@ -123,8 +118,7 @@ class MultiHeadAttention(Module):
         if bias is not None:
             scores = scores + bias
         probs = ad.softmax(scores, axis=-1)
-        mask_shape = None if mask_rows is None else (B, h, mask_rows, k.shape[2])
-        probs = ad.dropout(probs, dropout_p, rng, mask_shape=mask_shape)
+        probs = ad.dropout(probs, dropout_p, rng)
         ctx = ad.matmul(probs, v).transpose(0, 2, 1, 3).reshape(B, Tq, dm)
         return self.wo(ctx)
 
@@ -149,19 +143,17 @@ class EncoderBlock(Module):
 
     def __call__(self, x: Tensor, bias, dropout_p, rng, cls_only=False) -> Tensor:
         """(B, T, d) states in, (B, T, d) out; with ``cls_only``, only the
-        position-0 row is computed, (B, 1, d), attending over all T keys.
-
-        Each dropout mask is still drawn at the full-sequence shape and cut
-        to row 0, so ``rng`` ends where the full-sequence pass leaves it.
+        position-0 row is computed, (B, 1, d), attending over all T keys;
+        its dropout masks are drawn for that row alone.
         """
-        B, T, d = x.shape
+        B, _, d = x.shape
         k, v = self.attn.project_kv(x)
         if cls_only:
             x = ad.token_at(x, 0).reshape(B, 1, d)
-        a = self.attn.attend(x, k, v, bias, dropout_p, rng, mask_rows=T)
-        x = self.ln1(x + ad.dropout(a, dropout_p, rng, mask_shape=(B, T, d)))
+        a = self.attn.attend(x, k, v, bias, dropout_p, rng)
+        x = self.ln1(x + ad.dropout(a, dropout_p, rng))
         f = self.ffn(x)
-        return self.ln2(x + ad.dropout(f, dropout_p, rng, mask_shape=(B, T, d)))
+        return self.ln2(x + ad.dropout(f, dropout_p, rng))
 
 
 def pad_batch(seqs, pad_to: int | None = None):
@@ -246,7 +238,8 @@ class ConversationalEncoder(_Embedded):
         Attention never reads PAD positions. ``dropout_p`` overrides the
         construction-time rate; evaluation mode always disables dropout.
         With ``cls_only``, the last block computes only the [CLS] row and
-        hidden is (B, 1, d_model); ``rng`` advances exactly as without it.
+        hidden is (B, 1, d_model); that block then draws dropout masks for
+        the [CLS] row only, so ``rng`` advances less than without it.
         """
         p = (self.cfg.dropout_p if dropout_p is None else dropout_p) if training else 0.0
         ids, mask = pad_batch(seqs, pad_to=pad_to)

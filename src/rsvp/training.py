@@ -159,15 +159,13 @@ def pretrain_retrieval(encoder, examples, cfg: StageConfig, hub: SeedHub, epoch_
     def step(idx, drop_rng):
         batch = [usable[i] for i in idx]
         bs = len(batch)
-        # both sides run through the one shared encoder in a single pass
-        both = encoder.encode_batch(
-            [ex.utterance_ids for ex in batch] + [ex.response_ids for ex in batch],
-            training=True,
-            rng=drop_rng,
-            dropout_p=cfg.dropout_p,
-        )
-        q = ad.narrow0(both, 0, bs)
-        p = ad.narrow0(both, bs, 2 * bs)
+        # one encoder pass per side, each padded to its own longest sequence:
+        # attention never reads PAD, so no embedding depends on the other
+        # side's lengths, and utterances are not padded to the responses'
+        q = encoder.encode_batch([ex.utterance_ids for ex in batch], training=True,
+                                 rng=drop_rng, dropout_p=cfg.dropout_p)
+        p = encoder.encode_batch([ex.response_ids for ex in batch], training=True,
+                                 rng=drop_rng, dropout_p=cfg.dropout_p)
         loss = retrieval_loss(q, p, cfg.tau)
         return loss, bs, {"loss": loss.item(), "recall_at_1": in_batch_recall_at_1(q.data, p.data)}
 

@@ -214,19 +214,84 @@ class TestDropout:
             with pytest.raises(ValueError):
                 ad.dropout(x, p, np.random.default_rng(0))
 
-    def test_mask_shape_applies_the_leading_corner_of_a_full_draw(self, rng):
-        x = Tensor(rng.normal(size=(2, 1, 5)))
-        full_rng, cut_rng = np.random.default_rng(4), np.random.default_rng(4)
-        full = ad.dropout(Tensor(np.broadcast_to(x.data, (2, 3, 5))), 0.3, full_rng)
-        cut = ad.dropout(x, 0.3, cut_rng, mask_shape=(2, 3, 5))
-        np.testing.assert_array_equal(cut.data, full.data[:, :1, :])
-        assert cut_rng.bit_generator.state == full_rng.bit_generator.state
+    @pytest.mark.parametrize("p,thr,scale", [(0.3, 19661, 65536 / 45875), (0.5, 32768, 2.0)])
+    def test_mask_is_16_bit_draws_at_the_input_shape(self, p, thr, scale, rng):
+        gen = np.random.default_rng(4)
+        with ad.precision("float64"):
+            x = _leaf(rng, (2, 3, 5))
+            out = ad.dropout(x, p, gen)
+        ref = np.random.default_rng(4)
+        draw = ref.integers(0, 65536, size=(2, 3, 5), dtype=np.uint16)
+        np.testing.assert_array_equal(out.data, x.data * np.where(draw >= thr, scale, 0.0))
+        assert gen.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("mask_shape", [(2, 3), (2, 3, 4), (1, 3, 5)])
-    def test_mask_shape_must_cover_the_input(self, mask_shape):
-        x = Tensor(np.ones((2, 3, 5)))
-        with pytest.raises(ValueError, match="does not cover"):
-            ad.dropout(x, 0.3, np.random.default_rng(0), mask_shape=mask_shape)
+    def test_every_16_bit_draw_at_or_above_thr_is_kept(self):
+        class EveryDraw:  # each of the 65536 values once, in order
+            def integers(self, low, high, size, dtype):
+                return np.arange(low, high, dtype=dtype).reshape(size)
+
+        with ad.precision("float64"):
+            out = ad.dropout(Tensor(np.ones(65536)), 0.1, EveryDraw())
+        thr = 6554  # round(0.1 * 65536)
+        assert not out.data[:thr].any()
+        np.testing.assert_array_equal(out.data[thr:], 65536 / (65536 - thr))
+        assert abs(out.data.mean() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_keep_fraction_within_binomial_bound(self, p):
+        n = 1_200_000
+        thr = round(p * 65536)
+        keep = 1.0 - thr / 65536
+        with ad.precision("float64"):
+            out = ad.dropout(Tensor(np.ones(n)), p, np.random.default_rng(12))
+        kept = int(np.count_nonzero(out.data))
+        # six standard deviations of Binomial(n, keep)
+        assert abs(kept - n * keep) <= 6.0 * np.sqrt(n * keep * (1.0 - keep))
+        scale = np.unique(out.data[out.data != 0.0])
+        assert scale.shape == (1,)
+        # the scaled mask has mean 1: exactly in expectation, and within
+        # the same binomial bound in the sample
+        assert abs(scale[0] * keep - 1.0) <= 1e-15
+        assert abs(out.data.mean() - 1.0) <= 6.0 * scale[0] * np.sqrt(keep * (1.0 - keep) / n)
+
+    def test_rate_below_half_a_step_is_identity_and_draws_nothing(self, rng):
+        x = Tensor(rng.normal(size=(4, 5)))
+        gen = np.random.default_rng(2)
+        before = gen.bit_generator.state
+        out = ad.dropout(x, 1e-6, gen)
+        assert out is x
+        assert gen.bit_generator.state == before
+
+    def test_rate_that_rounds_to_one_rejected(self):
+        x = Tensor(np.ones(3))
+        with pytest.raises(ValueError, match="16-bit"):
+            ad.dropout(x, 1.0 - 1e-6, np.random.default_rng(0))
+
+
+class TestEmbedding:
+    """The sort-and-reduceat gradient against an np.add.at scatter."""
+
+    @pytest.mark.parametrize("ids", [
+        [3, 1, 3, 3, 0, 1],
+        [[2, 5, 2, 7], [7, 7, 0, 2], [5, 2, 2, 9]],
+        [4],
+        list(range(10)),
+        np.zeros((0,), dtype=np.int64),
+        np.zeros((2, 0), dtype=np.int64),
+    ], ids=["repeated", "batch_by_time", "single", "arange", "empty", "empty_2d"])
+    def test_gradient_matches_add_at(self, ids, rng):
+        ids = np.asarray(ids, dtype=np.int64)
+        with ad.precision("float64"):
+            table = _leaf(rng, (12, 6))
+            out = ad.embedding(table, ids)
+            g = rng.normal(size=out.shape)
+            ((_, grad),) = out._grad_fn(g)
+        expected = np.zeros((12, 6))
+        np.add.at(expected, ids, g)
+        assert grad.shape == (12, 6)
+        assert np.abs(grad - expected).max(initial=0.0) <= 1e-12
+        unused = np.setdiff1d(np.arange(12), ids.ravel())
+        assert not grad[unused].any()
 
 
 class TestConstantOperands:

@@ -123,6 +123,17 @@ class TestBuildVocab(object):
                      "--seed", "0"] + _sets(extra)) == 0
         assert built.read_bytes() == (stage / "vocab.txt").read_bytes()
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--seeds", "1,2"),
+                                            ("--vocab", "vocab.txt")])
+    def test_unused_flags_rejected_by_argparse(self, flag, value, data_path, tmp_path, capsys):
+        out = tmp_path / "vocab.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["build-vocab", "--data", data_path, "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+        assert not out.exists()
+
 
 class TestStageCommands:
     def test_pipeline_of_stage_commands(self, data_path, tmp_path):

@@ -94,9 +94,29 @@ def _pooled_with_grads(enc, pooled):
                              for p in params]
 
 
+class _RowConstantBits:
+    """Dropout bit source whose draws do not vary along the query/position
+    axis (axis -2 of both (B, h, Tq, Tk) attention probabilities and
+    (B, T, d) states): a (..., 1, n) draw broadcast to the requested shape.
+    A pass over one row and a pass over T rows then get the same masks for
+    that row and consume the same bits; ``requested`` counts what a real
+    generator would have drawn."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.requested = 0
+
+    def integers(self, low, high, size, dtype):
+        self.requested += int(np.prod(size))
+        row = tuple(size[:-2]) + (1, size[-1])
+        return np.broadcast_to(self.gen.integers(low, high, size=row, dtype=dtype), size)
+
+
 class TestClsOnlyLastBlock:
     """encode_batch runs the last block for the [CLS] row only; pooling the
-    full-sequence forward_hidden is its oracle."""
+    full-sequence forward_hidden is its oracle. In training mode both run
+    on a bit source whose draws do not vary along the position axis, so
+    the [CLS] row gets the same masks in both."""
 
     CASES = {
         "unequal_lengths": ([[2, 7, 9, 11, 13, 30], [2, 8], [2, 31, 32, 33]], None),
@@ -113,16 +133,21 @@ class TestClsOnlyLastBlock:
         with ad.precision(precision):
             enc = ConversationalEncoder(small_config(n_layers=n_layers),
                                         SeedHub(3).stream("encoder_init"))
-            rng_fast, rng_full = np.random.default_rng(17), np.random.default_rng(17)
+            bits_fast, bits_full = _RowConstantBits(17), _RowConstantBits(17)
             fast, fast_grads = _pooled_with_grads(enc, lambda: enc.encode_batch(
-                seqs, training=training, rng=rng_fast, pad_to=pad_to, dropout_p=0.1))
+                seqs, training=training, rng=bits_fast, pad_to=pad_to, dropout_p=0.1))
             full, full_grads = _pooled_with_grads(enc, lambda: enc.pool_cls(enc.forward_hidden(
-                seqs, training, rng_full, pad_to, 0.1)[0]))
+                seqs, training, bits_full, pad_to, 0.1)[0]))
         assert fast.dtype == full.dtype == np.dtype(precision)
         assert np.abs(fast - full).max() <= tol
         for g_fast, g_full in zip(fast_grads, full_grads):
             assert np.abs(g_fast - g_full).max() <= tol * max(1.0, np.abs(g_full).max())
-        assert rng_fast.bit_generator.state == rng_full.bit_generator.state
+        assert bits_fast.gen.bit_generator.state == bits_full.gen.bit_generator.state
+        # the last block draws masks for the [CLS] row only
+        if training and n_layers > 0:
+            assert 0 < bits_fast.requested < bits_full.requested
+        else:
+            assert bits_fast.requested == bits_full.requested
 
     def test_cls_only_hidden_is_one_row(self, encoder):
         hidden, mask = encoder.forward_hidden([[2, 7, 9], [2, 8]], cls_only=True)
@@ -130,6 +155,28 @@ class TestClsOnlyLastBlock:
         assert mask.shape == (2, 3)
         full, _ = encoder.forward_hidden([[2, 7, 9], [2, 8]])
         assert full.shape == (2, 3, 32)
+
+
+class TestPaddingInvariance:
+    """Retrieval encodes utterances and responses in separate passes, each
+    padded to its own longest sequence. That is the objective of one joint
+    pass only if padding never reaches a real row."""
+
+    UTTS = [[2, 7, 9], [2, 8, 10, 12, 14], [2, 31]]
+    RESPONSE = [2, 11, 13, 15, 17, 19, 21, 23]
+
+    @pytest.mark.parametrize("n_layers", [2, 1])
+    def test_utterances_alone_equal_their_rows_of_a_longer_joint_batch(self, n_layers):
+        n = len(self.UTTS)
+        with ad.precision("float64"):
+            enc = ConversationalEncoder(small_config(n_layers=n_layers),
+                                        SeedHub(4).stream("encoder_init"))
+            alone, alone_grads = _pooled_with_grads(enc, lambda: enc.encode_batch(self.UTTS))
+            joint, joint_grads = _pooled_with_grads(enc, lambda: ad.narrow0(enc.encode_batch(
+                self.UTTS + [self.RESPONSE], pad_to=len(self.RESPONSE) + 3), 0, n))
+        assert np.abs(alone - joint).max() <= 1e-12
+        for g_alone, g_joint in zip(alone_grads, joint_grads):
+            assert np.abs(g_alone - g_joint).max() <= 1e-12
 
 
 class TestEncodePair:
