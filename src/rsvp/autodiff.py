@@ -28,6 +28,7 @@ _grad_enabled = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-5  # layer norm's variance floor
 
 # Abramowitz & Stegun 7.1.26: erf(x) = 1 - t*(a1 + a2 t + ... + a5 t^4) e^{-x^2},
 # t = 1 / (1 + p x) for x >= 0, |error| <= 1.5e-7; _AS_A runs a5 down to a1
@@ -381,8 +382,6 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}")
-    if b.data.ndim == 2 and math.prod(a.data.shape[:-2]) > 1:
-        return _linear_matmul(a, b)
     data = a.data @ b.data
 
     def grad_fn(g):
@@ -393,21 +392,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), grad_fn)
 
 
-def _linear_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., D) @ (D, O) as one 2-D GEMM over the flattened rows.
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` of a (..., D) input, a (D, O) weight and an (O,) bias, as one node.
 
-    The weight gradient is a single x^T g product instead of a batched
-    product followed by a sum over the leading dimensions.
+    The product is one 2-D GEMM over the flattened rows, and the bias is
+    added in place into its output. The backward is one row sum for the
+    bias and one 2-D GEMM each for the weight and the input, each computed
+    only for an operand that requires grad.
     """
-    rows = (-1, a.data.shape[-1])
-    data = (a.data.reshape(rows) @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+    if (w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ValueError(f"linear shape mismatch: {x.data.shape} x {w.data.shape} + {b.data.shape}")
+    d_in, d_out = w.data.shape
+    data = x.data.reshape(-1, d_in) @ w.data
+    data += b.data
 
     def grad_fn(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        # reshaped again here so a copy of a strided input is not kept alive
-        return [(a, (g2 @ b.data.T).reshape(a.data.shape)), (b, a.data.reshape(rows).T @ g2)]
+        g2 = g.reshape(-1, d_out)
+        # the input is reshaped again here so a copy of a strided input is not kept alive
+        grads = ((x, lambda: (g2 @ w.data.T).reshape(x.data.shape)),
+                 (w, lambda: x.data.reshape(-1, d_in).T @ g2),
+                 (b, lambda: g2.sum(axis=0)))
+        return [(t, grad()) for t, grad in grads if t.requires_grad]
 
-    return _make(data, (a, b), grad_fn)
+    return _make(data.reshape(x.data.shape[:-1] + (d_out,)), (x, w, b), grad_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -568,28 +576,63 @@ def gather_last(a: Tensor, ids) -> Tensor:
 # composite / stochastic ops
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+def _normalize(s: np.ndarray, gamma: Tensor, beta: Tensor, eps: float):
+    """Layer norm of the array ``s`` over its last axis; returns the output,
+    the normalized input ``xn`` and the inverse deviation ``inv``."""
+    mu = s.mean(axis=-1, keepdims=True)
+    xn = s - mu
+    var = (xn * xn).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xn = xc * inv
-    y = xn * gamma.data + beta.data
+    xn *= inv
+    return xn * gamma.data + beta.data, xn, inv
+
+
+def _normalize_grads(g: np.ndarray, xn: np.ndarray, inv: np.ndarray, gamma: Tensor, beta: Tensor):
+    """Gradients of ``_normalize`` with respect to its input, gamma and beta."""
+    reduce_axes = tuple(range(g.ndim - 1))
+    dgamma = (g * xn).sum(axis=reduce_axes).reshape(gamma.data.shape)
+    dbeta = g.sum(axis=reduce_axes).reshape(beta.data.shape)
+    dxn = g * gamma.data
+    dx = inv * (
+        dxn
+        - dxn.mean(axis=-1, keepdims=True)
+        - xn * (dxn * xn).mean(axis=-1, keepdims=True)
+    )
+    return dx, dgamma, dbeta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    y, xn, inv = _normalize(x.data, gamma, beta, eps)
 
     def grad_fn(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xn).sum(axis=reduce_axes).reshape(gamma.data.shape)
-        dbeta = g.sum(axis=reduce_axes).reshape(beta.data.shape)
-        dxn = g * gamma.data
-        dx = inv * (
-            dxn
-            - dxn.mean(axis=-1, keepdims=True)
-            - xn * (dxn * xn).mean(axis=-1, keepdims=True)
-        )
+        dx, dgamma, dbeta = _normalize_grads(g, xn, inv, gamma, beta)
         return [(x, dx), (gamma, dgamma), (beta, dbeta)]
 
     return _make(y, (x, gamma, beta), grad_fn)
+
+
+def _dropout_mask(shape, p: float, rng, dtype, training: bool = True):
+    """The scaled keep mask of one dropout draw at ``shape``, or None where
+    dropout is the identity; ``dropout``, ``attention`` and
+    ``residual_layer_norm`` all draw through here.
+
+    One ``rng.integers(0, 65536, size=shape, dtype=np.uint16)`` call per
+    mask: an entry is kept when its draw is at least ``thr = round(p *
+    65536)`` and then weighs 65536 / (65536 - thr). Evaluation mode and a
+    p that rounds to ``thr == 0`` draw nothing.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    thr = round(p * 65536)
+    if thr == 65536:
+        raise ValueError(f"dropout probability {p} rounds to 1 at 16-bit resolution")
+    if not training or thr == 0:
+        return None
+    draw = rng.integers(0, 65536, size=shape, dtype=np.uint16)
+    keep = (draw >= thr).astype(dtype)
+    keep *= np.asarray(65536 / (65536 - thr), dtype=dtype)
+    return keep
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -601,23 +644,96 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     expected output equal the input exactly. Evaluation mode
     (training=False) and a p that rounds to ``thr == 0`` are exact
     identities and draw nothing; a p < 1 that rounds to 65536 is rejected.
+
+    The mask comes from ``_dropout_mask``, which the fused ``attention``
+    and ``residual_layer_norm`` nodes draw through as well, so a fused node
+    consumes the random stream exactly as its composite would.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    thr = round(p * 65536)
-    if thr == 65536:
-        raise ValueError(f"dropout probability {p} rounds to 1 at 16-bit resolution")
-    if not training or thr == 0:
+    keep = _dropout_mask(x.data.shape, p, rng, x.data.dtype, training)
+    if keep is None:
         return x
-    draw = rng.integers(0, 65536, size=x.data.shape, dtype=np.uint16)
-    keep = (draw >= thr).astype(x.data.dtype)
-    keep *= np.asarray(65536 / (65536 - thr), dtype=x.data.dtype)
-    data = x.data * keep
+    return _make(x.data * keep, (x,), lambda g: [(x, g * keep)])
+
+
+# ---------------------------------------------------------------------------
+# fused nodes: one graph node each for a composite the model runs per
+# sublayer, so that backward keeps one or two saved arrays alive instead
+# of every intermediate of the composite
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias, p: float, rng) -> Tensor:
+    """``dropout(softmax(q kᵀ / sqrt(d_head) + bias)) v`` as one node.
+
+    ``q`` and ``k`` are (B, h, Tq, d_head) and (B, h, Tk, d_head), ``v`` is
+    (B, h, Tk, d_v); ``bias`` is a constant array that broadcasts against
+    the (B, h, Tq, Tk) scores, or None. The forward computes the scores,
+    scales them, adds the bias and takes the softmax in place, then applies
+    the mask ``dropout`` would draw at the probabilities' shape. The
+    backward starts from the saved probabilities and mask, as
+    FlashAttention's does (without the tiling), so no other (B, h, Tq, Tk)
+    array outlives the forward.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim != 4 or kd.ndim != 4 or vd.ndim != 4 or kd.shape[:3] != vd.shape[:3]
+            or kd.shape[:2] != qd.shape[:2] or kd.shape[3] != qd.shape[3]):
+        raise ValueError(f"attention shape mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    scale = np.asarray(1.0 / math.sqrt(qd.shape[-1]), dtype=qd.dtype)
+    probs = qd @ np.swapaxes(kd, -1, -2)
+    probs *= scale
+    if bias is not None:
+        probs += np.asarray(bias, dtype=probs.dtype)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = _dropout_mask(probs.shape, p, rng, probs.dtype)
+    data = (probs if keep is None else probs * keep) @ vd
 
     def grad_fn(g):
-        return [(x, g * keep)]
+        grads = []
+        if v.requires_grad:
+            dropped = probs if keep is None else probs * keep
+            grads.append((v, np.swapaxes(dropped, -1, -2) @ g))
+            del dropped
+        if q.requires_grad or k.requires_grad:
+            # softmax backward from the saved probabilities, in place
+            ds = g @ np.swapaxes(v.data, -1, -2)
+            if keep is not None:
+                ds *= keep
+            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
+            ds *= scale
+            if q.requires_grad:
+                grads.append((q, ds @ k.data))
+            if k.requires_grad:
+                grads.append((k, np.swapaxes(ds, -1, -2) @ q.data))
+        return grads
 
-    return _make(data, (x,), grad_fn)
+    return _make(data, (q, k, v), grad_fn)
+
+
+def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, p: float,
+                        rng) -> Tensor:
+    """``layer_norm(x + dropout(y))`` as one node: the post-norm epilogue of
+    a transformer sublayer, after Megatron-LM's fused bias-dropout-add.
+
+    ``x`` (the residual stream) and ``y`` (the sublayer output) have one
+    shape. The mask is the one ``dropout`` would draw at ``y``'s shape; the
+    backward keeps only it and the normalized sum.
+    """
+    if x.data.shape != y.data.shape:
+        raise ValueError(f"residual_layer_norm shape mismatch: {x.data.shape} and {y.data.shape}")
+    keep = _dropout_mask(y.data.shape, p, rng, y.data.dtype)
+    out, xn, inv = _normalize(x.data + (y.data if keep is None else y.data * keep),
+                              gamma, beta, _LN_EPS)
+
+    def grad_fn(g):
+        ds, dgamma, dbeta = _normalize_grads(g, xn, inv, gamma, beta)
+        grads = [(x, ds), (gamma, dgamma), (beta, dbeta)]
+        if y.requires_grad:
+            grads.append((y, ds if keep is None else ds * keep))
+        return grads
+
+    return _make(out, (x, y, gamma, beta), grad_fn)
 
 
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:

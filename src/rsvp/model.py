@@ -8,7 +8,6 @@ per-position hidden states, and puts a language-model head on top.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,7 @@ class Linear(Module):
         self.b = Parameter(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.matmul(x, self.w) + self.b
+        return ad.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -87,6 +86,10 @@ class LayerNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
+
+    def residual(self, x: Tensor, y: Tensor, dropout_p, rng) -> Tensor:
+        """The post-norm epilogue of a sublayer: this norm of x + dropout(y)."""
+        return ad.residual_layer_norm(x, y, self.gamma, self.beta, dropout_p, rng)
 
 
 class MultiHeadAttention(Module):
@@ -114,13 +117,8 @@ class MultiHeadAttention(Module):
         B, Tq, dm = x_q.shape
         h, dh = self.n_heads, self.d_head
         q = self.wq(x_q).reshape(B, Tq, h, dh).transpose(0, 2, 1, 3)
-        scores = ad.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-        if bias is not None:
-            scores = scores + bias
-        probs = ad.softmax(scores, axis=-1)
-        probs = ad.dropout(probs, dropout_p, rng)
-        ctx = ad.matmul(probs, v).transpose(0, 2, 1, 3).reshape(B, Tq, dm)
-        return self.wo(ctx)
+        ctx = ad.attention(q, k, v, bias, dropout_p, rng)
+        return self.wo(ctx.transpose(0, 2, 1, 3).reshape(B, Tq, dm))
 
 
 class FeedForward(Module):
@@ -151,9 +149,8 @@ class EncoderBlock(Module):
         if cls_only:
             x = ad.token_at(x, 0).reshape(B, 1, d)
         a = self.attn.attend(x, k, v, bias, dropout_p, rng)
-        x = self.ln1(x + ad.dropout(a, dropout_p, rng))
-        f = self.ffn(x)
-        return self.ln2(x + ad.dropout(f, dropout_p, rng))
+        x = self.ln1.residual(x, a, dropout_p, rng)
+        return self.ln2.residual(x, self.ffn(x), dropout_p, rng)
 
 
 def pad_batch(seqs, pad_to: int | None = None):
@@ -314,11 +311,10 @@ class DecoderBlock(Module):
             # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
             k, v = (ad._as_tensor(buf[:, :, : t + 1], x) for buf in cache)
         a = self.self_attn.attend(x, k, v, self_bias, dropout_p, rng)
-        x = self.ln1(x + ad.dropout(a, dropout_p, rng))
+        x = self.ln1.residual(x, a, dropout_p, rng)
         c = self.cross_attn.attend(x, *cross_kv, cross_bias, dropout_p, rng)
-        x = self.ln_cross(x + ad.dropout(c, dropout_p, rng))
-        f = self.ffn(x)
-        return self.ln2(x + ad.dropout(f, dropout_p, rng))
+        x = self.ln_cross.residual(x, c, dropout_p, rng)
+        return self.ln2.residual(x, self.ffn(x), dropout_p, rng)
 
 
 class ResponseDecoder(_Embedded):

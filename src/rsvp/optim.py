@@ -48,12 +48,15 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
     clip_norm: float | None = None,
+    grad_norm: float | None = None,
 ) -> None:
     """One AdamW update over ``params``; gradients are left untouched.
 
     Weight decay is decoupled from the adaptive gradient term and is applied
     to the pre-update weights. Optional global-norm clipping scales the
-    gradients used for the update without mutating the stored buffers.
+    gradients used for the update without mutating the stored buffers;
+    ``grad_norm``, when given, is ``global_grad_norm(params)`` already
+    computed by the caller, so it is not computed twice.
     """
     params = list(params)
     for p in params:
@@ -62,7 +65,7 @@ def adamw_step(
 
     scale = 1.0
     if clip_norm is not None:
-        norm = global_grad_norm(params)
+        norm = global_grad_norm(params) if grad_norm is None else grad_norm
         if norm > clip_norm:
             scale = clip_norm / (norm + 1e-12)
 

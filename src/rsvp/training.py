@@ -30,7 +30,7 @@ from .losses import (
 )
 from .metrics import Prediction, accuracy, in_batch_recall_at_1, mrr_at_k, multilabel_metrics
 from .model import ConversationalEncoder, IntentClassifier, init_decoder_from_encoder
-from .optim import adamw_step, zero_grad
+from .optim import adamw_step, global_grad_norm, zero_grad
 from .rng import SeedHub
 from .text import Vocab, build_vocab, flatten_dialogue, label_set, split
 from .text import encode as encode_record
@@ -115,8 +115,9 @@ def _run_epochs(stage: str, cfg: StageConfig, hub: SeedHub, params, n_items: int
     ``(loss, weight, stats)``: the history row holds the ``weight``-weighted
     mean of each ``stats`` value, and ``end_epoch()``, if given, returns
     further entries for it. A non-finite loss raises ``FloatingPointError``
-    before that batch's backward pass, so the weights and optimizer state
-    stay those of the last finite step.
+    before that batch's backward pass, and a non-finite pre-clip global
+    gradient norm raises it before the update, so the weights and optimizer
+    state stay those of the last finite step.
     """
     history = []
     for epoch in range(epoch_offset, epoch_offset + n_epochs):
@@ -136,7 +137,13 @@ def _run_epochs(stage: str, cfg: StageConfig, hub: SeedHub, params, n_items: int
                     f"{stage}: non-finite loss {loss_value} at epoch {epoch}, batch {b}"
                 )
             ad.backward(loss)
-            adamw_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
+            norm = global_grad_norm(params)
+            if not np.isfinite(norm):
+                raise FloatingPointError(
+                    f"{stage}: non-finite gradient norm {norm} at epoch {epoch}, batch {b}"
+                )
+            adamw_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
+                       grad_norm=norm)
             zero_grad(params)
             for key, mean in stats.items():
                 sums[key] = sums.get(key, 0.0) + mean * weight

@@ -16,7 +16,28 @@ DIFFERENTIABLE_OPS = (
     "softplus", "gelu", "clamp_min", "matmul", "reshape", "transpose",
     "sum", "mean", "token_at", "narrow0", "softmax", "log_softmax",
     "embedding", "gather_last", "layer_norm", "dropout", "cosine_similarity",
+    "linear", "attention", "residual_layer_norm",
 )
+
+
+# ---------------------------------------------------------------------------
+# the composites the fused nodes replace, built from the public ops
+
+
+def composite_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def composite_attention(q, k, v, bias, p, rng):
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), Tensor(scale))
+    if bias is not None:
+        scores = ad.add(scores, Tensor(bias))
+    return ad.matmul(ad.dropout(ad.softmax(scores, axis=-1), p, rng), v)
+
+
+def composite_residual_layer_norm(x, y, gamma, beta, p, rng):
+    return ad.layer_norm(ad.add(x, ad.dropout(y, p, rng)), gamma, beta)
 
 
 def _leaf(r, shape, scale=1.0):
@@ -103,4 +124,25 @@ def make_builder(name: str, r: np.random.Generator, trial: int):
         a = _leaf(r, (6,))
         b = _leaf(r, (6,))
         return (lambda: ad.cosine_similarity(a, b)), [a, b]
+    if name == "linear":
+        x = _leaf(r, (2, 3, 4))
+        w = _leaf(r, (4, 5))
+        b = _leaf(r, (5,))
+        return (lambda: ad.tsum(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b)))), [x, w, b]
+    if name == "attention":
+        q = _leaf(r, (2, 2, 3, 4))
+        k = _leaf(r, (2, 2, 5, 4))
+        v = _leaf(r, (2, 2, 5, 4))
+        bias = r.normal(size=(2, 1, 1, 5)) if trial % 2 else None
+        w = Tensor(r.normal(size=(2, 2, 3, 4)))
+        return (lambda: ad.tsum(ad.mul(ad.attention(
+            q, k, v, bias, 0.3, np.random.default_rng(trial)), w))), [q, k, v]
+    if name == "residual_layer_norm":
+        x = _leaf(r, (2, 3, 6))
+        y = _leaf(r, (2, 3, 6))
+        gamma = Tensor(r.normal(1.0, 0.1, size=6), requires_grad=True)
+        beta = Tensor(r.normal(0.0, 0.1, size=6), requires_grad=True)
+        w = Tensor(r.normal(size=(2, 3, 6)))
+        return (lambda: ad.tsum(ad.mul(ad.residual_layer_norm(
+            x, y, gamma, beta, 0.4, np.random.default_rng(trial)), w))), [x, y, gamma, beta]
     raise KeyError(name)

@@ -51,34 +51,226 @@ class TestMatmul:
         b = _leaf(rng, (2, 3, 4, 2))
         _check_grads(lambda: ad.tsum(ad.matmul(a, b)), [a, b])
 
-
-class TestLinearMatmul:
-    """(..., D) @ (D, O) with more than one leading matrix runs as one 2-D GEMM."""
-
-    def test_gradients_match_finite_differences(self, rng):
+    def test_weight_broadcast_over_leading_dimensions(self, rng):
         ad.set_default_dtype("float64")
         a = _leaf(rng, (2, 3, 4))
         b = _leaf(rng, (4, 5))
         _check_grads(lambda: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b])
 
-    def test_float32_matches_batched_product_and_batch_sum(self, rng):
-        x = rng.normal(size=(3, 7, 16)).astype(np.float32)
-        w = rng.normal(size=(16, 8)).astype(np.float32)
-        g = rng.normal(size=(3, 7, 8)).astype(np.float32)
-        a, b = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = ad.matmul(a, b)
-        ad.tsum(ad.mul(out, Tensor(g))).backward()
-        assert out.dtype == a.grad.dtype == b.grad.dtype == np.float32
-        assert out.shape == (3, 7, 8) and a.grad.shape == x.shape and b.grad.shape == w.shape
-        np.testing.assert_allclose(out.data, np.matmul(x, w), rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(a.grad, np.matmul(g, w.T), rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(b.grad, np.matmul(x.transpose(0, 2, 1), g).sum(axis=0),
-                                   rtol=1e-5, atol=1e-5)
-
     def test_single_matrix_input_keeps_the_plain_product(self, rng):
         x = rng.normal(size=(1, 5, 6)).astype(np.float32)
         w = rng.normal(size=(6, 3)).astype(np.float32)
         assert np.array_equal(ad.matmul(Tensor(x), Tensor(w)).data, x @ w)
+
+
+class TestLinear:
+    """x @ W + b as one node: one 2-D GEMM over the flattened rows."""
+
+    def test_gradients_match_finite_differences(self, rng):
+        ad.set_default_dtype("float64")
+        x = _leaf(rng, (2, 3, 4))
+        w = _leaf(rng, (4, 5))
+        b = _leaf(rng, (5,))
+        _check_grads(lambda: ad.tsum(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b))), [x, w, b])
+
+    def test_float32_matches_batched_product_and_batch_sum(self, rng):
+        x = rng.normal(size=(3, 7, 16)).astype(np.float32)
+        w = rng.normal(size=(16, 8)).astype(np.float32)
+        bias = rng.normal(size=8).astype(np.float32)
+        g = rng.normal(size=(3, 7, 8)).astype(np.float32)
+        a, b, c = (Tensor(arr, requires_grad=True) for arr in (x, w, bias))
+        out = ad.linear(a, b, c)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        assert out.dtype == a.grad.dtype == b.grad.dtype == c.grad.dtype == np.float32
+        assert out.shape == (3, 7, 8) and a.grad.shape == x.shape and b.grad.shape == w.shape
+        np.testing.assert_allclose(out.data, np.matmul(x, w) + bias, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(a.grad, np.matmul(g, w.T), rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(b.grad, np.matmul(x.transpose(0, 2, 1), g).sum(axis=0),
+                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(c.grad, g.sum(axis=(0, 1)), rtol=1e-5, atol=1e-5)
+
+    def test_single_matrix_input_is_the_plain_product_plus_bias(self, rng):
+        x = rng.normal(size=(1, 5, 6)).astype(np.float32)
+        w = rng.normal(size=(6, 3)).astype(np.float32)
+        b = rng.normal(size=3).astype(np.float32)
+        assert np.array_equal(ad.linear(Tensor(x), Tensor(w), Tensor(b)).data, (x[0] @ w + b)[None])
+
+    @pytest.mark.parametrize("shapes", [((4, 6), (6, 3), (4,)), ((2, 3, 6), (6, 4), (3,)),
+                                        ((2, 3, 5), (6, 4), (4,)), ((2, 3, 6), (6,), (6,))])
+    def test_shape_mismatch_rejected(self, shapes):
+        x, w, b = (Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            ad.linear(x, w, b)
+
+
+def _fused_and_composite(fused, composite, make_inputs, seed):
+    """Run ``fused`` and ``composite`` (each ``fn(*tensors, rng=...)``)
+    on equal float64 inputs from ``make_inputs()`` with equal mask
+    generators; backpropagate one fixed projection of each output.
+    Returns, per side, (output, the gradient of each input that requires
+    grad, the generator's state after the forward)."""
+    sides = []
+    for fn in (fused, composite):
+        inputs = make_inputs()
+        gen = np.random.default_rng(seed)
+        out = fn(*inputs, rng=gen)
+        state = gen.bit_generator.state
+        weights = np.random.default_rng(99).normal(size=out.shape)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(weights))))
+        grads = [t.grad for t in inputs if t.requires_grad]
+        assert all(g is not None for g in grads)
+        assert all(t.grad is None for t in inputs if not t.requires_grad)
+        sides.append((out.data, grads, state))
+    return sides
+
+
+def _assert_fused_matches(sides, tol=1e-12):
+    (out_f, grads_f, state_f), (out_c, grads_c, state_c) = sides
+    assert out_f.dtype == out_c.dtype == np.float64
+    assert np.abs(out_f - out_c).max() <= tol
+    assert len(grads_f) == len(grads_c)
+    for g_f, g_c in zip(grads_f, grads_c):
+        assert g_f.shape == g_c.shape
+        assert np.abs(g_f - g_c).max() <= tol * max(1.0, np.abs(g_c).max())
+    assert state_f == state_c
+
+
+def _inputs(shapes, requires, seed=5):
+    """A maker of float64 leaves of the given shapes; every call gives the same values."""
+    def make():
+        r = np.random.default_rng(seed)
+        return [Tensor(r.normal(size=s), requires_grad=q) for s, q in zip(shapes, requires)]
+    return make
+
+
+class TestFusedLinear:
+    @pytest.mark.parametrize("x_shape", [(4, 6), (2, 3, 6), (1, 1, 6)])
+    @pytest.mark.parametrize("x_requires", [True, False])
+    def test_matches_composite(self, x_shape, x_requires):
+        with ad.precision("float64"):
+            make = _inputs([x_shape, (6, 3), (3,)], [x_requires, True, True])
+            sides = _fused_and_composite(lambda x, w, b, rng: ad.linear(x, w, b),
+                                         lambda x, w, b, rng: op_builders.composite_linear(x, w, b),
+                                         make, seed=0)
+        _assert_fused_matches(sides)
+
+    def test_no_input_gradient_for_an_input_without_grad(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6)))
+        w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        out = ad.linear(x, w, b)
+        yielded = [t for t, _ in out._grad_fn(np.ones(out.shape, dtype=out.dtype))]
+        assert len(yielded) == 2 and yielded[0] is w and yielded[1] is b
+
+
+ATTENTION_CASES = {
+    # (B, h, Tq, Tk, d_head), bias shape or None
+    "self_with_key_bias": ((2, 3, 5, 5, 4), (2, 1, 1, 5)),
+    "causal_bias": ((2, 2, 4, 4, 3), (1, 1, 4, 4)),
+    "no_bias": ((2, 2, 4, 4, 3), None),
+    "one_query_row": ((1, 2, 1, 6, 4), None),
+    "cross_unequal_lengths": ((2, 2, 3, 7, 4), (2, 1, 1, 7)),
+}
+
+
+class TestFusedAttention:
+    """ad.attention against the matmul/scale/bias/softmax/dropout/matmul
+    composite it replaces, in float64."""
+
+    @staticmethod
+    def _make(case, requires):
+        (B, h, Tq, Tk, dh), bias_shape = ATTENTION_CASES[case]
+        make = _inputs([(B, h, Tq, dh), (B, h, Tk, dh), (B, h, Tk, dh)], requires)
+        bias = None
+        if bias_shape is not None:
+            bias = np.random.default_rng(8).normal(size=bias_shape)
+            bias[..., -1] = -1e9  # a masked key, as padding gives
+        return make, bias
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])  # p = 0 is the model's evaluation mode
+    def test_matches_composite(self, case, p):
+        with ad.precision("float64"):
+            make, bias = self._make(case, (True, True, True))
+            sides = _fused_and_composite(
+                lambda q, k, v, rng: ad.attention(q, k, v, bias, p, rng),
+                lambda q, k, v, rng: op_builders.composite_attention(q, k, v, bias, p, rng),
+                make, seed=21)
+        _assert_fused_matches(sides)
+
+    @pytest.mark.parametrize("requires", [(True, False, False), (False, True, True),
+                                          (False, False, True), (True, True, False)])
+    def test_inputs_without_grad(self, requires):
+        with ad.precision("float64"):
+            make, bias = self._make("cross_unequal_lengths", requires)
+            sides = _fused_and_composite(
+                lambda q, k, v, rng: ad.attention(q, k, v, bias, 0.3, rng),
+                lambda q, k, v, rng: op_builders.composite_attention(q, k, v, bias, 0.3, rng),
+                make, seed=22)
+        _assert_fused_matches(sides)
+
+    def test_closure_yields_only_inputs_that_require_grad(self, rng):
+        q = Tensor(rng.normal(size=(1, 2, 3, 4)), requires_grad=True)
+        k, v = (Tensor(rng.normal(size=(1, 2, 5, 4))) for _ in range(2))
+        out = ad.attention(q, k, v, None, 0.2, np.random.default_rng(0))
+        assert [t for t, _ in out._grad_fn(np.ones(out.shape))] == [q]
+
+    def test_rates_rounding_to_zero_draw_nothing(self, rng):
+        q, k, v = (Tensor(rng.normal(size=(1, 2, 3, 4))) for _ in range(3))
+        for p in (0.0, 1e-6):
+            gen = np.random.default_rng(0)
+            before = gen.bit_generator.state
+            ad.attention(q, k, v, None, p, gen)
+            assert gen.bit_generator.state == before
+
+    def test_mask_is_one_16_bit_draw_at_the_probabilities_shape(self, rng):
+        q = Tensor(rng.normal(size=(2, 3, 4, 8)))
+        k = Tensor(rng.normal(size=(2, 3, 6, 8)))
+        v = Tensor(np.eye(6)[None, None].repeat(2, 0).repeat(3, 1))
+        out = ad.attention(q, k, v, None, 0.3, np.random.default_rng(4))
+        draw = np.random.default_rng(4).integers(0, 65536, size=(2, 3, 4, 6), dtype=np.uint16)
+        probs = ad.attention(q, k, v, None, 0.0, None).data  # v = I: the probabilities
+        thr = round(0.3 * 65536)
+        expected = np.where(draw >= thr, probs * (65536 / (65536 - thr)), 0.0)
+        np.testing.assert_allclose(out.data, expected.astype(np.float32), rtol=1e-6, atol=0)
+
+    def test_shape_mismatch_rejected(self):
+        q = Tensor(np.zeros((1, 2, 3, 4)))
+        with pytest.raises(ValueError, match="attention shape mismatch"):
+            ad.attention(q, Tensor(np.zeros((1, 2, 5, 3))), Tensor(np.zeros((1, 2, 5, 3))),
+                         None, 0.0, None)
+        with pytest.raises(ValueError, match="attention shape mismatch"):
+            ad.attention(q, Tensor(np.zeros((1, 2, 5, 4))), Tensor(np.zeros((1, 2, 6, 4))),
+                         None, 0.0, None)
+        with pytest.raises(ValueError, match="attention shape mismatch"):
+            ad.attention(q, Tensor(np.zeros((2, 2, 5, 4))), Tensor(np.zeros((2, 2, 5, 4))),
+                         None, 0.0, None)
+
+
+class TestFusedResidualLayerNorm:
+    @pytest.mark.parametrize("shape", [(2, 5, 6), (3, 1, 6), (4, 6)])
+    @pytest.mark.parametrize("p", [0.0, 0.4])
+    @pytest.mark.parametrize("requires", [(True, True), (True, False), (False, True)])
+    def test_matches_composite(self, shape, p, requires):
+        with ad.precision("float64"):
+            make = _inputs([shape, shape, shape[-1:], shape[-1:]], requires + (True, True))
+
+            def inputs():
+                x, y, gamma, beta = make()
+                gamma.data += 1.0
+                return [x, y, gamma, beta]
+
+            sides = _fused_and_composite(
+                lambda x, y, g, b, rng: ad.residual_layer_norm(x, y, g, b, p, rng),
+                lambda x, y, g, b, rng: op_builders.composite_residual_layer_norm(
+                    x, y, g, b, p, rng),
+                inputs, seed=23)
+        _assert_fused_matches(sides)
+
+    def test_shape_mismatch_rejected(self):
+        x, y, g = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 1, 4))), Tensor(np.ones(4))
+        with pytest.raises(ValueError, match="residual_layer_norm shape mismatch"):
+            ad.residual_layer_norm(x, y, g, g, 0.0, None)
 
 
 class TestGelu:

@@ -464,3 +464,73 @@ def test_seed_and_seeds_are_exclusive(data_path, tmp_path, capsys):
     assert exc.value.code == 2
     assert "not allowed with" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _unread_flags(parser, argv):
+    """Run ``argv`` through its handler on a namespace that records every
+    attribute the handler reads; returns the destinations of the
+    subcommand's flags that it never read."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = parser.parse_args(argv, namespace=Recording())
+    reads.clear()  # parsing itself reads the namespace
+    assert args.func(args) == 0
+    sub = _subparsers(parser)[argv[0]]
+    return {a.dest for a in sub._actions if a.option_strings and a.dest != "help"} - reads
+
+
+@pytest.fixture(scope="module")
+def finetuned_dir(data_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ft")
+    assert main(["finetune", "--data", data_path, "--out", str(out), "--seed", "0"] + _sets()) == 0
+    return out
+
+
+class TestEveryFlagIsRead:
+    """Each subcommand runs on micro data with only the flags it needs, the
+    rest at their defaults, and its handler must read every flag it
+    registers: a flag that is parsed and never read silently does nothing."""
+
+    ONE_SEED = ["--set", "seeds=0"]
+
+    def _argv(self, cmd, data, ft, out):
+        """A run of ``cmd`` that passes only its required flags; a new
+        subcommand fails here until it is added."""
+        ckpt, vocab = str(ft / "finetuned.ckpt"), str(ft / "vocab.txt")
+        sets = _sets() + self.ONE_SEED
+        return {
+            "gen-data": ["gen-data", "--out", out],
+            "build-vocab": ["build-vocab", "--data", data, "--out", out] + sets,
+            "pretrain-retrieval": ["pretrain-retrieval", "--data", data, "--out", out] + sets,
+            "pretrain-generation": ["pretrain-generation", "--data", data, "--out", out] + sets,
+            "finetune": ["finetune", "--data", data, "--out", out] + sets,
+            "run-rsvp": ["run-rsvp", "--data", data, "--out", out] + sets,
+            "run-baseline": ["run-baseline", "--data", data, "--out", out] + sets,
+            "sweep": ["sweep", "--axis", "lambda", "--data", data, "--out", out]
+                     + _sets(["retrieval_epochs=0", "generation_epochs=0"]) + self.ONE_SEED,
+            "evaluate": ["evaluate", "--data", data, "--ckpt", ckpt],
+            "predict": ["predict", "--ckpt", ckpt, "--vocab", vocab, "--input", data,
+                        "--out", out],
+            "export-embeddings": ["export-embeddings", "--data", data, "--ckpt", ckpt,
+                                  "--out", out],
+        }[cmd]
+
+    @pytest.mark.parametrize("cmd", sorted(_subparsers(cli.build_parser())))
+    def test_handler_reads_every_registered_flag(self, cmd, data_path, finetuned_dir, tmp_path):
+        argv = self._argv(cmd, data_path, finetuned_dir, str(tmp_path / "out"))
+        assert _unread_flags(cli.build_parser(), argv) == set()
+
+    def test_a_planted_unread_flag_is_reported(self, tmp_path):
+        parser = cli.build_parser()
+        _subparsers(parser)["gen-data"].add_argument("--planted", default=None)
+        argv = ["gen-data", "--out", str(tmp_path / "d.jsonl"), "--planted", "x"]
+        assert _unread_flags(parser, argv) == {"planted"}

@@ -18,6 +18,8 @@ from rsvp.model import (
 from rsvp.optim import adamw_step, zero_grad
 from rsvp.rng import SeedHub
 
+from . import op_builders
+
 
 def small_config(**kw):
     base = dict(
@@ -294,6 +296,51 @@ class TestDecoder:
             adamw_step(params, lr=3e-3)
             zero_grad(params)
         assert dec.generate(enc, u, 10) == [20, 21, 22, 23]
+
+
+class TestFusedNodesMatchTheComposites:
+    """The model's fused attention, Linear and post-norm epilogue nodes
+    against the composites they replace, patched into ``ad`` for the
+    reference pass: float64 losses and every parameter gradient, in
+    training mode, with the dropout generator in the same state after."""
+
+    UTTS = [[2, 7, 9, 11, 13], [2, 8], [2, 31, 32]]
+    RESPONSES = [[4, 20, 21, 22, 5], [4, 23, 5], [4, 24, 25, 26, 27, 28, 5]]
+
+    def _loss_and_grads(self, enc, dec):
+        params = enc.parameters() + dec.parameters()
+        for p in params:
+            p.grad = None
+        gen = np.random.default_rng(41)
+        q = enc.encode_batch(self.UTTS, training=True, rng=gen, dropout_p=0.1)
+        hidden, mask = enc.forward_hidden(self.UTTS, training=True, rng=gen, dropout_p=0.1)
+        seqs = [r[:-1] for r in self.RESPONSES]
+        targets = np.zeros((len(seqs), max(map(len, seqs))), dtype=np.int64)
+        for i, r in enumerate(self.RESPONSES):
+            targets[i, : len(r) - 1] = r[1:]
+        logits, _ = dec.forward_teacher_forced(hidden, mask, seqs, training=True, rng=gen,
+                                               dropout_p=0.1)
+        weights = np.random.default_rng(12).normal(size=q.shape)
+        loss = ad.add(generation_loss(logits, targets, pad_id=0),
+                      ad.tsum(ad.mul(q, ad.Tensor(weights))))
+        ad.backward(loss)
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+        return loss.item(), grads, gen.bit_generator.state
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_encoder_and_decoder_gradients(self, n_layers, monkeypatch):
+        with ad.precision("float64"):
+            enc, dec = _random_models(6, n_layers=n_layers)
+            fused = self._loss_and_grads(enc, dec)
+            monkeypatch.setattr(ad, "linear", op_builders.composite_linear)
+            monkeypatch.setattr(ad, "attention", op_builders.composite_attention)
+            monkeypatch.setattr(ad, "residual_layer_norm",
+                                op_builders.composite_residual_layer_norm)
+            composite = self._loss_and_grads(enc, dec)
+        assert abs(fused[0] - composite[0]) <= 1e-12 * abs(composite[0])
+        for g_fused, g_comp in zip(fused[1], composite[1]):
+            assert np.abs(g_fused - g_comp).max() <= 1e-12 * max(1.0, np.abs(g_comp).max())
+        assert fused[2] == composite[2]
 
 
 def _uncached_generate(dec, enc, u_ids, max_t, rows):

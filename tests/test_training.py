@@ -12,7 +12,7 @@ from rsvp.config import StageConfig
 from rsvp.losses import classification_loss
 from rsvp.metrics import Prediction
 from rsvp.model import _EVAL_TOKEN_BUDGET, ConversationalEncoder, IntentClassifier, _token_chunks
-from rsvp.optim import adamw_step, zero_grad
+from rsvp.optim import Parameter, adamw_step, zero_grad
 from rsvp.rng import SeedHub
 from rsvp.synth import gen_data
 from rsvp.text import EncodedExample
@@ -261,6 +261,62 @@ class TestNonFiniteLoss:
             else:
                 tr.pretrain_generation(enc, prepared.train, cfg, hub)
         assert _bits_equal(before, _param_bits([enc]))
+
+
+class TestNonFiniteGradient:
+    """A finite loss can still have a non-finite gradient: d sqrt(z)/dz at
+    z = 0 is inf, and a zero weight downstream makes the chain rule's
+    product 0 * inf = NaN. The second batch here is such a step."""
+
+    @staticmethod
+    def _step(p, calls):
+        def step(idx, drop_rng):
+            calls.append((p.data.copy(), p.m.copy(), p.v.copy(), p.step))
+            if len(calls) == 1:
+                loss = ad.tsum(ad.mul(p, p))
+            else:
+                loss = ad.tsum(ad.mul(ad.sqrt(ad.sub(p, p)), ad.Tensor(np.zeros(3))))
+            return loss, len(idx), {"loss": loss.item()}
+        return step
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_raises_before_the_update_and_keeps_the_last_finite_step(self, clip_norm):
+        p = Parameter("w", np.array([1.0, -2.0, 0.5]))
+        calls = []
+        cfg = StageConfig(lr=0.1, clip_norm=clip_norm)
+        with pytest.raises(FloatingPointError,
+                           match=r"generation: non-finite gradient norm nan at epoch 2, batch 1"):
+            tr._run_epochs("generation", cfg, SeedHub(0), [p], 4, 2, 1, 2, self._step(p, calls))
+        assert len(calls) == 2
+        data, m, v, steps = calls[1]  # the state after the one finite step
+        assert steps == p.step == 1
+        assert np.array_equal(p.data, data) and np.array_equal(p.m, m)
+        assert np.array_equal(p.v, v)
+        assert np.all(np.isfinite(p.data))
+
+    def test_one_norm_per_step(self, monkeypatch):
+        from rsvp import optim
+
+        p = Parameter("w", np.array([1.0, -2.0, 0.5]))
+        norms = []
+        real = optim.global_grad_norm
+
+        def counting(params):
+            norms.append(real(params))
+            return norms[-1]
+
+        monkeypatch.setattr(optim, "global_grad_norm", counting)
+        monkeypatch.setattr(tr, "global_grad_norm", counting, raising=False)
+
+        def step(idx, drop_rng):
+            loss = ad.tsum(ad.mul(p, p))
+            return loss, len(idx), {"loss": loss.item()}
+
+        tr._run_epochs("retrieval", StageConfig(lr=0.1, clip_norm=1.0), SeedHub(0), [p], 6, 2,
+                       1, 0, step)
+        assert len(norms) == 3
 
 
 class TestEpochLoop:
