@@ -5,11 +5,14 @@ optional label names, parameter/optimizer blob table), a CRC32 of every
 byte so far, then the raw little-endian array bytes, then a CRC32 of the
 payload. Loading verifies the magic, version and declared lengths, the
 header checksum before parsing the header and the payload checksum before
-reading an array, so truncation or corruption fails loudly.
+reading an array, so truncation or corruption fails loudly. Every entry of
+the parameter table must lie inside the payload and hold exactly its
+shape's bytes.
 """
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -28,7 +31,9 @@ class CheckpointError(Exception):
 
 @dataclass
 class Checkpoint:
-    """In-memory view of a loaded checkpoint."""
+    """In-memory view of a loaded checkpoint. ``arrays`` and the moments are
+    read-only views into the bytes read from the file; ``restore_component``
+    copies them into a module."""
 
     stage: str
     config: dict
@@ -97,6 +102,26 @@ def save_checkpoint(path, stage: str, components: dict, config: dict, labels=Non
         f.write(zlib.crc32(payload).to_bytes(4, "little"))
 
 
+def _entry_view(data: bytes, start: int, plen: int, entry: dict) -> np.ndarray:
+    """The read-only array of one parameter-table entry, viewed in place in
+    the ``plen``-byte payload that begins at ``data[start]``."""
+    name, dtype_name = entry["name"], entry["dtype"]
+    shape, offset, nbytes = entry["shape"], entry["offset"], entry["nbytes"]
+    if not isinstance(name, str):
+        raise ValueError(f"entry name {name!r} is not a string")
+    if dtype_name not in _DTYPE_CODES:
+        raise ValueError(f"entry {name!r} has unknown dtype {dtype_name!r}")
+    if not all(type(n) is int and n >= 0 for n in (offset, nbytes, *shape)):
+        raise ValueError(f"entry {name!r} has a negative or non-integer offset, size or shape")
+    dtype = np.dtype(_DTYPE_CODES[dtype_name])
+    count = math.prod(shape)
+    if nbytes != count * dtype.itemsize:
+        raise ValueError(f"entry {name!r} has {nbytes} bytes, not {count} x {dtype.itemsize}")
+    if offset + nbytes > plen:
+        raise ValueError(f"entry {name!r} ends at byte {offset + nbytes} of a {plen}-byte payload")
+    return np.frombuffer(data, dtype, count, start + offset).reshape(shape)
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         data = f.read()
@@ -124,17 +149,14 @@ def load_checkpoint(path) -> Checkpoint:
     pos += 8
     if pos + plen + 4 > len(data):
         raise CheckpointError(f"{path}: truncated payload")
-    payload = data[pos : pos + plen]
     crc = int.from_bytes(data[pos + plen : pos + plen + 4], "little")
-    if zlib.crc32(payload) != crc:
+    if zlib.crc32(memoryview(data)[pos : pos + plen]) != crc:
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
     arrays, m1, m2 = {}, {}, {}
     try:
         for entry in entries:
-            raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-            arr = np.frombuffer(raw, dtype=_DTYPE_CODES[entry["dtype"]]).reshape(entry["shape"])
-            arr = arr.astype(entry["dtype"], copy=True)
+            arr = _entry_view(data, pos, plen, entry)
             name = entry["name"]
             if name.startswith("moment1."):
                 m1[name[len("moment1.") :]] = arr
@@ -156,19 +178,20 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def restore_component(ckpt: Checkpoint, comp_name: str, component) -> None:
-    """Copy checkpoint arrays (and optimizer state) into a live component."""
+    """Copy checkpoint arrays (and optimizer state) into a live component:
+    one owned, writable, C-contiguous copy of each, in the module's dtype."""
     for pname, p in component.named_parameters():
         full = f"{comp_name}.{pname}"
         if full not in ckpt.arrays:
             raise CheckpointError(f"checkpoint is missing parameter {full!r}")
-        arr = ckpt.arrays[full]
-        if tuple(arr.shape) != tuple(p.data.shape):
-            raise CheckpointError(
-                f"shape mismatch for {full!r}: checkpoint {arr.shape} vs model {p.data.shape}"
-            )
         if full not in ckpt.moments1 or full not in ckpt.moments2:
             raise CheckpointError(f"checkpoint is missing AdamW moments for {full!r}")
-        p.data = arr.astype(p.data.dtype, copy=True)
-        p.m = ckpt.moments1[full].astype(p.data.dtype, copy=True)
-        p.v = ckpt.moments2[full].astype(p.data.dtype, copy=True)
+        shape, dtype = p.data.shape, p.data.dtype
+        stored = (ckpt.arrays[full], ckpt.moments1[full], ckpt.moments2[full])
+        for arr in stored:
+            if arr.shape != shape:
+                raise CheckpointError(
+                    f"shape mismatch for {full!r}: checkpoint {arr.shape} vs model {shape}"
+                )
+        p.data, p.m, p.v = (arr.astype(dtype, order="C") for arr in stored)
         p.step = int(ckpt.steps.get(full, 0))

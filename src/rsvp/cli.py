@@ -11,6 +11,7 @@ log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -84,13 +85,21 @@ def cmd_build_vocab(args) -> int:
 
 
 def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
+    enc_cfg = cfg.encoder_config(len(prepared.vocab))
     if getattr(args, "init_ckpt", None):
-        ckpt, ckpt_cfg, encoder, decoder, classifier = tr.load_stage_checkpoint(args.init_ckpt)
+        ckpt, _, encoder, _, _ = tr.load_stage_checkpoint(args.init_ckpt)
+        # a model of another shape would train, then write a checkpoint that
+        # no command can load with this run's config; only dropout may change
+        for field in dataclasses.fields(enc_cfg):
+            have, want = getattr(encoder.cfg, field.name), getattr(enc_cfg, field.name)
+            if field.name != "dropout_p" and have != want:
+                raise ValueError(f"--init-ckpt {args.init_ckpt} has {field.name}={have!r}, "
+                                 f"but this run's config and data give {want!r}")
         tr.check_stage_transition(ckpt.stage, next_stage)
         return encoder
     hub = SeedHub(seed)
     with ad.precision(cfg.precision):
-        return ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        return ConversationalEncoder(enc_cfg, hub.stream("encoder_init"))
 
 
 def _save_stage(args, cfg: StageConfig, seed: int, prepared, stage: str, ckpt_stage: str,

@@ -43,7 +43,11 @@ class EncoderConfig:
             raise ValueError("vocab_size and max_positions must be positive")
 
 
-def _normal(rng: np.random.Generator, shape, std=None):
+def _normal(rng: np.random.Generator | None, shape, std=None):
+    """Init weights drawn from ``rng``; without one, zeros in the default
+    dtype, for a module that a checkpoint restore fills."""
+    if rng is None:
+        return np.zeros(shape, ad.default_dtype())
     return rng.normal(0.0, INIT_STD if std is None else std, size=shape)
 
 
@@ -51,7 +55,9 @@ class Module:
     """Base of every layer and model. ``parameters()`` walks the attributes
     in the order the constructor assigned them and collects each
     ``Parameter``, each ``Module`` and each list of ``Module``s; that order
-    is the checkpoint layout and the order of the gradient-norm sum."""
+    is the checkpoint layout and the order of the gradient-norm sum. Built
+    with ``rng=None``, a module draws no init and holds zero weights, for a
+    checkpoint restore to fill."""
 
     def parameters(self) -> list:
         params = []
@@ -71,7 +77,7 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator):
+    def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator | None):
         self.w = Parameter(f"{name}.w", _normal(rng, (d_in, d_out)))
         self.b = Parameter(f"{name}.b", np.zeros(d_out))
 
@@ -95,7 +101,7 @@ class LayerNorm(Module):
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over full query/key projections."""
 
-    def __init__(self, name: str, d_model: int, n_heads: int, rng: np.random.Generator):
+    def __init__(self, name: str, d_model: int, n_heads: int, rng: np.random.Generator | None):
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
         self.wq = Linear(f"{name}.wq", d_model, d_model, rng)
@@ -122,7 +128,7 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, name: str, d_model: int, d_ffn: int, rng: np.random.Generator):
+    def __init__(self, name: str, d_model: int, d_ffn: int, rng: np.random.Generator | None):
         self.lin1 = Linear(f"{name}.lin1", d_model, d_ffn, rng)
         self.lin2 = Linear(f"{name}.lin2", d_ffn, d_model, rng)
 
@@ -133,7 +139,7 @@ class FeedForward(Module):
 class EncoderBlock(Module):
     """Post-norm transformer block: attention and FFN sublayers with residuals."""
 
-    def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator | None):
         self.attn = MultiHeadAttention(f"{name}.attn", cfg.d_model, cfg.n_heads, rng)
         self.ln1 = LayerNorm(f"{name}.ln1", cfg.d_model)
         self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.d_ffn, rng)
@@ -195,7 +201,7 @@ class _Embedded(Module):
     """Token and position embeddings with their layer norm, the input path
     the encoder and the decoder share."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         self.tok_emb = Parameter("tok_emb", _normal(rng, (cfg.vocab_size, cfg.d_model)))
         self.pos_emb = Parameter("pos_emb", _normal(rng, (cfg.max_positions, cfg.d_model)))
@@ -216,7 +222,7 @@ class _Embedded(Module):
 class ConversationalEncoder(_Embedded):
     """Shared transformer encoder + linear/tanh pooling over the [CLS] state."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None):
         super().__init__(cfg, rng)
         self.blocks = [EncoderBlock(f"layer{i}", cfg, rng) for i in range(cfg.n_layers)]
         self.pool = Linear("pool", cfg.d_model, cfg.pooled_dim, rng)
@@ -287,7 +293,7 @@ class ConversationalEncoder(_Embedded):
 class DecoderBlock(Module):
     """Causal self-attention, cross-attention over encoder states, FFN."""
 
-    def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator | None):
         self.self_attn = MultiHeadAttention(f"{name}.attn", cfg.d_model, cfg.n_heads, rng)
         self.ln1 = LayerNorm(f"{name}.ln1", cfg.d_model)
         self.cross_attn = MultiHeadAttention(f"{name}.cross", cfg.d_model, cfg.n_heads, rng)
@@ -320,7 +326,8 @@ class DecoderBlock(Module):
 class ResponseDecoder(_Embedded):
     """Causal decoder with cross-attention and a language-model head."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, bos_id: int, eos_id: int):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None, bos_id: int,
+                 eos_id: int):
         super().__init__(cfg, rng)
         self.bos_id = bos_id
         self.eos_id = eos_id
@@ -408,7 +415,7 @@ def init_decoder_from_encoder(
 class IntentClassifier(Module):
     """Two-layer MLP over pooled embeddings: linear, tanh, linear."""
 
-    def __init__(self, pooled_dim: int, n_classes: int, rng: np.random.Generator):
+    def __init__(self, pooled_dim: int, n_classes: int, rng: np.random.Generator | None):
         self.n_classes = n_classes
         self.lin1 = Linear("clf.lin1", pooled_dim, pooled_dim, rng)
         self.lin2 = Linear("clf.lin2", pooled_dim, n_classes, rng)

@@ -15,8 +15,10 @@ class Parameter(Tensor):
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.m = np.zeros_like(self.data)
-        self.v = np.zeros_like(self.data)
+        # np.zeros leaves the pages unwritten until AdamW's first step, and a
+        # checkpoint restore replaces both buffers without writing them
+        self.m = np.zeros(self.data.shape, self.data.dtype)
+        self.v = np.zeros(self.data.shape, self.data.dtype)
         self.step = 0
 
     # the parameter itself, for callers written against ``p.tensor``

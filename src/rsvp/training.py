@@ -29,7 +29,12 @@ from .losses import (
     unsup_contrastive_loss,
 )
 from .metrics import Prediction, accuracy, in_batch_recall_at_1, mrr_at_k, multilabel_metrics
-from .model import ConversationalEncoder, IntentClassifier, init_decoder_from_encoder
+from .model import (
+    ConversationalEncoder,
+    IntentClassifier,
+    ResponseDecoder,
+    init_decoder_from_encoder,
+)
 from .optim import adamw_step, global_grad_norm, zero_grad
 from .rng import SeedHub
 from .text import Vocab, build_vocab, flatten_dialogue, label_set, split
@@ -574,20 +579,21 @@ def load_stage_checkpoint(path):
         enc_cfg = cfg.encoder_config(vocab_size)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: invalid config snapshot ({e!r})") from e
-    rng = np.random.default_rng(0)  # weights are overwritten by the restore
     decoder = classifier = None
-    # the modules take the checkpoint's precision; the caller's default stays
+    # the modules take the checkpoint's precision; the caller's default stays.
+    # They are built without an init draw and filled by the restore, which
+    # raises for any parameter the file lacks.
     with ad.precision(cfg.precision):
-        encoder = ConversationalEncoder(enc_cfg, rng)
+        encoder = ConversationalEncoder(enc_cfg, None)
         restore_component(ckpt, "encoder", encoder)
         if any(name.startswith("decoder.") for name in ckpt.arrays):
-            decoder = init_decoder_from_encoder(encoder, rng, bos_id=BOS_ID, eos_id=EOS_ID)
+            decoder = ResponseDecoder(enc_cfg, None, BOS_ID, EOS_ID)
             restore_component(ckpt, "decoder", decoder)
         if any(name.startswith("classifier.") for name in ckpt.arrays):
             if "classifier.clf.lin2.b" not in ckpt.arrays:
                 raise CheckpointError(f"{path}: checkpoint is missing 'classifier.clf.lin2.b'")
             n_classes = ckpt.arrays["classifier.clf.lin2.b"].shape[0]
-            classifier = IntentClassifier(cfg.pooled_dim, n_classes, rng)
+            classifier = IntentClassifier(cfg.pooled_dim, n_classes, None)
             restore_component(ckpt, "classifier", classifier)
     return ckpt, cfg, encoder, decoder, classifier
 

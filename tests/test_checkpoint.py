@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from rsvp import autodiff as ad
+from rsvp import model
 from rsvp.checkpoint import CheckpointError, load_checkpoint, restore_component, save_checkpoint
 from rsvp.config import StageConfig
-from rsvp.model import ConversationalEncoder, IntentClassifier
+from rsvp.model import ConversationalEncoder, IntentClassifier, init_decoder_from_encoder
 from rsvp.rng import SeedHub
 from rsvp.training import (
     check_stage_transition,
@@ -176,6 +177,19 @@ def test_missing_moment_buffers_raise_checkpoint_error(tmp_path, moment):
         restore_component(ckpt, "encoder", enc)
 
 
+@pytest.mark.parametrize("moment", ["moment1.", "moment2."])
+def test_moment_buffer_of_other_shape_raises_checkpoint_error(tmp_path, moment):
+    path, blob = _saved_blob(tmp_path)
+    header = _header(blob)
+    entry = next(e for e in header["params"] if e["name"] == moment + "encoder.pool.b")
+    entry["shape"], entry["nbytes"] = [entry["shape"][0] // 2], entry["nbytes"] // 2
+    path.write_bytes(_with_header(blob, json.dumps(header).encode()))
+    ckpt = load_checkpoint(path)
+    enc, _ = _encoder_and_cfg()
+    with pytest.raises(CheckpointError, match="shape mismatch for 'encoder.pool.b'"):
+        restore_component(ckpt, "encoder", enc)
+
+
 def test_truncated_or_bit_flipped_checkpoints_fail_only_as_checkpoint_error(tmp_path):
     """Loading a damaged file either succeeds or raises CheckpointError."""
     cfg = StageConfig(d_model=16, n_layers=1, n_heads=2, d_ffn=32, pooled_dim=8, max_len=12)
@@ -229,6 +243,39 @@ def test_every_single_bit_flip_of_the_header_fails(tmp_path):
     assert loaded == []
 
 
+def _payload_size(entries) -> int:
+    return max(e["offset"] + e["nbytes"] for e in entries)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("offset", lambda e, table: -64),  # in a view of the whole file: header bytes
+    ("offset", lambda e, table: -2 * e["nbytes"]),  # the bytes of the last arrays
+    ("offset", lambda e, table: _payload_size(table) - e["nbytes"] + 4),  # past the end
+    ("offset", lambda e, table: e["offset"] + 0.5),
+    ("offset", lambda e, table: True),
+    ("dtype", lambda e, table: "float16"),
+    ("dtype", lambda e, table: ["float32"]),
+    ("nbytes", lambda e, table: e["nbytes"] - 4),
+    ("nbytes", lambda e, table: e["nbytes"] + 4),
+    ("shape", lambda e, table: [-16]),
+    ("shape", lambda e, table: [16.0]),
+    ("shape", lambda e, table: e["shape"] + [2]),
+], ids=["offset-into-header", "negative-offset", "past-payload-end", "float-offset",
+        "bool-offset", "unknown-dtype", "list-dtype", "short-nbytes", "long-nbytes",
+        "negative-shape", "float-shape", "other-shape"])
+def test_parameter_table_entries_are_bounds_checked(tmp_path, field, value):
+    """An entry with an unknown dtype, a size that is not its shape's, or
+    bytes outside the payload fails as CheckpointError instead of loading
+    some other array's bytes."""
+    path, blob = _saved_blob(tmp_path)
+    header = _header(blob)
+    entry = next(e for e in header["params"] if e["name"] == "encoder.pool.b")
+    entry[field] = value(entry, header["params"])
+    path.write_bytes(_with_header(blob, json.dumps(header).encode()))
+    with pytest.raises(CheckpointError, match="malformed parameter table"):
+        load_checkpoint(path)
+
+
 def test_version_1_file_fails_as_checkpoint_error(tmp_path):
     path, blob = _saved_blob(tmp_path)
     hlen = int.from_bytes(blob[12:20], "little")
@@ -246,3 +293,87 @@ def test_config_snapshot_with_removed_key_fails_as_checkpoint_error(tmp_path):
     save_checkpoint(path, "retrieval", {"encoder": enc}, config)
     with pytest.raises(CheckpointError, match="invalid config snapshot"):
         load_stage_checkpoint(path)
+
+
+def _trained_looking_modules(precision):
+    """Encoder, decoder and classifier in ``precision`` whose every
+    parameter has its own weights, AdamW moments and step count."""
+    cfg = StageConfig(d_model=16, n_layers=1, n_heads=2, d_ffn=32, pooled_dim=8, max_len=12,
+                      precision=precision)
+    hub = SeedHub(8)
+    with ad.precision(precision):
+        enc = ConversationalEncoder(cfg.encoder_config(20), hub.stream("encoder_init"))
+        dec = init_decoder_from_encoder(enc, hub.stream("decoder_init"))
+        clf = IntentClassifier(8, 3, hub.stream("classifier_init"))
+    rng = np.random.default_rng(5)
+    modules = {"encoder": enc, "decoder": dec, "classifier": clf}
+    for i, p in enumerate(p for m in modules.values() for p in m.parameters()):
+        p.m[...] = rng.normal(size=p.m.shape)
+        p.v[...] = rng.random(p.v.shape)
+        p.step = i + 1
+    return cfg, modules
+
+
+def _save_modules(path, cfg, modules):
+    save_stage_checkpoint(path, "finetuned", cfg, 20, modules["encoder"],
+                          decoder=modules["decoder"], classifier=modules["classifier"],
+                          labels=["A", "B", "C"])
+
+
+def _restored_arrays(modules):
+    return [a for m in modules for p in m.parameters() for a in (p.data, p.m, p.v)]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+class TestLoadPath:
+    def test_weights_moments_and_steps_restore_bitwise(self, tmp_path, precision):
+        cfg, saved = _trained_looking_modules(precision)
+        _save_modules(tmp_path / "m.ckpt", cfg, saved)
+        _, _, *restored = load_stage_checkpoint(tmp_path / "m.ckpt")
+        for module, back in zip(saved.values(), restored):
+            assert [n for n, _ in module.named_parameters()] == [n for n, _ in back.named_parameters()]
+            for p, q in zip(module.parameters(), back.parameters()):
+                for a, b in ((p.data, q.data), (p.m, q.m), (p.v, q.v)):
+                    assert b.dtype == np.dtype(precision)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert q.step == p.step
+
+    def test_restored_arrays_are_owned_writable_copies(self, tmp_path, precision):
+        cfg, saved = _trained_looking_modules(precision)
+        _save_modules(tmp_path / "m.ckpt", cfg, saved)
+        ckpt, _, *restored = load_stage_checkpoint(tmp_path / "m.ckpt")
+        _, _, *again = load_stage_checkpoint(tmp_path / "m.ckpt")
+        views = [*ckpt.arrays.values(), *ckpt.moments1.values(), *ckpt.moments2.values()]
+        assert len(views) == len(_restored_arrays(restored))
+        assert not any(v.flags.writeable for v in views)
+        others = views + _restored_arrays(again)
+        for a in _restored_arrays(restored):
+            assert a.flags.writeable and a.flags.c_contiguous
+            assert not any(np.shares_memory(a, b) for b in others)
+
+    def test_load_leaves_the_callers_default_dtype(self, tmp_path, precision):
+        cfg, saved = _trained_looking_modules(precision)
+        _save_modules(tmp_path / "m.ckpt", cfg, saved)
+        caller = "float64" if precision == "float32" else "float32"
+        with ad.precision(caller):
+            _, _, *restored = load_stage_checkpoint(tmp_path / "m.ckpt")
+            assert ad.default_dtype() == np.dtype(caller)
+        assert all(a.dtype == np.dtype(precision) for a in _restored_arrays(restored))
+
+    def test_load_draws_no_init(self, tmp_path, precision, monkeypatch):
+        cfg, saved = _trained_looking_modules(precision)
+        _save_modules(tmp_path / "m.ckpt", cfg, saved)
+        generators = []
+        normal = model._normal
+
+        def recording_normal(rng, shape, std=None):
+            generators.append(rng)
+            return normal(rng, shape, std)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a checkpoint load created a generator")
+
+        monkeypatch.setattr(model, "_normal", recording_normal)
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        load_stage_checkpoint(tmp_path / "m.ckpt")
+        assert generators and all(rng is None for rng in generators)

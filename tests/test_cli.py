@@ -154,6 +154,47 @@ class TestStageCommands:
                      "--init-ckpt", str(d2 / "generation.ckpt"), "--seed", "0"] + _sets()) == 0
         assert (d3 / "finetuned.ckpt").exists()
 
+    @pytest.fixture(scope="class")
+    def retrieval_ckpt(self, data_path, tmp_path_factory):
+        out = tmp_path_factory.mktemp("retr")
+        assert main(["pretrain-retrieval", "--data", data_path, "--out", str(out),
+                     "--seed", "0"] + _sets()) == 0
+        return str(out / "retrieval.ckpt")
+
+    @pytest.mark.parametrize("cmd", ["pretrain-retrieval", "pretrain-generation", "finetune"])
+    def test_init_ckpt_of_other_model_size_exits_1(self, cmd, data_path, retrieval_ckpt,
+                                                   tmp_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main([cmd, "--data", data_path, "--out", str(out), "--init-ckpt", retrieval_ckpt,
+                   "--seed", "0"] + _sets(["d_model=64"]))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "d_model" in err and "32" in err and "64" in err
+        assert not out.exists()
+
+    def test_init_ckpt_of_other_vocabulary_size_exits_1(self, data_path, retrieval_ckpt,
+                                                        tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        assert main(["gen-data", "--out", str(other), "--n-intents", "4", "--n-per-intent", "12",
+                     "--seed", "9", "--vocab-style", "abstract"]) == 0
+        ckpt_size = tr.load_stage_checkpoint(retrieval_ckpt)[2].cfg.vocab_size
+        rebuilt_size = len(tr.prepare(load_jsonl(str(other)), load_config(None, MICRO)).vocab)
+        assert rebuilt_size != ckpt_size
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["finetune", "--data", str(other), "--out", str(out),
+                   "--init-ckpt", retrieval_ckpt, "--seed", "0"] + _sets())
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "vocab_size" in err and str(ckpt_size) in err and str(rebuilt_size) in err
+        assert not out.exists()
+
+    def test_init_ckpt_may_change_dropout(self, data_path, retrieval_ckpt, tmp_path):
+        assert main(["finetune", "--data", data_path, "--out", str(tmp_path / "ft"),
+                     "--init-ckpt", retrieval_ckpt, "--seed", "0"]
+                    + _sets(["dropout_p=0.2"])) == 0
+
     def test_stage_curves_use_the_report_layout(self, data_path, tmp_path):
         ft = tmp_path / "ft"
         assert main(["finetune", "--data", data_path, "--out", str(ft), "--seed", "5"] + _sets()) == 0

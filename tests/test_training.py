@@ -430,6 +430,43 @@ class TestGraphFreeScoring:
             assert np.array_equal(got, want)
 
 
+class TestStepAfterLoad:
+    """Modules loaded from a checkpoint train and decode exactly as the
+    in-memory modules that were saved."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_one_step_equals_the_in_memory_step(self, dataset, tmp_path, precision):
+        prepared, cfg = dataset
+        run_cfg = cfg.replace(precision=precision, generation_epochs=1, finetune_epochs=1,
+                              checkpoint_selection="final")
+        batch, valid = prepared.train[: run_cfg.pretrain_batch], prepared.valid[:4]  # one step each
+        n_labels = len(prepared.label_names)
+        path = tmp_path / "m.ckpt"
+        with ad.precision(precision):
+            hub = SeedHub(0)
+            enc = ConversationalEncoder(run_cfg.encoder_config(len(prepared.vocab)),
+                                        hub.stream("encoder_init"))
+            dec, _ = tr.pretrain_generation(enc, batch, run_cfg, hub)
+            clf, _ = tr.finetune(enc, batch, valid, run_cfg, hub, n_labels)
+            tr.save_stage_checkpoint(path, "finetuned", run_cfg, len(prepared.vocab), enc,
+                                     decoder=dec, classifier=clf)
+        saved = (enc, dec, clf)
+        _, _, *loaded = tr.load_stage_checkpoint(path)
+        with ad.precision(precision):
+            for e, d, c in (saved, loaded):
+                hub = SeedHub(1)
+                tr.pretrain_generation(e, batch, run_cfg, hub, decoder=d, epoch_offset=1)
+                tr.finetune(e, batch, valid, run_cfg, hub, n_labels, classifier=c, epoch_offset=1)
+        assert loaded[0].tok_emb.step == 4
+        pairs = [(p, q) for a, b in zip(saved, loaded) for p, q in zip(a.parameters(), b.parameters())]
+        for p, q in pairs:
+            assert q.step == p.step
+            for x, y in ((p.data, q.data), (p.m, q.m), (p.v, q.v)):
+                assert y.dtype == np.dtype(precision) and x.tobytes() == y.tobytes()
+        u_ids = batch[0].utterance_ids
+        assert loaded[1].generate(loaded[0], u_ids, 8) == dec.generate(enc, u_ids, 8)
+
+
 class TestPipelines:
     def test_stage_isolation_zero_epochs_equals_baseline(self, dataset):
         prepared, cfg = dataset
