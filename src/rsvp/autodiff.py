@@ -7,7 +7,9 @@ accumulate across calls until explicitly reset.
 
 Two precision modes exist: float32 (training default) and float64 (used
 by the finite-difference gradient checks). Within one mode, identical
-inputs produce bitwise-identical outputs.
+inputs produce bitwise-identical outputs. Only NumPy and the standard
+library are used: GELU's erf is a float32 rational form for float32
+tensors of any size and ``math.erf`` for float64 ones.
 
 Inside ``no_grad()`` operations record nothing: they return plain
 tensors with the same values, and every intermediate is freed as soon as
@@ -19,7 +21,6 @@ import contextlib
 import math
 
 import numpy as np
-from scipy.special import erf as _erf, expit as _expit
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _default_dtype = np.float32
@@ -34,9 +35,8 @@ _LN_EPS = 1e-5  # layer norm's variance floor
 # t = 1 / (1 + p x) for x >= 0, |error| <= 1.5e-7; _AS_A runs a5 down to a1
 _AS_P = np.float32(0.3275911)
 _AS_A = tuple(np.float32(c) for c in (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
-# below this many elements scipy's erf is cheaper than the ~15 ufunc calls
-# of the rational form (measured crossover near 2k float32 elements)
-_RATIONAL_ERF_MIN_SIZE = 2048
+# float64 erf: the standard library's, element by element
+_erf_f64 = np.frompyfunc(math.erf, 1, 1)
 
 
 def set_default_dtype(dtype) -> None:
@@ -309,15 +309,26 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(y, (a,), lambda g: [(a, g * 0.5 / y)])
 
 
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + e^-x) of an array, in its dtype.
+
+    Two-sided: e = e^-|x| never overflows, and negative x take e / (1 + e),
+    so small results keep their relative precision; expit(0) is 0.5.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    y = _expit(a.data)
+    y = expit(a.data)
     return _make(y, (a,), lambda g: [(a, g * y * (1.0 - y))])
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow."""
     y = np.logaddexp(np.zeros_like(a.data), a.data)
-    return _make(y, (a,), lambda g: [(a, g * _expit(a.data))])
+    return _make(y, (a,), lambda g: [(a, g * expit(a.data))])
 
 
 def _erf_f32(x: np.ndarray) -> np.ndarray:
@@ -346,15 +357,17 @@ def _erf_f32(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, erf form.
 
-    float64 and small float32 inputs use scipy's erf; larger float32
-    inputs use the float32 rational erf, which is several times faster.
+    float32 inputs of any size take erf from the float32 rational form
+    ``_erf_f32``; float64 inputs take ``math.erf`` element by element.
     """
     x = a.data
-    z = x * _INV_SQRT2
-    if x.dtype == np.float32 and x.size >= _RATIONAL_ERF_MIN_SIZE:
+    # erf runs on a flat view, so a 0-d input also gives it arrays to write into
+    z = x.reshape(-1) * _INV_SQRT2
+    if x.dtype == np.float32:
         phi = _erf_f32(z)
     else:
-        phi = _erf(z)
+        phi = _erf_f64(z).astype(np.float64)
+    phi = phi.reshape(x.shape)
     phi += 1.0
     phi *= 0.5
     y = x * phi

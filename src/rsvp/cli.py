@@ -27,7 +27,7 @@ from .metrics import export_embeddings
 from .rng import SeedHub
 from .model import ConversationalEncoder
 from .synth import gen_data
-from .text import Vocab, encode_utterance, load_jsonl, split
+from .text import Vocab, encode_utterance, load_jsonl, read_jsonl, split
 
 logger = logging.getLogger("rsvp.cli")
 
@@ -87,7 +87,12 @@ def cmd_build_vocab(args) -> int:
 def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
     enc_cfg = cfg.encoder_config(len(prepared.vocab))
     if getattr(args, "init_ckpt", None):
-        ckpt, _, encoder, _, _ = tr.load_stage_checkpoint(args.init_ckpt)
+        ckpt, ckpt_cfg, encoder, _, _ = tr.load_stage_checkpoint(args.init_ckpt)
+        # precision is not an EncoderConfig field; an encoder of the other
+        # precision would be saved under this run's config
+        if ckpt_cfg.precision != cfg.precision:
+            raise ValueError(f"--init-ckpt {args.init_ckpt} has precision={ckpt_cfg.precision!r}, "
+                             f"but this run's config gives {cfg.precision!r}")
         # a model of another shape would train, then write a checkpoint that
         # no command can load with this run's config; only dropout may change
         for field in dataclasses.fields(enc_cfg):
@@ -245,16 +250,12 @@ def cmd_predict(args) -> int:
     vocab = Vocab.load(args.vocab)
     _check_vocab_size(vocab, args.vocab, encoder)
     ids, seqs = [], []
-    with open(args.input, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            turns = raw.get("utterance_turns")
-            if not turns:
-                raise ValueError(f"{args.input}: line {lineno}: missing utterance_turns")
-            ids.append(raw.get("id", f"line{lineno}"))
-            seqs.append(encode_utterance(turns, vocab, cfg.max_len, cfg.char_fallback))
+    for lineno, raw in read_jsonl(args.input):
+        turns = raw.get("utterance_turns")
+        if not turns:
+            raise ValueError(f"{args.input}: line {lineno}: missing utterance_turns")
+        ids.append(raw.get("id", f"line{lineno}"))
+        seqs.append(encode_utterance(turns, vocab, cfg.max_len, cfg.char_fallback))
     outputs = []
     if seqs:
         # the batched scorer predict_examples uses, so scores match it bit for bit

@@ -219,30 +219,48 @@ def encode(
     )
 
 
-def load_jsonl(path) -> list[DialogueRecord]:
-    """Parse one DialogueRecord per line; malformed lines name their line number."""
-    records = []
+def read_jsonl(path):
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    Each line must hold a JSON object whose ``utterance_turns``,
+    ``response_turns`` and ``intents``, where present, are lists of
+    strings; anything else raises ValueError naming the path and line.
+    """
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
-            try:
-                records.append(
-                    DialogueRecord(
-                        id=str(raw["id"]),
-                        utterance_turns=list(raw["utterance_turns"]),
-                        response_turns=list(raw.get("response_turns", [])),
-                        intents=list(raw["intents"]),
-                    )
+                raise ValueError(f"{where}: invalid JSON ({e.msg})") from e
+            if not isinstance(raw, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+            for key in ("utterance_turns", "response_turns", "intents"):
+                value = raw.get(key, [])
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise ValueError(f"{where}: {key} must be a list of strings")
+            yield lineno, raw
+
+
+def load_jsonl(path) -> list[DialogueRecord]:
+    """Parse one DialogueRecord per line; malformed lines name their line number."""
+    records = []
+    for lineno, raw in read_jsonl(path):
+        try:
+            records.append(
+                DialogueRecord(
+                    id=str(raw["id"]),
+                    utterance_turns=raw["utterance_turns"],
+                    response_turns=raw.get("response_turns", []),
+                    intents=raw["intents"],
                 )
-            except KeyError as e:
-                raise ValueError(f"{path}: line {lineno}: missing field {e.args[0]!r}") from e
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from e
+            )
+        except KeyError as e:
+            raise ValueError(f"{path}: line {lineno}: missing field {e.args[0]!r}") from e
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from e
     return records
 
 

@@ -15,7 +15,6 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import expit as _expit
 
 from . import autodiff as ad
 from .checkpoint import CheckpointError, load_checkpoint, restore_component, save_checkpoint
@@ -241,7 +240,7 @@ def score_utterances(encoder, classifier, utterance_seqs, multi_label: bool):
     at most ``model._EVAL_TOKEN_BUDGET`` padded tokens."""
     logits = encoder.embed(utterance_seqs, head=classifier).astype(np.float64)
     if multi_label:
-        return _expit(logits)
+        return ad.expit(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -274,9 +276,8 @@ class TestFusedResidualLayerNorm:
 
 
 class TestGelu:
-    def test_float32_erf_against_scipy(self):
-        from scipy.special import erf
-
+    def test_float32_erf_against_math_erf(self):
+        erf = np.vectorize(math.erf)
         x = np.concatenate([np.linspace(-10.0, 10.0, 400_001), [np.inf, -np.inf]]).astype(np.float32)
         y = ad._erf_f32(x)
         assert y.dtype == np.float32
@@ -285,9 +286,8 @@ class TestGelu:
         assert np.abs(y).max() <= 1.0
         assert y[-2] == 1.0 and y[-1] == -1.0
 
-    def test_float64_equals_scipy_formula(self, rng):
-        from scipy.special import erf
-
+    def test_float64_equals_math_erf_formula(self, rng):
+        erf = np.vectorize(math.erf)
         ad.set_default_dtype("float64")
         x = rng.normal(0.0, 3.0, size=(4, 9, 128))
         y = ad.gelu(Tensor(x)).data
@@ -295,14 +295,51 @@ class TestGelu:
         assert np.array_equal(y, x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))))
 
     @pytest.mark.parametrize("shape", [(1, 1, 256), (2, 16, 256)])
-    def test_float32_small_and_large_inputs_match_scipy(self, rng, shape):
-        from scipy.special import erf
-
+    def test_float32_small_and_large_inputs_match_math_erf(self, rng, shape):
+        erf = np.vectorize(math.erf)
         x = rng.normal(0.0, 3.0, size=shape).astype(np.float32)
         y = ad.gelu(Tensor(x)).data
         ref = x.astype(np.float64) * 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
         assert y.dtype == np.float32
         np.testing.assert_allclose(y, ref, rtol=1e-5, atol=5e-6)
+
+    def test_float32_row_bits_do_not_depend_on_batch_size(self, rng):
+        # one (1, 1, 256) row, as batch-1 scoring and each decoding step
+        # compute it, equals the same row inside a batch of 8
+        x = rng.normal(0.0, 3.0, size=(8, 1, 256)).astype(np.float32)
+        assert np.array_equal(ad.gelu(Tensor(x)).data[:1], ad.gelu(Tensor(x[:1])).data)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_zero_d_input_equals_one_element(self, dtype):
+        ad.set_default_dtype(dtype)
+        a, b = Tensor(np.array(0.7), requires_grad=True), Tensor(np.array([0.7]), requires_grad=True)
+        ya, yb = ad.gelu(a), ad.gelu(b)
+        assert ya.data.shape == () and ya.data == yb.data[0]
+        ad.backward(ya)
+        ad.backward(ad.tsum(yb))
+        assert a.grad.shape == () and a.grad == b.grad[0]
+
+
+class TestExpit:
+    @pytest.mark.parametrize("dtype,max_ulp", [(np.float32, 4), (np.float64, 3)])
+    def test_against_extended_precision(self, rng, dtype, max_ulp):
+        import mpmath
+
+        lo = np.log(np.finfo(dtype).tiny)
+        x = np.concatenate([rng.normal(0.0, 8.0, 2000), np.linspace(lo, 40.0, 2000)]).astype(dtype)
+        y = ad.expit(x)
+        assert y.dtype == dtype
+        ref = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(float(v))))) for v in x])
+        ulp = np.spacing(ref.astype(dtype)).astype(np.float64)
+        assert (np.abs(y.astype(np.float64) - ref) / ulp).max() <= max_ulp
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturates_without_overflow(self, dtype):
+        x = np.array([-1000.0, 0.0, 1000.0], dtype=dtype)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y = ad.expit(x)
+        assert y.dtype == dtype
+        assert y.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestSoftmax:

@@ -190,6 +190,22 @@ class TestStageCommands:
         assert "vocab_size" in err and str(ckpt_size) in err and str(rebuilt_size) in err
         assert not out.exists()
 
+    def test_init_ckpt_of_other_precision_exits_1(self, data_path, retrieval_ckpt, tmp_path, capsys):
+        retr64 = tmp_path / "retr64"
+        assert main(["pretrain-retrieval", "--data", data_path, "--out", str(retr64),
+                     "--seed", "0"] + _sets(["precision=float64"])) == 0
+        for ckpt, extra, have, want in (
+                (str(retr64 / "retrieval.ckpt"), [], "float64", "float32"),
+                (retrieval_ckpt, ["precision=float64"], "float32", "float64")):
+            out = tmp_path / "out"
+            capsys.readouterr()
+            rc = main(["finetune", "--data", data_path, "--out", str(out),
+                       "--init-ckpt", ckpt, "--seed", "0"] + _sets(extra))
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert f"precision={have!r}" in err and repr(want) in err
+            assert not out.exists()
+
     def test_init_ckpt_may_change_dropout(self, data_path, retrieval_ckpt, tmp_path):
         assert main(["finetune", "--data", data_path, "--out", str(tmp_path / "ft"),
                      "--init-ckpt", retrieval_ckpt, "--seed", "0"]
@@ -465,6 +481,22 @@ class TestErrorPaths:
         rc = main(["evaluate", "--data", data_path, "--ckpt", str(d1 / "retrieval.ckpt")])
         assert rc == 1
         assert "classifier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ('["where is my order"]', "line 2: expected a JSON object"),
+        ('{"utterance_turns": "where is my order"}', "line 2: utterance_turns must be a list"),
+    ])
+    def test_predict_rejects_malformed_line(self, finetuned_dir, tmp_path, capsys, line, message):
+        inputs = tmp_path / "incoming.jsonl"
+        inputs.write_text('{"utterance_turns": ["where is my order"]}\n' + line + "\n")
+        pred_path = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        rc = main(["predict", "--ckpt", str(finetuned_dir / "finetuned.ckpt"),
+                   "--vocab", str(finetuned_dir / "vocab.txt"), "--input", str(inputs),
+                   "--out", str(pred_path)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not pred_path.exists()
 
 
 class TestCheckpointCommandFlags:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "rsvp"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -55,3 +57,30 @@ def test_parameters_go_to_autodiff_without_tensor_wrapper(path):
     # a Parameter is a Tensor: the package passes it to autodiff as it is
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert tensor_reads(tree) == []
+
+
+def foreign_imports(tree: ast.Module) -> list:
+    """Top-level packages that ``tree`` imports from outside the package,
+    the standard library and NumPy."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(n for n in names if n != "numpy" and n not in sys.stdlib_module_names)
+
+
+def test_foreign_import_detector():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path, numpy as np\n"
+        "from . import autodiff\nfrom .text import Vocab\n"
+        "from pandas.api import types\nimport torch.nn\n"
+    )
+    assert foreign_imports(tree) == ["pandas", "torch"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_runtime_needs_only_numpy_and_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert foreign_imports(tree) == []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,25 @@ class TestJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "intents": ["X"]}\n')
         with pytest.raises(ValueError, match="line 1.*utterance_turns"):
+            tx.load_jsonl(path)
+
+    # a bare string used to load as one turn or one intent per character
+    @pytest.mark.parametrize("field,value", [
+        ("intents", "track"), ("utterance_turns", "where is my order"),
+        ("response_turns", None), ("intents", ["X", 3]),
+    ])
+    def test_field_that_is_not_a_list_of_strings_rejected(self, tmp_path, field, value):
+        good = {"id": "a", "utterance_turns": ["x"], "intents": ["X"]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(ValueError, match=f"line 2: {field} must be a list of strings"):
+            tx.load_jsonl(path)
+
+    @pytest.mark.parametrize("line", ['["where is my order"]', '"text"', "3"])
+    def test_line_that_is_not_an_object_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="line 1: expected a JSON object"):
             tx.load_jsonl(path)
 
 

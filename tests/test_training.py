@@ -5,7 +5,6 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from rsvp import autodiff as ad
 from rsvp.config import StageConfig
@@ -374,7 +373,7 @@ def _graph_scores(encoder, classifier, seqs, multi_label):
         assert logits.requires_grad
         logits = logits.data.astype(np.float64)
         if multi_label:
-            out.append(expit(logits))
+            out.append(ad.expit(logits))
         else:
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             out.append(e / e.sum(axis=1, keepdims=True))
