@@ -37,6 +37,17 @@ print(f"after two backward passes: grad = {p.grad}")
 zero_grad([p])
 print(f"after zero_grad:           grad = {p.grad}\n")
 
+print("== backward frees the graph it walks, so it runs once per graph ==")
+loss = ad.tsum(ad.mul(p, p))
+loss.backward()
+try:
+    loss.backward()
+except RuntimeError as e:
+    print(f"second backward on the same loss: RuntimeError: {e}")
+else:
+    raise SystemExit("a second backward through a used graph did not raise")
+print(f"the loss value is kept: {loss.item()}\n")
+
 print("== one AdamW step ==")
 p = Parameter("w", np.array([1.0]))
 p.grad = np.array([1.0])

@@ -3,7 +3,10 @@
 A small NumPy-backed engine: every operation records its parent tensors
 and a gradient closure, and ``backward`` walks the implicit graph once in
 reverse topological order. Gradients land on leaf tensors only and
-accumulate across calls until explicitly reset.
+accumulate across calls until explicitly reset. ``backward`` frees each
+node's saved arrays as it passes the node, so a graph runs backward once:
+a second pass through it raises ``RuntimeError``, and the forward must be
+run again.
 
 Two precision modes exist: float32 (training default) and float64 (used
 by the finite-difference gradient checks). Within one mode, identical
@@ -208,11 +211,24 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _released(g):
+    """Gradient closure of a node that a backward pass has already walked."""
+    raise RuntimeError(
+        "this graph was already used by a backward pass, which freed it; "
+        "run the forward again to backpropagate through it"
+    )
+
+
 def backward(loss: Tensor) -> None:
-    """Populate leaf gradients of a scalar loss.
+    """Populate leaf gradients of a scalar loss, freeing the graph as it goes.
 
     Gradients accumulate across calls: running backward twice without
-    zeroing doubles every leaf gradient.
+    zeroing, each time on a freshly built graph, doubles every leaf
+    gradient. Right after an interior node's closure runs, the node drops
+    its parents and closure, so each saved array is freed once no later
+    node needs it and nothing of the graph stays reachable through
+    ``loss``. A graph therefore takes one backward pass; a second one
+    that reaches any of its interior nodes raises ``RuntimeError``.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -241,19 +257,24 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    for i in range(len(topo) - 1, -1, -1):
+        node, topo[i] = topo[i], None
         g = grads.pop(id(node), None)
-        if g is None:
+        if node._grad_fn is None:
+            if g is not None:
+                # leaf: flush with a copy so siblings never alias one buffer
+                node.grad = np.array(g) if node.grad is None else node.grad + g
             continue
-        if node._grad_fn is not None:
+        if g is not None:
             for parent, pg in node._grad_fn(g):
                 if not parent.requires_grad:
                     continue
                 prev = grads.get(id(parent))
                 grads[id(parent)] = pg if prev is None else prev + pg
-        elif node.requires_grad:
-            # leaf: flush with a copy so siblings never alias one buffer
-            node.grad = np.array(g) if node.grad is None else node.grad + g
+        # every child has run (reverse topological order), so nothing reads
+        # this node's parents or saved arrays again
+        node._parents = ()
+        node._grad_fn = _released
 
 
 # ---------------------------------------------------------------------------

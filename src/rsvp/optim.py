@@ -75,12 +75,22 @@ def adamw_step(
     for p in params:
         g = p.grad if scale == 1.0 else p.grad * scale
         p.step += 1
+        # m += (1-b1) g;  v += (1-b2) g^2;  data -= lr m_hat / (sqrt(v_hat) + eps),
+        # the same operations in the same order, each written into ``buf``,
+        # ``den`` or a moment instead of a fresh temporary
+        buf = np.multiply(g, 1.0 - beta1)
         p.m *= beta1
-        p.m += (1.0 - beta1) * g
+        p.m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - beta2
         p.v *= beta2
-        p.v += (1.0 - beta2) * (g * g)
-        m_hat = p.m / (1.0 - beta1 ** p.step)
-        v_hat = p.v / (1.0 - beta2 ** p.step)
+        p.v += buf
+        den = np.divide(p.v, 1.0 - beta2 ** p.step)
+        np.sqrt(den, out=den)
+        den += eps
+        np.divide(p.m, 1.0 - beta1 ** p.step, out=buf)
+        buf *= lr
+        buf /= den
         if weight_decay:
             p.data *= 1.0 - lr * weight_decay
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data -= buf

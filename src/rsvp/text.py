@@ -222,9 +222,10 @@ def encode(
 def read_jsonl(path):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
-    Each line must hold a JSON object whose ``utterance_turns``,
-    ``response_turns`` and ``intents``, where present, are lists of
-    strings; anything else raises ValueError naming the path and line.
+    Each line must hold a JSON object whose ``id``, where present, is a
+    string and whose ``utterance_turns``, ``response_turns`` and
+    ``intents``, where present, are lists of strings; anything else raises
+    ValueError naming the path and line.
     """
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -237,6 +238,9 @@ def read_jsonl(path):
                 raise ValueError(f"{where}: invalid JSON ({e.msg})") from e
             if not isinstance(raw, dict):
                 raise ValueError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+            # ids key output lines: a null or number turned into text could collide
+            if not isinstance(raw.get("id", ""), str):
+                raise ValueError(f"{where}: id must be a string")
             for key in ("utterance_turns", "response_turns", "intents"):
                 value = raw.get(key, [])
                 if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -251,7 +255,7 @@ def load_jsonl(path) -> list[DialogueRecord]:
         try:
             records.append(
                 DialogueRecord(
-                    id=str(raw["id"]),
+                    id=raw["id"],
                     utterance_turns=raw["utterance_turns"],
                     response_turns=raw.get("response_turns", []),
                     intents=raw["intents"],

@@ -558,6 +558,25 @@ class TestBackward:
         ad.tsum(w).backward()
         np.testing.assert_array_equal(w.grad, 2 * first)
 
+    def test_second_backward_on_one_loss_raises(self):
+        w = Tensor(np.arange(4.0), requires_grad=True)
+        loss = ad.tsum(ad.mul(w, w))
+        loss.backward()
+        first = w.grad.copy()
+        with pytest.raises(RuntimeError, match="already used by a backward pass"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, first)
+        assert loss.item() == 14.0  # the value outlives the graph
+
+    def test_backward_through_an_already_walked_forward_raises(self):
+        w = Tensor(np.arange(4.0), requires_grad=True)
+        hidden = ad.tanh(ad.mul(w, w))
+        ad.tsum(hidden).backward()
+        # a released node must not be taken for a leaf and given a .grad
+        with pytest.raises(RuntimeError, match="run the forward again"):
+            ad.tsum(ad.mul(hidden, hidden)).backward()
+        assert hidden.grad is None
+
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):

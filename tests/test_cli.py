@@ -319,6 +319,20 @@ class TestPredict:
         assert abs(sum(lines[0]["scores"].values()) - 1.0) < 1e-6
 
 
+    @pytest.mark.parametrize("value", [None, 7, True, {"k": 1}, ["a"]],
+                             ids=["null", "number", "bool", "object", "list"])
+    def test_id_that_is_not_a_string_exits_1(self, finetuned_dir, tmp_path, capsys, value):
+        inputs = tmp_path / "incoming.jsonl"
+        inputs.write_text(json.dumps({"id": "q1", "utterance_turns": ["refund"]}) + "\n"
+                          + json.dumps({"id": value, "utterance_turns": ["refund"]}) + "\n")
+        out = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", str(finetuned_dir / "finetuned.ckpt"),
+                     "--vocab", str(finetuned_dir / "vocab.txt"), "--input", str(inputs),
+                     "--out", str(out)]) == 1
+        assert "line 2: id must be a string" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("multi_label", [False, True])
     def test_scores_bit_equal_to_predict_examples(self, data_path, tmp_path, capsys,
                                                   multi_label):

@@ -88,6 +88,48 @@ def test_matches_reference_adamw_trajectory(rng):
     np.testing.assert_allclose(p.data, ref, rtol=1e-12)
 
 
+def _adamw_with_temporaries(params, lr, betas, eps, weight_decay, clip_norm):
+    """The update written as one expression per line, each making new arrays."""
+    scale = 1.0
+    if clip_norm is not None:
+        norm = global_grad_norm(params)
+        if norm > clip_norm:
+            scale = clip_norm / (norm + 1e-12)
+    beta1, beta2 = betas
+    for p in params:
+        g = p.grad if scale == 1.0 else p.grad * scale
+        p.step += 1
+        p.m *= beta1
+        p.m += (1.0 - beta1) * g
+        p.v *= beta2
+        p.v += (1.0 - beta2) * (g * g)
+        m_hat = p.m / (1.0 - beta1 ** p.step)
+        v_hat = p.v / (1.0 - beta2 ** p.step)
+        if weight_decay:
+            p.data *= 1.0 - lr * weight_decay
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("clip_norm", [None, 0.5])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_buffered_update_is_bit_identical_to_temporaries(rng, dtype, weight_decay, clip_norm):
+    shapes = [(7, 5), (5,), (3, 4, 2)]
+    with ad.precision(dtype):
+        ours = [Parameter(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+        ref = [Parameter(f"p{i}", p.data.copy()) for i, p in enumerate(ours)]
+    for _ in range(6):
+        for p, r in zip(ours, ref):
+            g = rng.normal(size=p.data.shape).astype(p.data.dtype)
+            p.grad, r.grad = g, g.copy()
+        adamw_step(ours, lr=1e-2, weight_decay=weight_decay, clip_norm=clip_norm)
+        _adamw_with_temporaries(ref, 1e-2, (0.9, 0.999), 1e-8, weight_decay, clip_norm)
+    for p, r in zip(ours, ref):
+        assert p.data.dtype == np.dtype(dtype)
+        for a, b in ((p.data, r.data), (p.m, r.m), (p.v, r.v)):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_parameter_is_a_tensor_autodiff_takes_directly():
     ad.set_default_dtype("float64")
     p = Parameter("w", np.array([1.0, -2.0, 3.0]))

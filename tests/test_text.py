@@ -209,6 +209,18 @@ class TestJsonl:
         with pytest.raises(ValueError, match=f"line 2: {field} must be a list of strings"):
             tx.load_jsonl(path)
 
+    # str() once turned null into "None", so two such records shared an id
+    @pytest.mark.parametrize("value", [None, 7, True, {"k": 1}, ["a"]],
+                             ids=["null", "number", "bool", "object", "list"])
+    def test_id_that_is_not_a_string_rejected(self, tmp_path, value):
+        good = {"id": "a", "utterance_turns": ["x"], "intents": ["X"]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": value}) + "\n")
+        with pytest.raises(ValueError, match="line 2: id must be a string"):
+            tx.load_jsonl(path)
+        with pytest.raises(ValueError, match="line 2: id must be a string"):
+            list(tx.read_jsonl(path))
+
     @pytest.mark.parametrize("line", ['["where is my order"]', '"text"', "3"])
     def test_line_that_is_not_an_object_rejected(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import logging
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -340,6 +342,44 @@ class TestEpochLoop:
         assert [list(h) for h in generation] == [["epoch", "loss"]] * cfg.generation_epochs
         assert [list(h) for h in finetune] == [["epoch", "loss", "valid_score"]] * cfg.finetune_epochs
         assert all(np.isnan(h["valid_score"]) for h in finetune)
+
+
+class TestGraphRelease:
+    def test_interior_activation_freed_by_backward(self, dataset):
+        prepared, cfg = dataset
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        seqs = [ex.utterance_ids for ex in prepared.train[:4]]
+        hidden, _ = enc.forward_hidden(seqs, training=True, rng=hub.stream("dropout"))
+        loss = ad.tsum(enc.pool_cls(hidden))
+        alive = weakref.ref(hidden.data)
+        del hidden
+        assert alive() is not None  # the graph still holds it
+        ad.backward(loss)
+        assert alive() is None
+
+    def test_a_step_does_not_keep_the_previous_graph_alive(self):
+        # the loop holds step n's loss until step n+1's forward has run; with
+        # the graph released by backward, three same-shape batches peak
+        # about as high as one (two live graphs would make it about 2x)
+        cfg = micro_cfg(pretrain_batch=6, generation_epochs=1)
+        prepared = tr.prepare(gen_data(3, 8, seed=1), cfg)
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        six = prepared.train[:6]
+        dec, _ = tr.pretrain_generation(enc, six, cfg, hub)  # warm-up epoch
+
+        def epoch_peak(examples):
+            tracemalloc.start()
+            try:
+                tr.pretrain_generation(enc, examples, cfg, hub, decoder=dec, epoch_offset=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = epoch_peak(six)
+        three = epoch_peak(six * 3)  # each batch no longer than the one-batch epoch's
+        assert three <= 1.4 * one, (one, three)
 
 
 class TestEvalChunks:
