@@ -610,13 +610,13 @@ def gather_last(a: Tensor, ids) -> Tensor:
 # composite / stochastic ops
 
 
-def _normalize(s: np.ndarray, gamma: Tensor, beta: Tensor, eps: float):
+def _normalize(s: np.ndarray, gamma: Tensor, beta: Tensor):
     """Layer norm of the array ``s`` over its last axis; returns the output,
     the normalized input ``xn`` and the inverse deviation ``inv``."""
     mu = s.mean(axis=-1, keepdims=True)
     xn = s - mu
     var = (xn * xn).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xn *= inv
     return xn * gamma.data + beta.data, xn, inv
 
@@ -635,9 +635,9 @@ def _normalize_grads(g: np.ndarray, xn: np.ndarray, inv: np.ndarray, gamma: Tens
     return dx, dgamma, dbeta
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    y, xn, inv = _normalize(x.data, gamma, beta, eps)
+    y, xn, inv = _normalize(x.data, gamma, beta)
 
     def grad_fn(g):
         dx, dgamma, dbeta = _normalize_grads(g, xn, inv, gamma, beta)
@@ -646,22 +646,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
     return _make(y, (x, gamma, beta), grad_fn)
 
 
-def _dropout_mask(shape, p: float, rng, dtype, training: bool = True):
+def _dropout_mask(shape, p: float, rng, dtype):
     """The scaled keep mask of one dropout draw at ``shape``, or None where
     dropout is the identity; ``dropout``, ``attention`` and
     ``residual_layer_norm`` all draw through here.
 
     One ``rng.integers(0, 65536, size=shape, dtype=np.uint16)`` call per
     mask: an entry is kept when its draw is at least ``thr = round(p *
-    65536)`` and then weighs 65536 / (65536 - thr). Evaluation mode and a
-    p that rounds to ``thr == 0`` draw nothing.
+    65536)`` and then weighs 65536 / (65536 - thr). A p that rounds to
+    ``thr == 0``, evaluation's p = 0 included, draws nothing.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     thr = round(p * 65536)
     if thr == 65536:
         raise ValueError(f"dropout probability {p} rounds to 1 at 16-bit resolution")
-    if not training or thr == 0:
+    if thr == 0:
         return None
     draw = rng.integers(0, 65536, size=shape, dtype=np.uint16)
     keep = (draw >= thr).astype(dtype)
@@ -669,21 +669,21 @@ def _dropout_mask(shape, p: float, rng, dtype, training: bool = True):
     return keep
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout from 16-bit draws at the input's own shape.
 
     Each entry draws one uniform uint16 and is kept when the draw is at
     least ``thr = round(p * 65536)``, so the rate is p quantized to 1/65536.
     Kept entries are scaled by 65536 / (65536 - thr), which makes the
-    expected output equal the input exactly. Evaluation mode
-    (training=False) and a p that rounds to ``thr == 0`` are exact
-    identities and draw nothing; a p < 1 that rounds to 65536 is rejected.
+    expected output equal the input exactly. A p that rounds to ``thr ==
+    0`` is an exact identity and draws nothing, so evaluation passes p = 0;
+    a p < 1 that rounds to 65536 is rejected.
 
     The mask comes from ``_dropout_mask``, which the fused ``attention``
     and ``residual_layer_norm`` nodes draw through as well, so a fused node
     consumes the random stream exactly as its composite would.
     """
-    keep = _dropout_mask(x.data.shape, p, rng, x.data.dtype, training)
+    keep = _dropout_mask(x.data.shape, p, rng, x.data.dtype)
     if keep is None:
         return x
     return _make(x.data * keep, (x,), lambda g: [(x, g * keep)])
@@ -757,8 +757,7 @@ def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, p: fl
     if x.data.shape != y.data.shape:
         raise ValueError(f"residual_layer_norm shape mismatch: {x.data.shape} and {y.data.shape}")
     keep = _dropout_mask(y.data.shape, p, rng, y.data.dtype)
-    out, xn, inv = _normalize(x.data + (y.data if keep is None else y.data * keep),
-                              gamma, beta, _LN_EPS)
+    out, xn, inv = _normalize(x.data + (y.data if keep is None else y.data * keep), gamma, beta)
 
     def grad_fn(g):
         ds, dgamma, dbeta = _normalize_grads(g, xn, inv, gamma, beta)

@@ -94,10 +94,10 @@ def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
             raise ValueError(f"--init-ckpt {args.init_ckpt} has precision={ckpt_cfg.precision!r}, "
                              f"but this run's config gives {cfg.precision!r}")
         # a model of another shape would train, then write a checkpoint that
-        # no command can load with this run's config; only dropout may change
+        # no command can load with this run's config
         for field in dataclasses.fields(enc_cfg):
             have, want = getattr(encoder.cfg, field.name), getattr(enc_cfg, field.name)
-            if field.name != "dropout_p" and have != want:
+            if have != want:
                 raise ValueError(f"--init-ckpt {args.init_ckpt} has {field.name}={have!r}, "
                                  f"but this run's config and data give {want!r}")
         tr.check_stage_transition(ckpt.stage, next_stage)
@@ -279,19 +279,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _check_restated(overrides, cfg: StageConfig) -> None:
-    """Each ``--set`` on a checkpoint command may only restate the
-    checkpoint's config, which fixes the model; another value is an error
-    rather than silently ignored."""
-    for item in overrides or []:
-        key = item.partition("=")[0].strip()
-        if getattr(load_config(None, [item]), key) != getattr(cfg, key):
-            raise ValueError(f"--set {item}: the checkpoint has {key}={getattr(cfg, key)!r}")
-
-
 def cmd_export_embeddings(args) -> int:
     ckpt, cfg, encoder, _, _ = tr.load_stage_checkpoint(args.ckpt)
-    _check_restated(args.set, cfg)
     prepared, examples = _checkpoint_split(args, cfg, encoder)
     export_embeddings(encoder, examples, prepared.label_names, args.out)
     print(f"embeddings: {args.out}")
@@ -379,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-embeddings", help="CSV export of utterance embeddings")
     _add_common(p, out=False, config=False)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="must restate the checkpoint's config")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", default="test", choices=["train", "valid", "test"])
     p.add_argument("--out", required=True, help="CSV output path")
@@ -395,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CheckpointError, KeyError) as e:
+    except (ValueError, OSError, CheckpointError, KeyError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -58,6 +58,8 @@ class StageConfig:
             raise ValueError(f"temperature must be positive, got {self.tau}")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.task_order not in ("retrieval_first", "generation_first"):
             raise ValueError(f"unknown task_order {self.task_order!r}")
         if self.precision not in ("float32", "float64"):
@@ -78,7 +80,6 @@ class StageConfig:
             n_layers=self.n_layers,
             n_heads=self.n_heads,
             d_ffn=self.d_ffn,
-            dropout_p=self.dropout_p,
             max_positions=self.max_len,
             pooled_dim=self.pooled_dim,
         )

@@ -17,17 +17,17 @@ from .autodiff import Tensor
 COSINE_EPS = 1e-8
 
 
-def cosine_matrix(q: Tensor, p: Tensor, eps: float = COSINE_EPS) -> Tensor:
+def cosine_matrix(q: Tensor, p: Tensor) -> Tensor:
     """Pairwise cosine similarities: out[i, j] = cos(q_i, p_j).
 
-    Denominators are clamped at eps so zero vectors stay finite.
+    Denominators are clamped at ``COSINE_EPS`` so zero vectors stay finite.
     """
     if q.ndim != 2 or p.ndim != 2 or q.shape[1] != p.shape[1]:
         raise ValueError(f"need (n, d) and (m, d) embeddings, got {q.shape} and {p.shape}")
     dots = ad.matmul(q, p.transpose())
     qn = ad.sqrt(ad.tsum(ad.mul(q, q), axis=1, keepdims=True))
     pn = ad.sqrt(ad.tsum(ad.mul(p, p), axis=1, keepdims=True))
-    denom = ad.clamp_min(ad.matmul(qn, pn.transpose()), eps)
+    denom = ad.clamp_min(ad.matmul(qn, pn.transpose()), COSINE_EPS)
     return ad.div(dots, denom)
 
 

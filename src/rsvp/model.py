@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import Parameter
+from .text import BOS_ID, EOS_ID
 
 MASK_BIAS = -1e9  # additive logit bias for disallowed attention edges
 INIT_STD = 0.1  # larger than the 768-dim convention; desk-scale models train from scratch
@@ -30,17 +31,18 @@ class EncoderConfig:
     n_layers: int = 2
     n_heads: int = 4
     d_ffn: int = 256
-    dropout_p: float = 0.1
     max_positions: int = 512
     pooled_dim: int = 128
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "d_ffn", "max_positions", "pooled_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # zero blocks leave embeddings plus pooling, a working model
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.vocab_size < 1 or self.max_positions < 1:
-            raise ValueError("vocab_size and max_positions must be positive")
 
 
 def _normal(rng: np.random.Generator | None, shape, std=None):
@@ -187,6 +189,13 @@ def _token_chunks(seqs, budget: int):
         yield start, len(seqs)
 
 
+def _dropout_rate(training: bool, dropout_p) -> float:
+    """A forward's dropout rate: ``dropout_p``, required in training; 0 in evaluation."""
+    if training and dropout_p is None:
+        raise ValueError("training=True needs dropout_p, the stage's dropout rate")
+    return dropout_p if training else 0.0
+
+
 def _key_bias(mask: np.ndarray, dtype) -> np.ndarray:
     # (B, T) validity mask -> additive (B, 1, 1, T) bias over key positions
     return ((1.0 - mask) * MASK_BIAS)[:, None, None, :].astype(dtype)
@@ -238,13 +247,14 @@ class ConversationalEncoder(_Embedded):
         """Per-position hidden states for a batch of id sequences.
 
         Returns (hidden (B, T, d_model) tensor, validity mask (B, T) array).
-        Attention never reads PAD positions. ``dropout_p`` overrides the
-        construction-time rate; evaluation mode always disables dropout.
-        With ``cls_only``, the last block computes only the [CLS] row and
-        hidden is (B, 1, d_model); that block then draws dropout masks for
-        the [CLS] row only, so ``rng`` advances less than without it.
+        Attention never reads PAD positions. Training runs dropout at
+        ``dropout_p``, which it requires, drawing from ``rng``; evaluation
+        draws nothing. With ``cls_only``, the last block computes only the
+        [CLS] row and hidden is (B, 1, d_model); that block then draws
+        dropout masks for the [CLS] row only, so ``rng`` advances less than
+        without it.
         """
-        p = (self.cfg.dropout_p if dropout_p is None else dropout_p) if training else 0.0
+        p = _dropout_rate(training, dropout_p)
         ids, mask = pad_batch(seqs, pad_to=pad_to)
         bias = _key_bias(mask, self.tok_emb.dtype)
         x = ad.dropout(self._embed(ids), p, rng)
@@ -340,14 +350,15 @@ class ResponseDecoder(_Embedded):
 
         Row t of the output depends only on response tokens <= t (causal
         mask) and on the non-PAD utterance states. Every sequence must
-        start with [BOS].
+        start with [BOS]. Dropout runs as in the encoder's
+        ``forward_hidden``: at ``dropout_p`` in training, none in evaluation.
 
         Returns (logits (B, T, vocab) tensor, response validity mask (B, T)).
         """
         for i, s in enumerate(r_seqs):
             if len(s) == 0 or int(s[0]) != self.bos_id:
                 raise ValueError(f"response sequence {i} is missing the leading BOS token")
-        p = (self.cfg.dropout_p if dropout_p is None else dropout_p) if training else 0.0
+        p = _dropout_rate(training, dropout_p)
         ids, mask = pad_batch(r_seqs)
         x = ad.dropout(self._embed(ids), p, rng)
         dtype = self.tok_emb.dtype
@@ -394,8 +405,8 @@ class ResponseDecoder(_Embedded):
 def init_decoder_from_encoder(
     encoder: ConversationalEncoder,
     rng: np.random.Generator,
-    bos_id: int = 4,
-    eos_id: int = 5,
+    bos_id: int = BOS_ID,
+    eos_id: int = EOS_ID,
 ) -> ResponseDecoder:
     """Build a decoder whose parameters that share a name with the
     encoder's (embeddings, self-attention, FFN and their norms) are value

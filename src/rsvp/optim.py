@@ -5,6 +5,8 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's moment decay rates and denominator floor
+
 
 class Parameter(Tensor):
     """A trainable leaf tensor plus its name, AdamW first/second moment
@@ -46,13 +48,12 @@ def global_grad_norm(params) -> float:
 def adamw_step(
     params,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
     clip_norm: float | None = None,
     grad_norm: float | None = None,
 ) -> None:
-    """One AdamW update over ``params``; gradients are left untouched.
+    """One AdamW update over ``params`` with decay rates ``BETA1`` and
+    ``BETA2`` and floor ``ADAM_EPS``; gradients are left untouched.
 
     Weight decay is decoupled from the adaptive gradient term and is applied
     to the pre-update weights. Optional global-norm clipping scales the
@@ -71,24 +72,23 @@ def adamw_step(
         if norm > clip_norm:
             scale = clip_norm / (norm + 1e-12)
 
-    beta1, beta2 = betas
     for p in params:
         g = p.grad if scale == 1.0 else p.grad * scale
         p.step += 1
         # m += (1-b1) g;  v += (1-b2) g^2;  data -= lr m_hat / (sqrt(v_hat) + eps),
         # the same operations in the same order, each written into ``buf``,
         # ``den`` or a moment instead of a fresh temporary
-        buf = np.multiply(g, 1.0 - beta1)
-        p.m *= beta1
+        buf = np.multiply(g, 1.0 - BETA1)
+        p.m *= BETA1
         p.m += buf
         np.multiply(g, g, out=buf)
-        buf *= 1.0 - beta2
-        p.v *= beta2
+        buf *= 1.0 - BETA2
+        p.v *= BETA2
         p.v += buf
-        den = np.divide(p.v, 1.0 - beta2 ** p.step)
+        den = np.divide(p.v, 1.0 - BETA2 ** p.step)
         np.sqrt(den, out=den)
-        den += eps
-        np.divide(p.m, 1.0 - beta1 ** p.step, out=buf)
+        den += ADAM_EPS
+        np.divide(p.m, 1.0 - BETA1 ** p.step, out=buf)
         buf *= lr
         buf /= den
         if weight_decay:

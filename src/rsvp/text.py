@@ -16,6 +16,8 @@ import numpy as np
 
 PAD, UNK, CLS, SEP, BOS, EOS = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[BOS]", "[EOS]"
 RESERVED_TOKENS = (PAD, UNK, CLS, SEP, BOS, EOS)
+# every vocabulary starts with RESERVED_TOKENS, so their ids are fixed
+PAD_ID, BOS_ID, EOS_ID = (RESERVED_TOKENS.index(t) for t in (PAD, BOS, EOS))
 
 _URL_RE = re.compile(r"(?:\b[a-zA-Z][a-zA-Z0-9+.\-]*://\S+|\bwww\.\S+)")
 

@@ -36,14 +36,10 @@ from .model import (
 )
 from .optim import adamw_step, global_grad_norm, zero_grad
 from .rng import SeedHub
-from .text import Vocab, build_vocab, flatten_dialogue, label_set, split
+from .text import BOS_ID, EOS_ID, PAD_ID, Vocab, build_vocab, flatten_dialogue, label_set, split
 from .text import encode as encode_record
 
 logger = logging.getLogger("rsvp.training")
-
-PAD_ID = 0
-BOS_ID = 4
-EOS_ID = 5
 
 _STAGE_RANK = {"retrieval": 1, "generation": 2, "finetuned": 3}
 
@@ -194,9 +190,7 @@ def pretrain_generation(encoder, examples, cfg: StageConfig, hub: SeedHub, decod
     fresh cross-attention and LM head.
     """
     if decoder is None:
-        decoder = init_decoder_from_encoder(
-            encoder, hub.stream("decoder_init"), bos_id=BOS_ID, eos_id=EOS_ID
-        )
+        decoder = init_decoder_from_encoder(encoder, hub.stream("decoder_init"))
     usable = _usable_pairs(examples)
     if cfg.generation_epochs > 0 and not usable:
         raise ValueError("generation pre-training needs at least one usable pair")

@@ -118,7 +118,7 @@ def make_builder(name: str, r: np.random.Generator, trial: int):
     if name == "dropout":
         a = _leaf(r, (4, 5))
         return (
-            lambda: ad.tsum(ad.dropout(a, 0.4, np.random.default_rng(trial), training=True))
+            lambda: ad.tsum(ad.dropout(a, 0.4, np.random.default_rng(trial)))
         ), [a]
     if name == "cosine_similarity":
         a = _leaf(r, (6,))

@@ -410,31 +410,32 @@ class TestCosineSimilarity:
 class TestDropout:
     def test_p_zero_is_identity(self, rng):
         x = Tensor(rng.normal(size=(10,)))
-        out = ad.dropout(x, 0.0, np.random.default_rng(0), training=True)
+        out = ad.dropout(x, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_eval_mode_is_identity(self, rng):
+        # evaluation is p = 0, which needs no generator
         x = Tensor(rng.normal(size=(10,)))
-        out = ad.dropout(x, 0.9, np.random.default_rng(0), training=False)
+        out = ad.dropout(x, 0.0, None)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zeroed_fraction_near_p(self):
         x = Tensor(np.ones(10_000))
-        out = ad.dropout(x, 0.5, np.random.default_rng(7), training=True)
+        out = ad.dropout(x, 0.5, np.random.default_rng(7))
         frac = float(np.mean(out.data == 0.0))
         assert abs(frac - 0.5) < 0.02
 
     def test_survivors_scaled(self):
         x = Tensor(np.ones(1000))
-        out = ad.dropout(x, 0.25, np.random.default_rng(3), training=True)
+        out = ad.dropout(x, 0.25, np.random.default_rng(3))
         survivors = out.data[out.data != 0]
         np.testing.assert_allclose(survivors, 1.0 / 0.75, rtol=1e-6)
 
     def test_distinct_substreams_give_distinct_views(self):
         x = Tensor(np.ones(100))
         gen = np.random.default_rng(5)
-        a = ad.dropout(x, 0.3, gen, training=True)
-        b = ad.dropout(x, 0.3, gen, training=True)
+        a = ad.dropout(x, 0.3, gen)
+        b = ad.dropout(x, 0.3, gen)
         assert not np.array_equal(a.data, b.data)
 
     def test_invalid_p(self):

@@ -420,7 +420,7 @@ class TestExportEmbeddings:
         csv_path = tmp_path / "emb.csv"
         assert main(["export-embeddings", "--data", data_path,
                      "--ckpt", str(out / "finetuned_seed0.ckpt"),
-                     "--split", "test", "--out", str(csv_path)] + _sets()) == 0
+                     "--split", "test", "--out", str(csv_path)]) == 0
         ids, intents, mat = load_embeddings(csv_path)
         assert mat.shape[1] == 32
         assert len(ids) == len(intents) == mat.shape[0] > 0
@@ -489,6 +489,33 @@ class TestErrorPaths:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_exits_1_without_traceback(self, data_path, tmp_path, capsys):
+        capsys.readouterr()
+        rc = main(["run-rsvp", "--data", data_path, "--out", str(tmp_path / "o"), "--seeds", "0"]
+                  + _sets(["lr=1e12"]))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "non-finite loss" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting,message", [
+        ("d_model=0", "d_model must be >= 1, got 0"),
+        ("d_ffn=0", "d_ffn must be >= 1, got 0"),
+        ("pooled_dim=0", "pooled_dim must be >= 1, got 0"),
+        ("n_layers=-1", "n_layers must be >= 0, got -1"),
+        ("dropout_p=1.0", "dropout_p must be in [0, 1), got 1.0"),
+    ])
+    def test_invalid_model_setting_exits_1_before_training(self, setting, message, data_path,
+                                                           tmp_path, capsys):
+        out = tmp_path / "ft"
+        capsys.readouterr()
+        rc = main(["finetune", "--data", data_path, "--out", str(out), "--seed", "0"]
+                  + _sets([setting]))
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_needs_classifier(self, data_path, tmp_path, capsys):
         d1 = tmp_path / "retr"
         main(["pretrain-retrieval", "--data", data_path, "--out", str(d1), "--seed", "0"] + _sets())
@@ -519,9 +546,7 @@ class TestCheckpointCommandFlags:
     REJECTED = [(cmd, flag, value)
                 for cmd in ("evaluate", "export-embeddings")
                 for flag, value in (("--config", "/nonexistent.json"), ("--set", "lr=0.5"),
-                                    ("--seed", "7"), ("--seeds", "3,4"))
-                # export-embeddings keeps --set, checked against the checkpoint
-                if (cmd, flag) != ("export-embeddings", "--set")]
+                                    ("--seed", "7"), ("--seeds", "3,4"))]
 
     @pytest.mark.parametrize("cmd,flag,value", REJECTED)
     def test_config_flags_rejected_by_argparse(self, cmd, flag, value, tmp_path, capsys):
@@ -532,15 +557,17 @@ class TestCheckpointCommandFlags:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_export_set_must_restate_checkpoint_config(self, data_path, tmp_path, capsys):
+    def test_export_set_rejected_by_argparse(self, data_path, tmp_path, capsys):
+        # the checkpoint's own lr once passed; dropout is no model field to restate
         ft = tmp_path / "ft"
         assert main(["finetune", "--data", data_path, "--out", str(ft), "--seed", "0"] + _sets()) == 0
         csv_path = tmp_path / "emb.csv"
-        capsys.readouterr()
-        rc = main(["export-embeddings", "--data", data_path, "--ckpt", str(ft / "finetuned.ckpt"),
-                   "--vocab", str(ft / "vocab.txt"), "--out", str(csv_path), "--set", "lr=0.5"])
-        assert rc == 1
-        assert "lr=0.001" in capsys.readouterr().err
+        for item in ("lr=0.001", "dropout_p=0.1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["export-embeddings", "--data", data_path, "--ckpt", str(ft / "finetuned.ckpt"),
+                      "--vocab", str(ft / "vocab.txt"), "--out", str(csv_path), "--set", item])
+            assert exc.value.code == 2
+            assert "--set" in capsys.readouterr().err
         assert not csv_path.exists()
 
 

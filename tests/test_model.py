@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from . import op_builders
 def small_config(**kw):
     base = dict(
         vocab_size=40, d_model=32, n_layers=2, n_heads=4, d_ffn=64,
-        dropout_p=0.1, max_positions=24, pooled_dim=16,
+        max_positions=24, pooled_dim=16,
     )
     base.update(kw)
     return EncoderConfig(**base)
@@ -44,9 +46,27 @@ class TestEncoderConfig:
         with pytest.raises(ValueError, match="n_heads 0"):
             small_config(n_heads=0)
 
+    @pytest.mark.parametrize("field", ["d_model", "d_ffn", "pooled_dim"])
+    def test_size_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            small_config(**{field: 0})
+
+    def test_negative_layer_count_rejected(self):
+        with pytest.raises(ValueError, match="n_layers must be >= 0, got -1"):
+            small_config(n_layers=-1)
+
+    def test_dropout_is_not_a_model_field(self):
+        # the rate is a stage setting, passed to every training forward
+        assert "dropout_p" not in {f.name for f in dataclasses.fields(EncoderConfig)}
+        with pytest.raises(TypeError):
+            small_config(dropout_p=0.1)
+
+
+class TestStageConfig:
     def test_dropout_range_enforced(self):
-        with pytest.raises(ValueError):
-            small_config(dropout_p=1.0)
+        for p in (-0.1, 1.0):
+            with pytest.raises(ValueError, match="dropout_p must be in"):
+                StageConfig(dropout_p=p)
 
 
 class TestEncode:
@@ -77,6 +97,22 @@ class TestEncode:
     def test_too_long_sequence_rejected(self, encoder):
         with pytest.raises(ValueError, match="max_positions"):
             encoder.encode([2] + [6] * 30)
+
+    @pytest.mark.parametrize("entry", ["forward_hidden", "encode_batch", "forward_teacher_forced"])
+    def test_training_without_dropout_p_raises(self, encoder, entry):
+        dec = init_decoder_from_encoder(encoder, SeedHub(5).stream("decoder_init"))
+        hidden, mask = encoder.forward_hidden([[2, 7, 9]])
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        call = {
+            "forward_hidden": lambda: encoder.forward_hidden([[2, 7, 9]], training=True, rng=gen),
+            "encode_batch": lambda: encoder.encode_batch([[2, 7, 9]], training=True, rng=gen),
+            "forward_teacher_forced": lambda: dec.forward_teacher_forced(
+                hidden, mask, [[4, 20, 21]], training=True, rng=gen),
+        }[entry]
+        with pytest.raises(ValueError, match="training=True needs dropout_p"):
+            call()
+        assert gen.bit_generator.state == state
 
     def test_empty_sequence_rejected(self, encoder):
         with pytest.raises(ValueError):
@@ -281,7 +317,7 @@ class TestDecoder:
         # reproduced exactly by greedy decoding
         ad.set_default_dtype("float32")
         enc = ConversationalEncoder(
-            small_config(dropout_p=0.0), SeedHub(11).stream("encoder_init")
+            small_config(), SeedHub(11).stream("encoder_init")
         )
         dec = init_decoder_from_encoder(enc, SeedHub(11).stream("decoder_init"))
         u = [2, 7, 9, 13]

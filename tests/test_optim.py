@@ -80,7 +80,7 @@ def test_matches_reference_adamw_trajectory(rng):
     lr, b1, b2, eps, wd = 1e-3, 0.9, 0.999, 1e-8, 0.05
     for t, g in enumerate(grads, start=1):
         p.tensor.grad = g.copy()
-        adamw_step([p], lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        adamw_step([p], lr=lr, weight_decay=wd)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = ref * (1 - lr * wd)

@@ -350,7 +350,8 @@ class TestGraphRelease:
         hub = SeedHub(0)
         enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
         seqs = [ex.utterance_ids for ex in prepared.train[:4]]
-        hidden, _ = enc.forward_hidden(seqs, training=True, rng=hub.stream("dropout"))
+        hidden, _ = enc.forward_hidden(seqs, training=True, rng=hub.stream("dropout"),
+                                       dropout_p=cfg.dropout_p)
         loss = ad.tsum(enc.pool_cls(hidden))
         alive = weakref.ref(hidden.data)
         del hidden
