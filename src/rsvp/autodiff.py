@@ -695,51 +695,61 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # of every intermediate of the composite
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias, p: float, rng) -> Tensor:
-    """``dropout(softmax(q kᵀ / sqrt(d_head) + bias)) v`` as one node.
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(B, h, T, d_head) -> a (B, T, h·d_head) copy."""
+    return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
 
-    ``q`` and ``k`` are (B, h, Tq, d_head) and (B, h, Tk, d_head), ``v`` is
-    (B, h, Tk, d_v); ``bias`` is a constant array that broadcasts against
-    the (B, h, Tq, Tk) scores, or None. The forward computes the scores,
-    scales them, adds the bias and takes the softmax in place, then applies
-    the mask ``dropout`` would draw at the probabilities' shape. The
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias, p: float, rng) -> Tensor:
+    """Multi-head ``dropout(softmax(q kᵀ / sqrt(d_head) + bias)) v`` as one node.
+
+    ``q`` is (B, Tq, d), ``k`` and ``v`` are (B, Tk, d): all ``n_heads``
+    heads side by side, viewed inside as (B, n_heads, T, d_head), d_head =
+    d / n_heads; the (B, Tq, d) context and the gradients are merged back.
+    ``bias`` is None or a constant array of two or more axes that
+    broadcasts against the (B, Tq, Tk) scores, shared by all heads. The
+    forward takes the softmax in place and applies the mask ``dropout``
+    would draw at the probabilities' (B, n_heads, Tq, Tk) shape. The
     backward starts from the saved probabilities and mask, as
-    FlashAttention's does (without the tiling), so no other (B, h, Tq, Tk)
-    array outlives the forward.
+    FlashAttention's does, so no other array of that shape outlives it.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if (qd.ndim != 4 or kd.ndim != 4 or vd.ndim != 4 or kd.shape[:3] != vd.shape[:3]
-            or kd.shape[:2] != qd.shape[:2] or kd.shape[3] != qd.shape[3]):
-        raise ValueError(f"attention shape mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
-    scale = np.asarray(1.0 / math.sqrt(qd.shape[-1]), dtype=qd.dtype)
-    probs = qd @ np.swapaxes(kd, -1, -2)
+    if (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[0] != qd.shape[0]
+            or kd.shape[2] != qd.shape[2] or n_heads < 1 or qd.shape[2] % n_heads):
+        raise ValueError(f"attention shape mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}, "
+                         f"n_heads {n_heads}")
+    heads = (n_heads, qd.shape[2] // n_heads)
+    qh, kh, vh = (a.reshape(a.shape[:2] + heads).transpose(0, 2, 1, 3) for a in (qd, kd, vd))
+    scale = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=qd.dtype)
+    probs = qh @ np.swapaxes(kh, -1, -2)
     probs *= scale
     if bias is not None:
-        probs += np.asarray(bias, dtype=probs.dtype)
+        probs += np.asarray(bias, dtype=probs.dtype)[..., None, :, :]
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     keep = _dropout_mask(probs.shape, p, rng, probs.dtype)
-    data = (probs if keep is None else probs * keep) @ vd
+    data = _merge_heads((probs if keep is None else probs * keep) @ vh)
 
     def grad_fn(g):
+        g = g.reshape(g.shape[:2] + heads).transpose(0, 2, 1, 3)
         grads = []
         if v.requires_grad:
             dropped = probs if keep is None else probs * keep
-            grads.append((v, np.swapaxes(dropped, -1, -2) @ g))
+            grads.append((v, _merge_heads(np.swapaxes(dropped, -1, -2) @ g)))
             del dropped
         if q.requires_grad or k.requires_grad:
             # softmax backward from the saved probabilities, in place
-            ds = g @ np.swapaxes(v.data, -1, -2)
+            ds = g @ np.swapaxes(vh, -1, -2)
             if keep is not None:
                 ds *= keep
             ds -= (ds * probs).sum(axis=-1, keepdims=True)
             ds *= probs
             ds *= scale
             if q.requires_grad:
-                grads.append((q, ds @ k.data))
+                grads.append((q, _merge_heads(ds @ kh)))
             if k.requires_grad:
-                grads.append((k, np.swapaxes(ds, -1, -2) @ q.data))
+                grads.append((k, _merge_heads(np.swapaxes(ds, -1, -2) @ qh)))
         return grads
 
     return _make(data, (q, k, v), grad_fn)

@@ -144,6 +144,15 @@ def load_checkpoint(path) -> Checkpoint:
         stage, config, entries = header["stage"], header["config"], header["params"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: malformed header ({e!r})") from e
+    labels, steps = header.get("labels"), header.get("steps", {})
+    if stage not in STAGES:
+        raise CheckpointError(f"{path}: unknown stage tag {stage!r}, expected one of {STAGES}")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(name, str) for name in labels)):
+        raise CheckpointError(f"{path}: labels must be null or a list of strings, got {labels!r}")
+    if not (isinstance(steps, dict)
+            and all(type(n) is int and n >= 0 for n in steps.values())):
+        raise CheckpointError(f"{path}: steps must map names to non-negative integers")
     pos += hlen + 4
     plen = int.from_bytes(data[pos : pos + 8], "little")
     pos += 8
@@ -169,11 +178,11 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         stage=stage,
         config=config,
-        labels=header.get("labels"),
+        labels=labels,
         arrays=arrays,
         moments1=m1,
         moments2=m2,
-        steps=header.get("steps", {}),
+        steps=steps,
     )
 
 

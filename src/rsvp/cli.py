@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import training as tr
 from .checkpoint import CheckpointError
 from .config import StageConfig, load_config
-from .metrics import export_embeddings
+from .metrics import export_embeddings, multilabel_predicted
 from .rng import SeedHub
 from .model import ConversationalEncoder
 from .synth import gen_data
@@ -262,7 +262,7 @@ def cmd_predict(args) -> int:
         scores = tr.score_utterances(encoder, classifier, seqs, cfg.multi_label)
         for record_id, row in zip(ids, scores):
             if cfg.multi_label:
-                chosen = [ckpt.labels[i] for i in np.flatnonzero(row > 0.5)]
+                chosen = [ckpt.labels[i] for i in np.flatnonzero(multilabel_predicted(row))]
             else:
                 chosen = ckpt.labels[int(np.argmax(row))]
             outputs.append(

@@ -47,11 +47,17 @@ def mrr_at_k(preds: list[Prediction], k: int) -> float:
     return total / len(preds)
 
 
-def multilabel_metrics(preds: list[Prediction], threshold: float = 0.5) -> dict:
-    """Micro/macro F1 and subset accuracy for thresholded multi-label output.
+def multilabel_predicted(scores: np.ndarray) -> np.ndarray:
+    """The multi-label decision: a class is predicted when its score
+    strictly exceeds 0.5, so a score of exactly 0.5 is not."""
+    return scores > 0.5
 
-    A class is predicted when its score strictly exceeds the threshold;
-    subset accuracy requires the predicted set to equal the gold set.
+
+def multilabel_metrics(preds: list[Prediction]) -> dict:
+    """Micro/macro F1 and subset accuracy for multi-label output.
+
+    The predicted classes are those ``multilabel_predicted`` picks; subset
+    accuracy requires the predicted set to equal the gold set.
     """
     if not preds:
         raise ValueError("cannot compute metrics over an empty prediction list")
@@ -61,7 +67,7 @@ def multilabel_metrics(preds: list[Prediction], threshold: float = 0.5) -> dict:
     fn = np.zeros(n_classes)
     exact = 0
     for p in preds:
-        pred_set = p.scores > threshold
+        pred_set = multilabel_predicted(p.scores)
         gold_set = np.asarray(p.gold) > 0.5
         if np.array_equal(pred_set, gold_set):
             exact += 1

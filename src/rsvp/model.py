@@ -105,28 +105,19 @@ class MultiHeadAttention(Module):
 
     def __init__(self, name: str, d_model: int, n_heads: int, rng: np.random.Generator | None):
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.wq = Linear(f"{name}.wq", d_model, d_model, rng)
         self.wk = Linear(f"{name}.wk", d_model, d_model, rng)
         self.wv = Linear(f"{name}.wv", d_model, d_model, rng)
         self.wo = Linear(f"{name}.wo", d_model, d_model, rng)
 
     def project_kv(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
-        """Per-head keys and values, each (B, n_heads, Tk, d_head)."""
-        B, Tk, _ = x_kv.shape
-        h, dh = self.n_heads, self.d_head
-        k = self.wk(x_kv).reshape(B, Tk, h, dh).transpose(0, 2, 1, 3)
-        v = self.wv(x_kv).reshape(B, Tk, h, dh).transpose(0, 2, 1, 3)
-        return k, v
+        """Keys and values of all heads, each (B, Tk, d_model)."""
+        return self.wk(x_kv), self.wv(x_kv)
 
     def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng) -> Tensor:
-        """Attention of the queries projected from ``x_q`` over per-head keys
-        and values from ``project_kv``; ``bias`` is added to the logits."""
-        B, Tq, dm = x_q.shape
-        h, dh = self.n_heads, self.d_head
-        q = self.wq(x_q).reshape(B, Tq, h, dh).transpose(0, 2, 1, 3)
-        ctx = ad.attention(q, k, v, bias, dropout_p, rng)
-        return self.wo(ctx.transpose(0, 2, 1, 3).reshape(B, Tq, dm))
+        """Attention of the queries projected from ``x_q`` over keys and
+        values from ``project_kv``; ``bias`` is added to the logits."""
+        return self.wo(ad.attention(self.wq(x_q), k, v, self.n_heads, bias, dropout_p, rng))
 
 
 class FeedForward(Module):
@@ -197,13 +188,12 @@ def _dropout_rate(training: bool, dropout_p) -> float:
 
 
 def _key_bias(mask: np.ndarray, dtype) -> np.ndarray:
-    # (B, T) validity mask -> additive (B, 1, 1, T) bias over key positions
-    return ((1.0 - mask) * MASK_BIAS)[:, None, None, :].astype(dtype)
+    # (B, T) validity mask -> additive (B, 1, T) bias over key positions
+    return ((1.0 - mask) * MASK_BIAS)[:, None, :].astype(dtype)
 
 
 def _causal_bias(T: int, dtype) -> np.ndarray:
-    bias = np.triu(np.full((T, T), MASK_BIAS), k=1)
-    return bias[None, None, :, :].astype(dtype)
+    return np.triu(np.full((T, T), MASK_BIAS), k=1).astype(dtype)
 
 
 class _Embedded(Module):
@@ -317,15 +307,15 @@ class DecoderBlock(Module):
 
         With ``cache``, x (1, 1, d) is the one position ``t``: its
         self-attention key and value are written into row ``t`` of the
-        cache buffers (1, n_heads, >t, d_head), and it attends over rows
-        0..t, every one of which precedes it.
+        cache buffers (1, >t, d), and it attends over rows 0..t, every one
+        of which precedes it.
         """
         k, v = self.self_attn.project_kv(x)
         if cache is not None:
             for buf, new in zip(cache, (k, v)):
-                buf[:, :, t] = new.data[:, :, 0]
+                buf[:, t] = new.data[:, 0]
             # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
-            k, v = (ad._as_tensor(buf[:, :, : t + 1], x) for buf in cache)
+            k, v = (ad._as_tensor(buf[:, : t + 1], x) for buf in cache)
         a = self.self_attn.attend(x, k, v, self_bias, dropout_p, rng)
         x = self.ln1.residual(x, a, dropout_p, rng)
         c = self.cross_attn.attend(x, *cross_kv, cross_bias, dropout_p, rng)
@@ -386,8 +376,7 @@ class ResponseDecoder(_Embedded):
             return []
         enc_hidden, _ = encoder.forward_hidden([list(u_ids)])
         cross_kv = [blk.cross_attn.project_kv(enc_hidden) for blk in self.blocks]
-        n_heads = self.cfg.n_heads
-        shape = (1, n_heads, min(max_t, self.cfg.max_positions), self.cfg.d_model // n_heads)
+        shape = (1, min(max_t, self.cfg.max_positions), self.cfg.d_model)
         dtype = self.tok_emb.dtype
         self_kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in self.blocks]
         tok, out = self.bos_id, []

@@ -130,14 +130,18 @@ def _run_epochs(stage: str, cfg: StageConfig, hub: SeedHub, params, n_items: int
             batches.pop()
         sums, total = {"loss": 0.0}, 0  # an epoch without batches reports loss 0.0
         for b, idx in enumerate(batches):
-            loss, weight, stats = step(idx, drop_rng)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise FloatingPointError(
-                    f"{stage}: non-finite loss {loss_value} at epoch {epoch}, batch {b}"
-                )
-            ad.backward(loss)
-            norm = global_grad_norm(params)
+            # a non-finite value that matters reaches the loss or the gradient
+            # norm, both checked before the update, so NumPy's overflow and
+            # invalid-value warnings would only repeat that error
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                loss, weight, stats = step(idx, drop_rng)
+                loss_value = loss.item()
+                if not np.isfinite(loss_value):
+                    raise FloatingPointError(
+                        f"{stage}: non-finite loss {loss_value} at epoch {epoch}, batch {b}"
+                    )
+                ad.backward(loss)
+                norm = global_grad_norm(params)
             if not np.isfinite(norm):
                 raise FloatingPointError(
                     f"{stage}: non-finite gradient norm {norm} at epoch {epoch}, batch {b}"
@@ -586,6 +590,9 @@ def load_stage_checkpoint(path):
             if "classifier.clf.lin2.b" not in ckpt.arrays:
                 raise CheckpointError(f"{path}: checkpoint is missing 'classifier.clf.lin2.b'")
             n_classes = ckpt.arrays["classifier.clf.lin2.b"].shape[0]
+            if ckpt.labels is not None and len(ckpt.labels) != n_classes:
+                raise CheckpointError(f"{path}: {len(ckpt.labels)} label names for a "
+                                      f"{n_classes}-class classifier")
             classifier = IntentClassifier(cfg.pooled_dim, n_classes, None)
             restore_component(ckpt, "classifier", classifier)
     return ckpt, cfg, encoder, decoder, classifier

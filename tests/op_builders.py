@@ -28,12 +28,22 @@ def composite_linear(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
-def composite_attention(q, k, v, bias, p, rng):
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), Tensor(scale))
+def composite_attention(q, k, v, n_heads, bias, p, rng):
+    """Per-head attention over (B, T, d) projections, the heads split and
+    merged by ``reshape`` and ``transpose`` nodes."""
+    B, Tq, d = q.shape
+    dh = d // n_heads
+
+    def split(x):
+        return ad.transpose(ad.reshape(x, (B, x.shape[1], n_heads, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scale = 1.0 / np.sqrt(dh)
+    scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), Tensor(scale))
     if bias is not None:
-        scores = ad.add(scores, Tensor(bias))
-    return ad.matmul(ad.dropout(ad.softmax(scores, axis=-1), p, rng), v)
+        scores = ad.add(scores, Tensor(np.asarray(bias)[..., None, :, :]))
+    ctx = ad.matmul(ad.dropout(ad.softmax(scores, axis=-1), p, rng), vh)
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, Tq, d))
 
 
 def composite_residual_layer_norm(x, y, gamma, beta, p, rng):
@@ -130,13 +140,13 @@ def make_builder(name: str, r: np.random.Generator, trial: int):
         b = _leaf(r, (5,))
         return (lambda: ad.tsum(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b)))), [x, w, b]
     if name == "attention":
-        q = _leaf(r, (2, 2, 3, 4))
-        k = _leaf(r, (2, 2, 5, 4))
-        v = _leaf(r, (2, 2, 5, 4))
-        bias = r.normal(size=(2, 1, 1, 5)) if trial % 2 else None
-        w = Tensor(r.normal(size=(2, 2, 3, 4)))
+        q = _leaf(r, (2, 3, 8))
+        k = _leaf(r, (2, 5, 8))
+        v = _leaf(r, (2, 5, 8))
+        bias = r.normal(size=(2, 1, 5)) if trial % 2 else None
+        w = Tensor(r.normal(size=(2, 3, 8)))
         return (lambda: ad.tsum(ad.mul(ad.attention(
-            q, k, v, bias, 0.3, np.random.default_rng(trial)), w))), [q, k, v]
+            q, k, v, 2, bias, 0.3, np.random.default_rng(trial)), w))), [q, k, v]
     if name == "residual_layer_norm":
         x = _leaf(r, (2, 3, 6))
         y = _leaf(r, (2, 3, 6))

@@ -165,38 +165,44 @@ class TestFusedLinear:
         assert len(yielded) == 2 and yielded[0] is w and yielded[1] is b
 
 
+def _heads(a, n_heads):
+    """(B, T, h * d_head) -> (B, h, T, d_head)."""
+    B, T, d = a.shape
+    return a.reshape(B, T, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
 ATTENTION_CASES = {
-    # (B, h, Tq, Tk, d_head), bias shape or None
-    "self_with_key_bias": ((2, 3, 5, 5, 4), (2, 1, 1, 5)),
-    "causal_bias": ((2, 2, 4, 4, 3), (1, 1, 4, 4)),
+    # (B, h, Tq, Tk, d_head), bias shape or None; the inputs are (B, T, h * d_head)
+    "self_with_key_bias": ((2, 3, 5, 5, 4), (2, 1, 5)),
+    "causal_bias": ((2, 2, 4, 4, 3), (4, 4)),
     "no_bias": ((2, 2, 4, 4, 3), None),
     "one_query_row": ((1, 2, 1, 6, 4), None),
-    "cross_unequal_lengths": ((2, 2, 3, 7, 4), (2, 1, 1, 7)),
+    "cross_unequal_lengths": ((2, 2, 3, 7, 4), (2, 1, 7)),
 }
 
 
 class TestFusedAttention:
-    """ad.attention against the matmul/scale/bias/softmax/dropout/matmul
-    composite it replaces, in float64."""
+    """ad.attention against the head split, matmul/scale/bias/softmax/
+    dropout/matmul and head merge composite it replaces, in float64."""
 
     @staticmethod
     def _make(case, requires):
         (B, h, Tq, Tk, dh), bias_shape = ATTENTION_CASES[case]
-        make = _inputs([(B, h, Tq, dh), (B, h, Tk, dh), (B, h, Tk, dh)], requires)
+        make = _inputs([(B, Tq, h * dh), (B, Tk, h * dh), (B, Tk, h * dh)], requires)
         bias = None
         if bias_shape is not None:
             bias = np.random.default_rng(8).normal(size=bias_shape)
             bias[..., -1] = -1e9  # a masked key, as padding gives
-        return make, bias
+        return make, h, bias
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])  # p = 0 is the model's evaluation mode
     def test_matches_composite(self, case, p):
         with ad.precision("float64"):
-            make, bias = self._make(case, (True, True, True))
+            make, h, bias = self._make(case, (True, True, True))
             sides = _fused_and_composite(
-                lambda q, k, v, rng: ad.attention(q, k, v, bias, p, rng),
-                lambda q, k, v, rng: op_builders.composite_attention(q, k, v, bias, p, rng),
+                lambda q, k, v, rng: ad.attention(q, k, v, h, bias, p, rng),
+                lambda q, k, v, rng: op_builders.composite_attention(q, k, v, h, bias, p, rng),
                 make, seed=21)
         _assert_fused_matches(sides)
 
@@ -204,49 +210,56 @@ class TestFusedAttention:
                                           (False, False, True), (True, True, False)])
     def test_inputs_without_grad(self, requires):
         with ad.precision("float64"):
-            make, bias = self._make("cross_unequal_lengths", requires)
+            make, h, bias = self._make("cross_unequal_lengths", requires)
             sides = _fused_and_composite(
-                lambda q, k, v, rng: ad.attention(q, k, v, bias, 0.3, rng),
-                lambda q, k, v, rng: op_builders.composite_attention(q, k, v, bias, 0.3, rng),
+                lambda q, k, v, rng: ad.attention(q, k, v, h, bias, 0.3, rng),
+                lambda q, k, v, rng: op_builders.composite_attention(q, k, v, h, bias, 0.3, rng),
                 make, seed=22)
         _assert_fused_matches(sides)
 
     def test_closure_yields_only_inputs_that_require_grad(self, rng):
-        q = Tensor(rng.normal(size=(1, 2, 3, 4)), requires_grad=True)
-        k, v = (Tensor(rng.normal(size=(1, 2, 5, 4))) for _ in range(2))
-        out = ad.attention(q, k, v, None, 0.2, np.random.default_rng(0))
+        q = Tensor(rng.normal(size=(1, 3, 8)), requires_grad=True)
+        k, v = (Tensor(rng.normal(size=(1, 5, 8))) for _ in range(2))
+        out = ad.attention(q, k, v, 2, None, 0.2, np.random.default_rng(0))
         assert [t for t, _ in out._grad_fn(np.ones(out.shape))] == [q]
 
     def test_rates_rounding_to_zero_draw_nothing(self, rng):
-        q, k, v = (Tensor(rng.normal(size=(1, 2, 3, 4))) for _ in range(3))
+        q, k, v = (Tensor(rng.normal(size=(1, 3, 8))) for _ in range(3))
         for p in (0.0, 1e-6):
             gen = np.random.default_rng(0)
             before = gen.bit_generator.state
-            ad.attention(q, k, v, None, p, gen)
+            ad.attention(q, k, v, 2, None, p, gen)
             assert gen.bit_generator.state == before
 
     def test_mask_is_one_16_bit_draw_at_the_probabilities_shape(self, rng):
-        q = Tensor(rng.normal(size=(2, 3, 4, 8)))
-        k = Tensor(rng.normal(size=(2, 3, 6, 8)))
-        v = Tensor(np.eye(6)[None, None].repeat(2, 0).repeat(3, 1))
-        out = ad.attention(q, k, v, None, 0.3, np.random.default_rng(4))
+        # three heads of width 6 over 6 keys; each head's values are the identity
+        q = Tensor(rng.normal(size=(2, 4, 18)))
+        k = Tensor(rng.normal(size=(2, 6, 18)))
+        v = Tensor(np.tile(np.eye(6), (2, 1, 3)))
+        out = ad.attention(q, k, v, 3, None, 0.3, np.random.default_rng(4))
         draw = np.random.default_rng(4).integers(0, 65536, size=(2, 3, 4, 6), dtype=np.uint16)
-        probs = ad.attention(q, k, v, None, 0.0, None).data  # v = I: the probabilities
+        probs = ad.attention(q, k, v, 3, None, 0.0, None).data  # v = I: the probabilities
         thr = round(0.3 * 65536)
-        expected = np.where(draw >= thr, probs * (65536 / (65536 - thr)), 0.0)
-        np.testing.assert_allclose(out.data, expected.astype(np.float32), rtol=1e-6, atol=0)
+        expected = np.where(draw >= thr, _heads(probs, 3) * (65536 / (65536 - thr)), 0.0)
+        np.testing.assert_allclose(_heads(out.data, 3), expected.astype(np.float32),
+                                   rtol=1e-6, atol=0)
 
     def test_shape_mismatch_rejected(self):
-        q = Tensor(np.zeros((1, 2, 3, 4)))
+        q = Tensor(np.zeros((1, 3, 4)))
         with pytest.raises(ValueError, match="attention shape mismatch"):
-            ad.attention(q, Tensor(np.zeros((1, 2, 5, 3))), Tensor(np.zeros((1, 2, 5, 3))),
-                         None, 0.0, None)
+            ad.attention(q, Tensor(np.zeros((1, 5, 3))), Tensor(np.zeros((1, 5, 3))),
+                         2, None, 0.0, None)
         with pytest.raises(ValueError, match="attention shape mismatch"):
-            ad.attention(q, Tensor(np.zeros((1, 2, 5, 4))), Tensor(np.zeros((1, 2, 6, 4))),
-                         None, 0.0, None)
+            ad.attention(q, Tensor(np.zeros((1, 5, 4))), Tensor(np.zeros((1, 6, 4))),
+                         2, None, 0.0, None)
         with pytest.raises(ValueError, match="attention shape mismatch"):
-            ad.attention(q, Tensor(np.zeros((2, 2, 5, 4))), Tensor(np.zeros((2, 2, 5, 4))),
-                         None, 0.0, None)
+            ad.attention(q, Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 5, 4))),
+                         2, None, 0.0, None)
+
+    def test_width_not_divisible_by_heads_rejected(self):
+        q, k, v = (Tensor(np.zeros((1, 3, 6))) for _ in range(3))
+        with pytest.raises(ValueError, match="attention shape mismatch.*n_heads 4"):
+            ad.attention(q, k, v, 4, None, 0.0, None)
 
 
 class TestFusedResidualLayerNorm:

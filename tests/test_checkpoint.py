@@ -165,6 +165,33 @@ def test_header_missing_key_raises_checkpoint_error(tmp_path, key):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("stage", "pretrain"), ("stage", ["retrieval"]),
+    ("labels", 5), ("labels", "AB"), ("labels", ["A", 2]),
+    ("steps", [1]), ("steps", {"encoder.pool.b": "7"}), ("steps", {"encoder.pool.b": 1.5}),
+    ("steps", {"encoder.pool.b": -1}), ("steps", {"encoder.pool.b": True}),
+], ids=["unknown-stage", "list-stage", "number-labels", "string-labels", "number-label",
+        "list-steps", "string-step", "float-step", "negative-step", "bool-step"])
+def test_malformed_header_field_raises_checkpoint_error(tmp_path, key, value):
+    path, blob = _saved_blob(tmp_path)
+    header = _header(blob)
+    header[key] = value
+    path.write_bytes(_with_header(blob, json.dumps(header).encode()))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+def test_label_count_other_than_classifier_width_raises_checkpoint_error(tmp_path):
+    cfg = StageConfig(d_model=16, n_layers=1, n_heads=2, d_ffn=32, pooled_dim=8, max_len=12)
+    enc = ConversationalEncoder(cfg.encoder_config(20), SeedHub(8).stream("encoder_init"))
+    clf = IntentClassifier(8, 3, SeedHub(8).stream("classifier_init"))
+    path = tmp_path / "model.ckpt"
+    save_stage_checkpoint(path, "finetuned", cfg, 20, enc, classifier=clf, labels=["A"])
+    assert load_checkpoint(path).labels == ["A"]
+    with pytest.raises(CheckpointError, match="1 label names for a 3-class classifier"):
+        load_stage_checkpoint(path)
+
+
 @pytest.mark.parametrize("moment", ["moment1.", "moment2."])
 def test_missing_moment_buffers_raise_checkpoint_error(tmp_path, moment):
     path, blob = _saved_blob(tmp_path)

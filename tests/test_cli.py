@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from rsvp import cli
 from rsvp import training as tr
 from rsvp.cli import main
 from rsvp.config import StageConfig, load_config
-from rsvp.metrics import load_embeddings
+from rsvp.metrics import Prediction, load_embeddings, multilabel_metrics
 from rsvp.text import Vocab, load_jsonl, tokenize
 from rsvp.text import encode as encode_record
 
+from .test_checkpoint import _header, _with_header
 from .test_training import _graph_scores
 
 
@@ -363,6 +365,34 @@ class TestPredict:
                 assert row["intent"] == meta.labels[int(np.argmax(pred.scores))]
 
 
+    def test_multi_label_intents_are_the_classes_the_metrics_count(self, data_path, tmp_path,
+                                                                   capsys):
+        """Class 0 scores exactly 0.5 (a zero logit) and is not predicted;
+        class 1 scores above it for every record and always is."""
+        out = tmp_path / "ft"
+        extra = ("retrieval_epochs=0", "generation_epochs=0", "multi_label=True")
+        assert main(["finetune", "--data", data_path, "--out", str(out), "--seed", "0"]
+                    + _sets(extra)) == 0
+        meta, cfg, encoder, _, classifier = tr.load_stage_checkpoint(str(out / "finetuned.ckpt"))
+        lin2 = classifier.lin2
+        lin2.w.data[:, :2] = 0.0
+        lin2.b.data[:2] = (0.0, 5.0)
+        ckpt = tmp_path / "edge.ckpt"
+        tr.save_stage_checkpoint(ckpt, "finetuned", cfg, encoder.cfg.vocab_size, encoder,
+                                 classifier=classifier, labels=meta.labels)
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", str(ckpt), "--vocab", str(out / "vocab.txt"),
+                     "--input", data_path]) == 0
+        rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert rows
+        for row in rows:
+            scores = np.array([row["scores"][name] for name in meta.labels])
+            assert scores[0] == 0.5
+            chosen = np.array([name in row["intent"] for name in meta.labels], dtype=float)
+            assert multilabel_metrics([Prediction(scores, chosen)])["subset_accuracy"] == 1.0
+            assert meta.labels[0] not in row["intent"] and meta.labels[1] in row["intent"]
+
+
 def _previous_predict_output(ckpt_path, vocab_path, input_path) -> bytes:
     """What `rsvp predict` wrote before its utterance encoding moved into
     rsvp.text and eval scoring went graph-free: its own inline encoder,
@@ -489,13 +519,15 @@ class TestErrorPaths:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_exits_1_without_traceback(self, data_path, tmp_path, capsys):
         capsys.readouterr()
-        rc = main(["run-rsvp", "--data", data_path, "--out", str(tmp_path / "o"), "--seeds", "0"]
-                  + _sets(["lr=1e12"]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run-rsvp", "--data", data_path, "--out", str(tmp_path / "o"),
+                       "--seeds", "0"] + _sets(["lr=1e12"]))
         err = capsys.readouterr().err
         assert rc == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert err.startswith("error: ") and "non-finite loss" in err
         assert "Traceback" not in err
 
@@ -522,6 +554,26 @@ class TestErrorPaths:
         rc = main(["evaluate", "--data", data_path, "--ckpt", str(d1 / "retrieval.ckpt")])
         assert rc == 1
         assert "classifier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("labels", lambda header: 5),
+        ("labels", lambda header: header["labels"][:1]),
+        ("stage", lambda header: "pretrain"),
+        ("steps", lambda header: dict(header["steps"], **{"encoder.pool.b": "7"})),
+    ], ids=["number-labels", "one-label-for-four-classes", "unknown-stage", "string-step"])
+    def test_predict_on_malformed_checkpoint_header_exits_1(self, finetuned_dir, data_path,
+                                                            tmp_path, capsys, key, value):
+        blob = (finetuned_dir / "finetuned.ckpt").read_bytes()
+        header = _header(blob)
+        header[key] = value(header)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(_with_header(blob, json.dumps(header).encode()))
+        capsys.readouterr()
+        rc = main(["predict", "--ckpt", str(ckpt), "--vocab", str(finetuned_dir / "vocab.txt"),
+                   "--input", data_path])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("line,message", [
         ('["where is my order"]', "line 2: expected a JSON object"),
