@@ -44,14 +44,29 @@ class Checkpoint:
     steps: dict
 
 
+def check_labels(labels, n_classes: int | None) -> None:
+    """The label rule saving and loading share: ``labels`` is None or a list
+    of strings, and beside a classifier of ``n_classes`` outputs (None when
+    there is none) a list names each class once. Raises ``ValueError``."""
+    if labels is None:
+        return
+    if not (isinstance(labels, list) and all(isinstance(name, str) for name in labels)):
+        raise ValueError(f"labels must be null or a list of strings, got {labels!r}")
+    if n_classes is not None and len(labels) != n_classes:
+        raise ValueError(f"{len(labels)} label names for a {n_classes}-class classifier")
+
+
 def save_checkpoint(path, stage: str, components: dict, config: dict, labels=None) -> None:
     """Serialize named components (objects exposing named_parameters()).
 
     Parameter tensors and their AdamW moment buffers are all stored, so a
-    reload restores training state exactly.
+    reload restores training state exactly. An unknown stage tag or labels
+    that ``check_labels`` refuses raise ``ValueError`` before the file is
+    opened.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage tag {stage!r}, expected one of {STAGES}")
+    check_labels(labels, None)
     entries = []
     blobs = []
     steps = {}
@@ -86,7 +101,7 @@ def save_checkpoint(path, stage: str, components: dict, config: dict, labels=Non
     header = {
         "stage": stage,
         "config": config,
-        "labels": list(labels) if labels is not None else None,
+        "labels": labels,
         "steps": steps,
         "params": entries,
     }
@@ -147,9 +162,10 @@ def load_checkpoint(path) -> Checkpoint:
     labels, steps = header.get("labels"), header.get("steps", {})
     if stage not in STAGES:
         raise CheckpointError(f"{path}: unknown stage tag {stage!r}, expected one of {STAGES}")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(name, str) for name in labels)):
-        raise CheckpointError(f"{path}: labels must be null or a list of strings, got {labels!r}")
+    try:
+        check_labels(labels, None)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
     if not (isinstance(steps, dict)
             and all(type(n) is int and n >= 0 for n in steps.values())):
         raise CheckpointError(f"{path}: steps must map names to non-negative integers")

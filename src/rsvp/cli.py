@@ -120,45 +120,29 @@ def _save_stage(args, cfg: StageConfig, seed: int, prepared, stage: str, ckpt_st
     return ckpt_path
 
 
-def cmd_pretrain_retrieval(args) -> int:
+# stage subcommand -> (training stage, checkpoint tag)
+STAGE_COMMANDS = {
+    "pretrain-retrieval": ("retrieval", "retrieval"),
+    "pretrain-generation": ("generation", "generation"),
+    "finetune": ("finetune", "finetuned"),
+}
+
+
+def cmd_stage(args) -> int:
+    """Train one stage at the first seed, from --init-ckpt or a fresh
+    encoder, and write its outputs; fine-tuning also prints test metrics."""
+    stage, ckpt_stage = STAGE_COMMANDS[args.command]
     cfg = _resolve_config(args)
     seed = cfg.seeds[0]
     prepared = _load_prepared(args, cfg)
     with ad.precision(cfg.precision):
-        encoder = _init_encoder(args, cfg, prepared, seed, "retrieval")
-        history = tr.pretrain_retrieval(encoder, prepared.train, cfg, SeedHub(seed))
-    ckpt_path = _save_stage(args, cfg, seed, prepared, "retrieval", "retrieval", history, encoder)
-    print(f"checkpoint: {ckpt_path}")
-    return 0
-
-
-def cmd_pretrain_generation(args) -> int:
-    cfg = _resolve_config(args)
-    seed = cfg.seeds[0]
-    prepared = _load_prepared(args, cfg)
-    with ad.precision(cfg.precision):
-        encoder = _init_encoder(args, cfg, prepared, seed, "generation")
-        decoder, history = tr.pretrain_generation(encoder, prepared.train, cfg, SeedHub(seed))
-    ckpt_path = _save_stage(args, cfg, seed, prepared, "generation", "generation", history,
-                            encoder, decoder=decoder)
-    print(f"checkpoint: {ckpt_path}")
-    return 0
-
-
-def cmd_finetune(args) -> int:
-    cfg = _resolve_config(args)
-    seed = cfg.seeds[0]
-    prepared = _load_prepared(args, cfg)
-    with ad.precision(cfg.precision):
-        encoder = _init_encoder(args, cfg, prepared, seed, "finetuned")
-        classifier, history = tr.finetune(
-            encoder, prepared.train, prepared.valid, cfg, SeedHub(seed), len(prepared.label_names)
-        )
-    ckpt_path = _save_stage(args, cfg, seed, prepared, "finetune", "finetuned", history,
-                            encoder, classifier=classifier)
-    preds = tr.predict_examples(encoder, classifier, prepared.test, cfg.multi_label)
-    if preds:
-        print(json.dumps(tr.compute_metrics(preds, cfg.multi_label), sort_keys=True))
+        encoder = _init_encoder(args, cfg, prepared, seed, ckpt_stage)
+        heads, history = tr.train_stage(stage, encoder, prepared, cfg, SeedHub(seed))
+    ckpt_path = _save_stage(args, cfg, seed, prepared, stage, ckpt_stage, history, encoder, **heads)
+    if "classifier" in heads:
+        preds = tr.predict_examples(encoder, heads["classifier"], prepared.test, cfg.multi_label)
+        if preds:
+            print(json.dumps(tr.compute_metrics(preds, cfg.multi_label), sort_keys=True))
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -228,7 +212,12 @@ def cmd_evaluate(args) -> int:
     ckpt, cfg, encoder, _, classifier = tr.load_stage_checkpoint(args.ckpt)
     if classifier is None:
         raise ValueError("evaluate needs a finetuned checkpoint with a classifier head")
-    _, examples = _checkpoint_split(args, cfg, encoder)
+    prepared, examples = _checkpoint_split(args, cfg, encoder)
+    # gold labels are indices into the data's label set, scores into the
+    # checkpoint's; they mean the same classes only when the two lists agree
+    if prepared.label_names != ckpt.labels:
+        raise ValueError(f"{args.data} has intents {prepared.label_names} but the checkpoint "
+                         f"was trained on {ckpt.labels}")
     preds = tr.predict_examples(encoder, classifier, examples, cfg.multi_label)
     metrics = tr.compute_metrics(preds, cfg.multi_label)
     print(json.dumps(metrics, sort_keys=True))
@@ -328,15 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", default="train", choices=["train", "all"])
     p.set_defaults(func=cmd_build_vocab)
 
-    for name, fn in (
-        ("pretrain-retrieval", cmd_pretrain_retrieval),
-        ("pretrain-generation", cmd_pretrain_generation),
-        ("finetune", cmd_finetune),
-    ):
+    for name in STAGE_COMMANDS:
         p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} stage")
         _add_common(p)
         p.add_argument("--init-ckpt", default=None, help="checkpoint to start from")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("run-rsvp", help="full two-stage pipeline over all seeds")
     _add_common(p)

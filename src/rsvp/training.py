@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import CheckpointError, load_checkpoint, restore_component, save_checkpoint
+from .checkpoint import (STAGES, CheckpointError, check_labels, load_checkpoint,
+                         restore_component, save_checkpoint)
 from .config import StageConfig
 from .losses import (
     classification_loss,
@@ -40,8 +41,6 @@ from .text import BOS_ID, EOS_ID, PAD_ID, Vocab, build_vocab, flatten_dialogue, 
 from .text import encode as encode_record
 
 logger = logging.getLogger("rsvp.training")
-
-_STAGE_RANK = {"retrieval": 1, "generation": 2, "finetuned": 3}
 
 
 @dataclass
@@ -335,6 +334,23 @@ def finetune(encoder, train_examples, valid_examples, cfg: StageConfig, hub: See
     return classifier, history
 
 
+def train_stage(stage: str, encoder, prepared: PreparedData, cfg: StageConfig, hub: SeedHub):
+    """Train ``encoder`` through one stage, ``"retrieval"``, ``"generation"``
+    or ``"finetune"``, on ``prepared``'s splits; returns (heads, history).
+    ``heads`` maps checkpoint component names to the head the stage trained:
+    ``{}``, ``{"decoder": ...}`` or ``{"classifier": ...}``."""
+    if stage == "retrieval":
+        return {}, pretrain_retrieval(encoder, prepared.train, cfg, hub)
+    if stage == "generation":
+        decoder, history = pretrain_generation(encoder, prepared.train, cfg, hub)
+        return {"decoder": decoder}, history
+    if stage == "finetune":
+        classifier, history = finetune(encoder, prepared.train, prepared.valid, cfg, hub,
+                                       len(prepared.label_names))
+        return {"classifier": classifier}, history
+    raise ValueError(f"unknown stage {stage!r}, expected retrieval, generation or finetune")
+
+
 # ---------------------------------------------------------------------------
 # full pipelines
 
@@ -394,23 +410,13 @@ def _seed_pipeline(prepared: PreparedData, cfg: StageConfig, seed: int, pretrain
     encoder = ConversationalEncoder(
         cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init")
     )
+    pretrain = ("retrieval", "generation")
+    if cfg.task_order == "generation_first":
+        pretrain = pretrain[::-1]
     stage_curves = {}
-    if pretraining:
-        stages = (
-            ("retrieval", "generation")
-            if cfg.task_order == "retrieval_first"
-            else ("generation", "retrieval")
-        )
-        for stage in stages:
-            if stage == "retrieval":
-                stage_curves["retrieval"] = pretrain_retrieval(encoder, prepared.train, cfg, hub)
-            else:
-                _, hist = pretrain_generation(encoder, prepared.train, cfg, hub)
-                stage_curves["generation"] = hist
-    classifier, ft_hist = finetune(
-        encoder, prepared.train, prepared.valid, cfg, hub, len(prepared.label_names)
-    )
-    stage_curves["finetune"] = ft_hist
+    for stage in (pretrain if pretraining else ()) + ("finetune",):
+        heads, stage_curves[stage] = train_stage(stage, encoder, prepared, cfg, hub)
+    classifier = heads["classifier"]
     preds = predict_examples(encoder, classifier, prepared.test, cfg.multi_label)
     metrics = compute_metrics(preds, cfg.multi_label) if preds else {}
     return metrics, stage_curves, encoder, classifier
@@ -556,6 +562,7 @@ def ablation_grid_to_csv(reports: dict, path) -> None:
 
 def save_stage_checkpoint(path, stage, cfg: StageConfig, vocab_size: int,
                           encoder, decoder=None, classifier=None, labels=None) -> None:
+    check_labels(labels, None if classifier is None else classifier.n_classes)
     components = {"encoder": encoder}
     if decoder is not None:
         components["decoder"] = decoder
@@ -590,17 +597,19 @@ def load_stage_checkpoint(path):
             if "classifier.clf.lin2.b" not in ckpt.arrays:
                 raise CheckpointError(f"{path}: checkpoint is missing 'classifier.clf.lin2.b'")
             n_classes = ckpt.arrays["classifier.clf.lin2.b"].shape[0]
-            if ckpt.labels is not None and len(ckpt.labels) != n_classes:
-                raise CheckpointError(f"{path}: {len(ckpt.labels)} label names for a "
-                                      f"{n_classes}-class classifier")
+            try:
+                check_labels(ckpt.labels, n_classes)
+            except ValueError as e:
+                raise CheckpointError(f"{path}: {e}") from e
             classifier = IntentClassifier(cfg.pooled_dim, n_classes, None)
             restore_component(ckpt, "classifier", classifier)
     return ckpt, cfg, encoder, decoder, classifier
 
 
 def check_stage_transition(ckpt_stage: str, next_stage: str) -> None:
-    """Warn when a checkpoint from a later stage seeds an earlier one."""
-    if _STAGE_RANK[ckpt_stage] >= _STAGE_RANK[next_stage]:
+    """Warn when a checkpoint seeds a stage that does not come after its
+    own in ``checkpoint.STAGES``."""
+    if STAGES.index(ckpt_stage) >= STAGES.index(next_stage):
         logger.warning(
             "loading a %s-stage checkpoint into the %s stage; this rewinds the pipeline",
             ckpt_stage,

@@ -181,15 +181,51 @@ def test_malformed_header_field_raises_checkpoint_error(tmp_path, key, value):
         load_checkpoint(path)
 
 
-def test_label_count_other_than_classifier_width_raises_checkpoint_error(tmp_path):
+def _classifier_parts():
     cfg = StageConfig(d_model=16, n_layers=1, n_heads=2, d_ffn=32, pooled_dim=8, max_len=12)
     enc = ConversationalEncoder(cfg.encoder_config(20), SeedHub(8).stream("encoder_init"))
     clf = IntentClassifier(8, 3, SeedHub(8).stream("classifier_init"))
+    return cfg, enc, clf
+
+
+def test_label_count_other_than_classifier_width_raises_checkpoint_error(tmp_path):
+    cfg, enc, clf = _classifier_parts()
     path = tmp_path / "model.ckpt"
-    save_stage_checkpoint(path, "finetuned", cfg, 20, enc, classifier=clf, labels=["A"])
+    save_stage_checkpoint(path, "finetuned", cfg, 20, enc, classifier=clf, labels=["A", "B", "C"])
+    blob = path.read_bytes()
+    header = _header(blob)
+    header["labels"] = ["A"]
+    path.write_bytes(_with_header(blob, json.dumps(header).encode()))
     assert load_checkpoint(path).labels == ["A"]
     with pytest.raises(CheckpointError, match="1 label names for a 3-class classifier"):
         load_stage_checkpoint(path)
+
+
+_MALFORMED_LABELS = {"number-labels": 5, "string-labels": "ABC",
+                     "tuple-labels": ("A", "B", "C"), "number-label": ["A", 2, "C"]}
+
+
+@pytest.mark.parametrize("labels", list(_MALFORMED_LABELS.values()), ids=list(_MALFORMED_LABELS))
+def test_save_checkpoint_refuses_malformed_labels(tmp_path, labels):
+    enc, cfg = _encoder_and_cfg()
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="labels must be null or a list of strings"):
+        save_checkpoint(path, "retrieval", {"encoder": enc}, cfg.to_dict(), labels=labels)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("labels,message", [
+    (["A", 2, "C"], "labels must be null or a list of strings"),
+    (["A"], "1 label names for a 3-class classifier"),
+    ([], "0 label names for a 3-class classifier"),
+    (["A", "B", "C", "D"], "4 label names for a 3-class classifier"),
+], ids=["number-label", "one-label", "no-labels", "four-labels"])
+def test_save_stage_checkpoint_refuses_labels_load_refuses(tmp_path, labels, message):
+    cfg, enc, clf = _classifier_parts()
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=message):
+        save_stage_checkpoint(path, "finetuned", cfg, 20, enc, classifier=clf, labels=labels)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("moment", ["moment1.", "moment2."])

@@ -156,6 +156,32 @@ class TestStageCommands:
                      "--init-ckpt", str(d2 / "generation.ckpt"), "--seed", "0"] + _sets()) == 0
         assert (d3 / "finetuned.ckpt").exists()
 
+    @pytest.mark.parametrize("order,precision", [("retrieval_first", "float32"),
+                                                 ("generation_first", "float64")])
+    def test_stage_chain_reproduces_run_rsvp(self, order, precision, data_path, tmp_path):
+        """The stage commands chained at seed 0 in the task order write
+        run-rsvp's seed-0 checkpoint, vocabulary and curve rows."""
+        sets = _sets([f"task_order={order}", f"precision={precision}"])
+        run = tmp_path / "run"
+        assert main(["run-rsvp", "--data", data_path, "--out", str(run), "--seeds", "0"] + sets) == 0
+        pretrain = [("pretrain-retrieval", "retrieval", "retrieval"),
+                    ("pretrain-generation", "generation", "generation")]
+        if order == "generation_first":
+            pretrain.reverse()
+        init, curve_rows = [], []
+        for cmd, stage, tag in pretrain + [("finetune", "finetune", "finetuned")]:
+            out = tmp_path / cmd
+            assert main([cmd, "--data", data_path, "--out", str(out), "--seed", "0"]
+                        + init + sets) == 0
+            init = ["--init-ckpt", str(out / f"{tag}.ckpt")]
+            with open(out / f"{stage}_curves.csv", encoding="utf-8", newline="") as f:
+                curve_rows += list(csv.reader(f))[1:]
+        ft = tmp_path / "finetune"
+        assert (ft / "finetuned.ckpt").read_bytes() == (run / "finetuned_seed0.ckpt").read_bytes()
+        assert (ft / "vocab.txt").read_bytes() == (run / "vocab.txt").read_bytes()
+        with open(run / "report_curves.csv", encoding="utf-8", newline="") as f:
+            assert curve_rows == list(csv.reader(f))[1:]
+
     @pytest.fixture(scope="class")
     def retrieval_ckpt(self, data_path, tmp_path_factory):
         out = tmp_path_factory.mktemp("retr")
@@ -480,9 +506,50 @@ class TestCheckpointVocabulary:
             assert f"trained with {ckpt_size}" in err
             assert "pass --vocab" in err
         assert not (tmp_path / "emb.csv").exists()
-        for cmd in commands:
+        # with the right vocabulary, export runs; evaluate still refuses
+        # data whose intents are not the checkpoint's
+        for cmd, want in zip(commands, (1, 0)):
             assert main(cmd + ["--data", str(other), "--ckpt", str(ft / "finetuned.ckpt"),
-                               "--vocab", str(ft / "vocab.txt")]) == 0
+                               "--vocab", str(ft / "vocab.txt")]) == want
+
+
+class TestEvaluateLabels:
+    """evaluate scores data only when its intents are the checkpoint's:
+    gold labels index the data's sorted intent list, scores the checkpoint's."""
+
+    @staticmethod
+    def _subset(data_path, tmp_path):
+        path = tmp_path / "subset.jsonl"
+        with open(data_path, encoding="utf-8") as f:
+            kept = [line for line in f if "BookingChange" not in json.loads(line)["intents"]]
+        path.write_text("".join(kept), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _superset(data_path, tmp_path):
+        path = tmp_path / "superset.jsonl"
+        assert main(["gen-data", "--out", str(path), "--n-intents", "5", "--n-per-intent", "12",
+                     "--seed", "3"]) == 0
+        return path
+
+    @pytest.mark.parametrize("make", ["_subset", "_superset"])
+    def test_other_intents_exit_1(self, make, data_path, finetuned_dir, tmp_path, capsys):
+        other = getattr(self, make)(data_path, tmp_path)
+        data_labels = tr.prepare(load_jsonl(str(other)), load_config(None, MICRO)).label_names
+        ckpt_labels = tr.load_stage_checkpoint(str(finetuned_dir / "finetuned.ckpt"))[0].labels
+        assert data_labels != ckpt_labels
+        out = tmp_path / "metrics.json"
+        capsys.readouterr()
+        rc = main(["evaluate", "--data", str(other), "--ckpt", str(finetuned_dir / "finetuned.ckpt"),
+                   "--vocab", str(finetuned_dir / "vocab.txt"), "--split", "train",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert str(data_labels) in captured.err and str(ckpt_labels) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestPredictVocabulary:
