@@ -174,13 +174,7 @@ class Tensor:
 def _as_tensor(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    t = Tensor.__new__(Tensor)
-    t.data = np.asarray(x, dtype=like.data.dtype)
-    t.requires_grad = False
-    t.grad = None
-    t._parents = ()
-    t._grad_fn = None
-    return t
+    return _make(np.asarray(x, dtype=like.data.dtype), (), None)
 
 
 def _make(data: np.ndarray, parents, grad_fn) -> Tensor:
@@ -469,11 +463,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g):
-        if axis is None:
-            return [(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True))]
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         return [(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True))]
 
     return _make(data, (a,), grad_fn)

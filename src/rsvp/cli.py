@@ -48,7 +48,7 @@ def _resolve_config(args) -> StageConfig:
 
 def _load_prepared(args, cfg: StageConfig):
     records = load_jsonl(args.data)
-    vocab = Vocab.load(args.vocab) if getattr(args, "vocab", None) else None
+    vocab = Vocab.load(args.vocab) if args.vocab else None
     return tr.prepare(records, cfg, vocab=vocab)
 
 
@@ -100,7 +100,7 @@ def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
             if have != want:
                 raise ValueError(f"--init-ckpt {args.init_ckpt} has {field.name}={have!r}, "
                                  f"but this run's config and data give {want!r}")
-        tr.check_stage_transition(ckpt.stage, next_stage)
+        tr.check_stage_transition(ckpt.stage, next_stage, cfg.task_order)
         return encoder
     hub = SeedHub(seed)
     with ad.precision(cfg.precision):
@@ -152,7 +152,6 @@ def cmd_run_rsvp(args) -> int:
     prepared = _load_prepared(args, cfg)
     report = tr.run_rsvp(prepared, cfg, checkpoint_dir=args.out)
     paths = report.save(args.out)
-    prepared.vocab.save(os.path.join(args.out, "vocab.txt"))
     print(json.dumps(report.mean, sort_keys=True))
     print(f"report: {paths['report']}")
     return 0
@@ -188,22 +187,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _check_vocab_size(vocab: Vocab, source: str, encoder) -> None:
-    """A vocabulary whose size is not the checkpoint's is an error."""
-    expected = encoder.cfg.vocab_size
-    if len(vocab) != expected:
-        raise ValueError(
-            f"vocabulary ({source}) has {len(vocab)} tokens but the checkpoint was "
-            f"trained with {expected}; pass --vocab with the vocab.txt written beside it"
-        )
+def _checkpoint_vocab(args, encoder) -> Vocab:
+    """The vocabulary a checkpoint was trained with: ``--vocab``, else the
+    vocab.txt beside ``--ckpt``. One of another size is an error."""
+    path = args.vocab or os.path.join(os.path.dirname(args.ckpt), "vocab.txt")
+    if not os.path.exists(path):
+        raise ValueError(f"{path} not found; pass --vocab with the vocab.txt written beside "
+                         f"{args.ckpt}")
+    vocab = Vocab.load(path)
+    if len(vocab) != encoder.cfg.vocab_size:
+        raise ValueError(f"vocabulary {path} has {len(vocab)} tokens but the checkpoint was "
+                         f"trained with {encoder.cfg.vocab_size}")
+    return vocab
 
 
 def _checkpoint_split(args, cfg: StageConfig, encoder):
-    """Prepare ``--data`` with the checkpoint's config; returns (prepared,
-    the ``--split`` examples). Without ``--vocab`` the vocabulary is rebuilt
-    from the data."""
-    prepared = _load_prepared(args, cfg)
-    _check_vocab_size(prepared.vocab, args.vocab or f"rebuilt from {args.data}", encoder)
+    """Prepare ``--data`` with the checkpoint's config and vocabulary;
+    returns (prepared, the ``--split`` examples)."""
+    prepared = tr.prepare(load_jsonl(args.data), cfg, vocab=_checkpoint_vocab(args, encoder))
     splits = {"train": prepared.train, "valid": prepared.valid, "test": prepared.test}
     return prepared, splits[args.split]
 
@@ -236,8 +237,7 @@ def cmd_predict(args) -> int:
         raise ValueError("predict needs a finetuned checkpoint with a classifier head")
     if ckpt.labels is None:
         raise ValueError("checkpoint does not carry label names")
-    vocab = Vocab.load(args.vocab)
-    _check_vocab_size(vocab, args.vocab, encoder)
+    vocab = _checkpoint_vocab(args, encoder)
     ids, seqs = [], []
     for lineno, raw in read_jsonl(args.input):
         turns = raw.get("utterance_turns")

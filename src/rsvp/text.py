@@ -17,7 +17,7 @@ import numpy as np
 PAD, UNK, CLS, SEP, BOS, EOS = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[BOS]", "[EOS]"
 RESERVED_TOKENS = (PAD, UNK, CLS, SEP, BOS, EOS)
 # every vocabulary starts with RESERVED_TOKENS, so their ids are fixed
-PAD_ID, BOS_ID, EOS_ID = (RESERVED_TOKENS.index(t) for t in (PAD, BOS, EOS))
+PAD_ID, UNK_ID, CLS_ID, SEP_ID, BOS_ID, EOS_ID = range(len(RESERVED_TOKENS))
 
 _URL_RE = re.compile(r"(?:\b[a-zA-Z][a-zA-Z0-9+.\-]*://\S+|\bwww\.\S+)")
 
@@ -97,6 +97,8 @@ def tokenize(text: str, char_fallback: bool = False) -> list[str]:
 class Vocab:
     """Bijective token<->id map with the six reserved tokens at ids 0..5."""
 
+    pad_id, unk_id, cls_id, sep_id, bos_id, eos_id = PAD_ID, UNK_ID, CLS_ID, SEP_ID, BOS_ID, EOS_ID
+
     def __init__(self, tokens: list[str]):
         if tuple(tokens[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise ValueError("vocab must start with the reserved tokens")
@@ -104,12 +106,6 @@ class Vocab:
         self._ids = {tok: i for i, tok in enumerate(self._tokens)}
         if len(self._ids) != len(self._tokens):
             raise ValueError("vocab contains duplicate tokens")
-        self.pad_id = self._ids[PAD]
-        self.unk_id = self._ids[UNK]
-        self.cls_id = self._ids[CLS]
-        self.sep_id = self._ids[SEP]
-        self.bos_id = self._ids[BOS]
-        self.eos_id = self._ids[EOS]
 
     def __len__(self) -> int:
         return len(self._tokens)

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import (STAGES, CheckpointError, check_labels, load_checkpoint,
-                         restore_component, save_checkpoint)
+from .checkpoint import (CheckpointError, check_labels, load_checkpoint, restore_component,
+                         save_checkpoint)
 from .config import StageConfig
 from .losses import (
     classification_loss,
@@ -245,12 +245,11 @@ def score_utterances(encoder, classifier, utterance_seqs, multi_label: bool):
 
 def predict_examples(encoder, classifier, examples, multi_label: bool = False):
     """Eval-mode predictions; never reads response tokens."""
-    seqs = [ex.utterance_ids for ex in examples]
-    golds = [ex.label for ex in examples]
     if not examples:
         return []
-    scores = score_utterances(encoder, classifier, seqs, multi_label)
-    return [Prediction(scores=scores[i], gold=golds[i]) for i in range(len(examples))]
+    scores = score_utterances(encoder, classifier, [ex.utterance_ids for ex in examples],
+                              multi_label)
+    return [Prediction(scores=row, gold=ex.label) for row, ex in zip(scores, examples)]
 
 
 def compute_metrics(preds, multi_label: bool = False) -> dict:
@@ -281,7 +280,6 @@ def finetune(encoder, train_examples, valid_examples, cfg: StageConfig, hub: See
     """
     # project once: only utterances and labels flow through this stage
     train_feats = [(ex.utterance_ids, ex.label) for ex in train_examples]
-    valid_feats = [(ex.utterance_ids, ex.label) for ex in valid_examples]
     if classifier is None:
         classifier = IntentClassifier(cfg.pooled_dim, n_classes, hub.stream("classifier_init"))
     params = encoder.parameters() + classifier.parameters()
@@ -316,10 +314,9 @@ def finetune(encoder, train_examples, valid_examples, cfg: StageConfig, hub: See
 
     def end_epoch():
         nonlocal best_score, best_snapshot
-        if not valid_feats:
+        preds = predict_examples(encoder, classifier, valid_examples, cfg.multi_label)
+        if not preds:
             return {"valid_score": float("nan")}
-        scores = score_utterances(encoder, classifier, [u for u, _ in valid_feats], cfg.multi_label)
-        preds = [Prediction(scores=scores[i], gold=y) for i, (_, y) in enumerate(valid_feats)]
         score = multilabel_metrics(preds)["subset_accuracy"] if cfg.multi_label else accuracy(preds)
         if cfg.checkpoint_selection == "best_valid" and score > best_score:
             best_score = score
@@ -405,16 +402,20 @@ def _mean_metrics(per_seed: list) -> dict:
     return {k: float(np.mean([row[k] for row in per_seed])) for k in keys}
 
 
+def _pretrain_order(task_order: str) -> tuple:
+    """The two pre-training stages in the order ``task_order`` runs them."""
+    if task_order == "generation_first":
+        return ("generation", "retrieval")
+    return ("retrieval", "generation")
+
+
 def _seed_pipeline(prepared: PreparedData, cfg: StageConfig, seed: int, pretraining: bool):
     hub = SeedHub(seed)
     encoder = ConversationalEncoder(
         cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init")
     )
-    pretrain = ("retrieval", "generation")
-    if cfg.task_order == "generation_first":
-        pretrain = pretrain[::-1]
     stage_curves = {}
-    for stage in (pretrain if pretraining else ()) + ("finetune",):
+    for stage in (_pretrain_order(cfg.task_order) if pretraining else ()) + ("finetune",):
         heads, stage_curves[stage] = train_stage(stage, encoder, prepared, cfg, hub)
     classifier = heads["classifier"]
     preds = predict_examples(encoder, classifier, prepared.test, cfg.multi_label)
@@ -455,7 +456,8 @@ def run_rsvp(
     """Full two-stage pipeline, repeated over cfg.seeds and averaged.
 
     With ``checkpoint_dir`` set, the fine-tuned model for each seed is
-    saved as finetuned_seed<seed>.ckpt.
+    saved as finetuned_seed<seed>.ckpt, and the vocabulary beside them as
+    vocab.txt.
     """
     def save(seed, encoder, classifier):
         os.makedirs(checkpoint_dir, exist_ok=True)
@@ -469,8 +471,11 @@ def run_rsvp(
             labels=prepared.label_names,
         )
 
-    return _run_seeds(prepared, cfg, variant, pretraining=True,
-                      on_seed=save if checkpoint_dir is not None else None)
+    report = _run_seeds(prepared, cfg, variant, pretraining=True,
+                        on_seed=save if checkpoint_dir is not None else None)
+    if checkpoint_dir is not None:
+        prepared.vocab.save(os.path.join(checkpoint_dir, "vocab.txt"))
+    return report
 
 
 def run_baseline_classifier(
@@ -606,10 +611,11 @@ def load_stage_checkpoint(path):
     return ckpt, cfg, encoder, decoder, classifier
 
 
-def check_stage_transition(ckpt_stage: str, next_stage: str) -> None:
+def check_stage_transition(ckpt_stage: str, next_stage: str, task_order: str) -> None:
     """Warn when a checkpoint seeds a stage that does not come after its
-    own in ``checkpoint.STAGES``."""
-    if STAGES.index(ckpt_stage) >= STAGES.index(next_stage):
+    own in the pipeline ``task_order`` runs."""
+    order = _pretrain_order(task_order) + ("finetuned",)
+    if order.index(ckpt_stage) >= order.index(next_stage):
         logger.warning(
             "loading a %s-stage checkpoint into the %s stage; this rewinds the pipeline",
             ckpt_stage,

@@ -92,12 +92,18 @@ def test_not_a_checkpoint(tmp_path):
 def test_stage_transitions(caplog):
     import logging
 
-    with caplog.at_level(logging.WARNING, logger="rsvp.training"):
-        check_stage_transition("retrieval", "generation")  # forward: silent
-    assert not caplog.records
-    with caplog.at_level(logging.WARNING, logger="rsvp.training"):
-        check_stage_transition("finetuned", "retrieval")  # rewind: warns
-    assert any("rewinds" in r.message for r in caplog.records)
+    for order, forward in (("retrieval_first", ("retrieval", "generation")),
+                           ("generation_first", ("generation", "retrieval"))):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="rsvp.training"):
+            check_stage_transition(*forward, order)  # forward in this task order: silent
+            check_stage_transition(forward[1], "finetuned", order)
+        assert not caplog.records
+        for ckpt_stage, next_stage in (("finetuned", "retrieval"), forward[::-1]):  # rewinds
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="rsvp.training"):
+                check_stage_transition(ckpt_stage, next_stage, order)
+            assert any("rewinds" in r.message for r in caplog.records)
 
 
 def test_bitwise_identical_files_for_identical_models(tmp_path):

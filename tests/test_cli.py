@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import warnings
 
@@ -158,9 +159,10 @@ class TestStageCommands:
 
     @pytest.mark.parametrize("order,precision", [("retrieval_first", "float32"),
                                                  ("generation_first", "float64")])
-    def test_stage_chain_reproduces_run_rsvp(self, order, precision, data_path, tmp_path):
+    def test_stage_chain_reproduces_run_rsvp(self, order, precision, data_path, tmp_path, caplog):
         """The stage commands chained at seed 0 in the task order write
-        run-rsvp's seed-0 checkpoint, vocabulary and curve rows."""
+        run-rsvp's seed-0 checkpoint, vocabulary and curve rows, and no
+        stage transition in that order warns."""
         sets = _sets([f"task_order={order}", f"precision={precision}"])
         run = tmp_path / "run"
         assert main(["run-rsvp", "--data", data_path, "--out", str(run), "--seeds", "0"] + sets) == 0
@@ -171,11 +173,13 @@ class TestStageCommands:
         init, curve_rows = [], []
         for cmd, stage, tag in pretrain + [("finetune", "finetune", "finetuned")]:
             out = tmp_path / cmd
-            assert main([cmd, "--data", data_path, "--out", str(out), "--seed", "0"]
-                        + init + sets) == 0
+            with caplog.at_level(logging.WARNING, logger="rsvp.training"):
+                assert main([cmd, "--data", data_path, "--out", str(out), "--seed", "0"]
+                            + init + sets) == 0
             init = ["--init-ckpt", str(out / f"{tag}.ckpt")]
             with open(out / f"{stage}_curves.csv", encoding="utf-8", newline="") as f:
                 curve_rows += list(csv.reader(f))[1:]
+        assert not [r for r in caplog.records if r.name == "rsvp.training"]
         ft = tmp_path / "finetune"
         assert (ft / "finetuned.ckpt").read_bytes() == (run / "finetuned_seed0.ckpt").read_bytes()
         assert (ft / "vocab.txt").read_bytes() == (run / "vocab.txt").read_bytes()
@@ -483,34 +487,71 @@ class TestExportEmbeddings:
 
 
 class TestCheckpointVocabulary:
-    """evaluate and export-embeddings without --vocab rebuild the vocabulary
-    from --data; one of another size than the checkpoint's is an error."""
+    """evaluate and export-embeddings read the vocabulary from --vocab, else
+    from the vocab.txt beside --ckpt; they never build one from --data."""
 
-    def test_rebuilt_vocab_of_other_size_exits_1(self, data_path, tmp_path, capsys):
-        ft = tmp_path / "ft"
-        assert main(["finetune", "--data", data_path, "--out", str(ft), "--seed", "0"] + _sets()) == 0
+    @pytest.fixture(scope="class")
+    def ft3(self, tmp_path_factory):
+        """A checkpoint fine-tuned on 3 intents at data seed 1, and data
+        of the same make-up at seed 2."""
+        d = tmp_path_factory.mktemp("ft3")
+        for seed in (1, 2):
+            assert main(["gen-data", "--out", str(d / f"data{seed}.jsonl"), "--n-intents", "3",
+                         "--n-per-intent", "8", "--seed", str(seed)]) == 0
+        assert main(["finetune", "--data", str(d / "data1.jsonl"), "--out", str(d / "ft"),
+                     "--seed", "0"] + _sets()) == 0
+        return d
+
+    def test_export_of_other_data_uses_the_checkpoints_vocab(self, ft3, tmp_path):
+        ft, other = ft3 / "ft", str(ft3 / "data2.jsonl")
+        for name, extra in (("beside.csv", []), ("given.csv", ["--vocab", str(ft / "vocab.txt")])):
+            assert main(["export-embeddings", "--data", other, "--ckpt", str(ft / "finetuned.ckpt"),
+                         "--split", "train", "--out", str(tmp_path / name)] + extra) == 0
+        assert (tmp_path / "beside.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+
+    @pytest.mark.parametrize("cmd", [["evaluate"], ["export-embeddings", "--out", "emb.csv"]])
+    def test_checkpoint_without_vocab_beside_it_exits_1(self, cmd, ft3, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        ckpt = alone / "finetuned.ckpt"
+        ckpt.write_bytes((ft3 / "ft" / "finetuned.ckpt").read_bytes())
+        capsys.readouterr()
+        rc = main(cmd + ["--data", str(ft3 / "data1.jsonl"), "--ckpt", str(ckpt)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(alone / "vocab.txt") in captured.err and "--vocab" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "emb.csv").exists()
+
+    def test_vocab_of_other_size_exits_1(self, data_path, finetuned_dir, tmp_path, capsys):
+        ckpt = str(finetuned_dir / "finetuned.ckpt")
         other = tmp_path / "other.jsonl"
         assert main(["gen-data", "--out", str(other), "--n-intents", "4", "--n-per-intent", "12",
                      "--seed", "9", "--vocab-style", "abstract"]) == 0
-        ckpt_size = len((ft / "vocab.txt").read_text(encoding="utf-8").splitlines())
-        cfg = load_config(None, MICRO)
-        rebuilt_size = len(tr.prepare(load_jsonl(str(other)), cfg).vocab)
-        assert rebuilt_size != ckpt_size
+        other_vocab = tmp_path / "other_vocab.txt"
+        assert main(["build-vocab", "--data", str(other), "--out", str(other_vocab)]
+                    + _sets()) == 0
+        ckpt_size = len((finetuned_dir / "vocab.txt").read_text(encoding="utf-8").splitlines())
+        other_size = len(other_vocab.read_text(encoding="utf-8").splitlines())
+        assert other_size != ckpt_size
         commands = (["evaluate"], ["export-embeddings", "--out", str(tmp_path / "emb.csv")])
         capsys.readouterr()
         for cmd in commands:
-            rc = main(cmd + ["--data", str(other), "--ckpt", str(ft / "finetuned.ckpt")])
+            rc = main(cmd + ["--data", data_path, "--ckpt", ckpt, "--vocab", str(other_vocab)])
             err = capsys.readouterr().err
             assert rc == 1
-            assert f"has {rebuilt_size} tokens" in err
+            assert f"has {other_size} tokens" in err
             assert f"trained with {ckpt_size}" in err
-            assert "pass --vocab" in err
         assert not (tmp_path / "emb.csv").exists()
-        # with the right vocabulary, export runs; evaluate still refuses
-        # data whose intents are not the checkpoint's
+        # without --vocab, other data exports; evaluate still refuses data
+        # whose intents are not the checkpoint's
         for cmd, want in zip(commands, (1, 0)):
-            assert main(cmd + ["--data", str(other), "--ckpt", str(ft / "finetuned.ckpt"),
-                               "--vocab", str(ft / "vocab.txt")]) == want
+            assert main(cmd + ["--data", str(other), "--ckpt", ckpt]) == want
+        assert "but the checkpoint was trained on" in capsys.readouterr().err
 
 
 class TestEvaluateLabels:

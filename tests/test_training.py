@@ -544,6 +544,14 @@ class TestPipelines:
             _, _, encoder, _, _ = tr.load_stage_checkpoint(str(tmp_path / "finetuned_seed0.ckpt"))
             assert encoder.tok_emb.data.dtype == np.float64
 
+    def test_run_rsvp_writes_vocab_beside_checkpoints(self, dataset, tmp_path):
+        prepared, cfg = dataset
+        run_cfg = cfg.replace(retrieval_epochs=0, generation_epochs=0, finetune_epochs=1)
+        tr.run_rsvp(prepared, run_cfg, checkpoint_dir=str(tmp_path / "run"))
+        prepared.vocab.save(str(tmp_path / "vocab.txt"))
+        assert (tmp_path / "run" / "finetuned_seed0.ckpt").exists()
+        assert (tmp_path / "run" / "vocab.txt").read_bytes() == (tmp_path / "vocab.txt").read_bytes()
+
     def test_run_rsvp_deterministic(self, dataset):
         prepared, cfg = dataset
         r1 = tr.run_rsvp(prepared, cfg)
