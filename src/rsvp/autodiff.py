@@ -33,6 +33,7 @@ _grad_enabled = True
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_EPS = 1e-5  # layer norm's variance floor
+_COS_EPS = 1e-8  # cosine_similarity's floor on the norm product
 
 # Abramowitz & Stegun 7.1.26: erf(x) = 1 - t*(a1 + a2 t + ... + a5 t^4) e^{-x^2},
 # t = 1 / (1 + p x) for x >= 0, |error| <= 1.5e-7; _AS_A runs a5 down to a1
@@ -770,17 +771,16 @@ def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, p: fl
     return _make(out, (x, y, gamma, beta), grad_fn)
 
 
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    """Cosine of the angle between two vectors, with an eps-guarded denominator.
+def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine of the angle between two vectors, with a guarded denominator.
 
-    The guard max(|a||b|, eps) keeps the value defined when either vector is
-    zero, which tanh-pooled encoders produce at all-zero initialization.
+    The guard max(|a||b|, _COS_EPS) keeps the value defined when either
+    vector is zero, which tanh-pooled encoders produce at all-zero
+    initialization.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
         raise ValueError(f"cosine_similarity needs equal-length vectors, got {a.data.shape} and {b.data.shape}")
     num = tsum(mul(a, b))
     na = sqrt(tsum(mul(a, a)))
     nb = sqrt(tsum(mul(b, b)))
-    return div(num, clamp_min(mul(na, nb), eps))
+    return div(num, clamp_min(mul(na, nb), _COS_EPS))

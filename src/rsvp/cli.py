@@ -187,9 +187,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _checkpoint_vocab(args, encoder) -> Vocab:
-    """The vocabulary a checkpoint was trained with: ``--vocab``, else the
-    vocab.txt beside ``--ckpt``. One of another size is an error."""
+def _serving_model(args, head: bool):
+    """Load ``--ckpt`` for a serving command; returns (ckpt, cfg, encoder,
+    classifier, vocab). ``head`` requires a classifier head. The vocabulary
+    is ``--vocab``, else the vocab.txt beside ``--ckpt``; one of another
+    size than the checkpoint's is an error."""
+    ckpt, cfg, encoder, _, classifier = tr.load_stage_checkpoint(args.ckpt)
+    if head and classifier is None:
+        raise ValueError(f"{args.command} needs a finetuned checkpoint with a classifier head")
     path = args.vocab or os.path.join(os.path.dirname(args.ckpt), "vocab.txt")
     if not os.path.exists(path):
         raise ValueError(f"{path} not found; pass --vocab with the vocab.txt written beside "
@@ -198,28 +203,19 @@ def _checkpoint_vocab(args, encoder) -> Vocab:
     if len(vocab) != encoder.cfg.vocab_size:
         raise ValueError(f"vocabulary {path} has {len(vocab)} tokens but the checkpoint was "
                          f"trained with {encoder.cfg.vocab_size}")
-    return vocab
-
-
-def _checkpoint_split(args, cfg: StageConfig, encoder):
-    """Prepare ``--data`` with the checkpoint's config and vocabulary;
-    returns (prepared, the ``--split`` examples)."""
-    prepared = tr.prepare(load_jsonl(args.data), cfg, vocab=_checkpoint_vocab(args, encoder))
-    splits = {"train": prepared.train, "valid": prepared.valid, "test": prepared.test}
-    return prepared, splits[args.split]
+    return ckpt, cfg, encoder, classifier, vocab
 
 
 def cmd_evaluate(args) -> int:
-    ckpt, cfg, encoder, _, classifier = tr.load_stage_checkpoint(args.ckpt)
-    if classifier is None:
-        raise ValueError("evaluate needs a finetuned checkpoint with a classifier head")
-    prepared, examples = _checkpoint_split(args, cfg, encoder)
+    ckpt, cfg, encoder, classifier, vocab = _serving_model(args, head=True)
+    prepared = tr.prepare(load_jsonl(args.data), cfg, vocab=vocab)
     # gold labels are indices into the data's label set, scores into the
     # checkpoint's; they mean the same classes only when the two lists agree
     if prepared.label_names != ckpt.labels:
         raise ValueError(f"{args.data} has intents {prepared.label_names} but the checkpoint "
                          f"was trained on {ckpt.labels}")
-    preds = tr.predict_examples(encoder, classifier, examples, cfg.multi_label)
+    preds = tr.predict_examples(encoder, classifier, getattr(prepared, args.split),
+                                cfg.multi_label)
     metrics = tr.compute_metrics(preds, cfg.multi_label)
     print(json.dumps(metrics, sort_keys=True))
     if args.out:
@@ -232,12 +228,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     """Predict intents for raw JSONL records; reads only utterance_turns."""
-    ckpt, cfg, encoder, _, classifier = tr.load_stage_checkpoint(args.ckpt)
-    if classifier is None:
-        raise ValueError("predict needs a finetuned checkpoint with a classifier head")
+    ckpt, cfg, encoder, classifier, vocab = _serving_model(args, head=True)
     if ckpt.labels is None:
         raise ValueError("checkpoint does not carry label names")
-    vocab = _checkpoint_vocab(args, encoder)
     ids, seqs = [], []
     for lineno, raw in read_jsonl(args.input):
         turns = raw.get("utterance_turns")
@@ -269,9 +262,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    ckpt, cfg, encoder, _, _ = tr.load_stage_checkpoint(args.ckpt)
-    prepared, examples = _checkpoint_split(args, cfg, encoder)
-    export_embeddings(encoder, examples, prepared.label_names, args.out)
+    _, cfg, encoder, _, vocab = _serving_model(args, head=False)
+    prepared = tr.prepare(load_jsonl(args.data), cfg, vocab=vocab)
+    export_embeddings(encoder, getattr(prepared, args.split), prepared.label_names, args.out)
     print(f"embeddings: {args.out}")
     return 0
 
@@ -346,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict intents for raw records")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab", required=True)
+    p.add_argument("--vocab", default=None,
+                   help="token-per-line vocab file; default: vocab.txt beside --ckpt")
     p.add_argument("--input", required=True, help="JSONL with utterance_turns")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)

@@ -45,12 +45,12 @@ class EncoderConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
 
-def _normal(rng: np.random.Generator | None, shape, std=None):
+def _normal(rng: np.random.Generator | None, shape):
     """Init weights drawn from ``rng``; without one, zeros in the default
     dtype, for a module that a checkpoint restore fills."""
     if rng is None:
         return np.zeros(shape, ad.default_dtype())
-    return rng.normal(0.0, INIT_STD if std is None else std, size=shape)
+    return rng.normal(0.0, INIT_STD, size=shape)
 
 
 class Module:
@@ -152,13 +152,16 @@ class EncoderBlock(Module):
         return self.ln2.residual(x, self.ffn(x), dropout_p, rng)
 
 
-def pad_batch(seqs, pad_to: int | None = None):
-    """Right-pad integer sequences with PAD (id 0) to a common length;
-    returns (ids, mask)."""
+def pad_batch(seqs):
+    """Right-pad integer sequences with PAD (id 0) to the longest one;
+    returns (ids, mask). An empty batch or an empty sequence raises
+    ValueError: it has no [CLS] row to pool or attend from."""
+    if not len(seqs):
+        raise ValueError("cannot pad an empty batch")
     lengths = [len(s) for s in seqs]
-    T = max(lengths) if pad_to is None else pad_to
-    if pad_to is not None and pad_to < max(lengths):
-        raise ValueError(f"pad_to {pad_to} shorter than longest sequence {max(lengths)}")
+    if min(lengths) == 0:
+        raise ValueError(f"sequence {lengths.index(0)} of the batch is empty")
+    T = max(lengths)
     ids = np.zeros((len(seqs), T), dtype=np.int64)
     mask = np.zeros((len(seqs), T), dtype=np.float64)
     for i, s in enumerate(seqs):
@@ -232,8 +235,7 @@ class ConversationalEncoder(_Embedded):
         pool = self.pool.parameters()
         return [p for p in self.parameters() if not any(p is q for q in pool)]
 
-    def forward_hidden(self, seqs, training=False, rng=None, pad_to=None, dropout_p=None, *,
-                       cls_only=False):
+    def forward_hidden(self, seqs, training=False, rng=None, dropout_p=None, *, cls_only=False):
         """Per-position hidden states for a batch of id sequences.
 
         Returns (hidden (B, T, d_model) tensor, validity mask (B, T) array).
@@ -245,7 +247,7 @@ class ConversationalEncoder(_Embedded):
         without it.
         """
         p = _dropout_rate(training, dropout_p)
-        ids, mask = pad_batch(seqs, pad_to=pad_to)
+        ids, mask = pad_batch(seqs)
         bias = _key_bias(mask, self.tok_emb.dtype)
         x = ad.dropout(self._embed(ids), p, rng)
         last = len(self.blocks) - 1
@@ -257,11 +259,11 @@ class ConversationalEncoder(_Embedded):
         """tanh(W h_cls + b): components always lie in (-1, 1)."""
         return ad.tanh(self.pool(ad.token_at(hidden, 0)))
 
-    def encode_batch(self, seqs, training=False, rng=None, pad_to=None, dropout_p=None) -> Tensor:
+    def encode_batch(self, seqs, training=False, rng=None, dropout_p=None) -> Tensor:
         """Pooled (B, pooled_dim) embeddings; only the [CLS] row of the
         last block is computed, since pooling reads nothing else."""
         hidden, _ = self.forward_hidden(
-            seqs, training=training, rng=rng, pad_to=pad_to, dropout_p=dropout_p, cls_only=True
+            seqs, training=training, rng=rng, dropout_p=dropout_p, cls_only=True
         )
         return self.pool_cls(hidden)
 
@@ -282,12 +284,6 @@ class ConversationalEncoder(_Embedded):
                 q = self.encode_batch(seqs[start:stop])
                 out.append((q if head is None else head(q)).data)
         return np.concatenate(out, axis=0)
-
-    def encode(self, ids) -> Tensor:
-        """Deterministic eval-mode embedding of a single id sequence."""
-        if len(ids) == 0:
-            raise ValueError("cannot encode an empty id sequence")
-        return self.encode_batch([list(ids)]).reshape(self.cfg.pooled_dim)
 
 
 class DecoderBlock(Module):

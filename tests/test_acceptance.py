@@ -172,12 +172,13 @@ def test_criterion_3_mask_and_sharing_invariants(capsys, desk_data):
         mut, _ = dec.forward_teacher_forced(h, m, [mutated])
         assert np.abs(base.data[0, : t + 1] - mut.data[0, : t + 1]).max() <= 1e-6
 
-        plain = enc.encode_batch([u]).data
-        padded = enc.encode_batch([u], pad_to=len(u) + int(r.integers(1, 6))).data
+        plain = enc.embed([u])
+        # a batch mate k tokens longer pads u's row by k
+        padded = enc.embed([u, u + [u[-1]] * int(r.integers(1, 6))])[:1]
         assert np.abs(plain - padded).max() <= 1e-6
 
-        q, p = enc.encode(u), enc.encode(u)
-        assert np.array_equal(q.data, p.data)
+        q, p = enc.embed([u]), enc.embed([u])
+        assert np.array_equal(q, p)
     _announce(capsys, "ACCEPTANCE 3 mask-and-sharing-invariants: PASS")
 
 

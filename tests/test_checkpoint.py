@@ -28,11 +28,11 @@ def _encoder_and_cfg():
 
 def test_save_load_encode_bitwise(tmp_path):
     enc, cfg = _encoder_and_cfg()
-    before = enc.encode([2, 7, 9, 11]).data.copy()
+    before = enc.embed([[2, 7, 9, 11]])
     path = tmp_path / "model.ckpt"
     save_stage_checkpoint(path, "retrieval", cfg, 30, enc)
     _, _, restored, _, _ = load_stage_checkpoint(path)
-    after = restored.encode([2, 7, 9, 11]).data
+    after = restored.embed([[2, 7, 9, 11]])
     assert np.array_equal(before, after)
 
 
@@ -435,9 +435,9 @@ class TestLoadPath:
         generators = []
         normal = model._normal
 
-        def recording_normal(rng, shape, std=None):
+        def recording_normal(rng, shape):
             generators.append(rng)
-            return normal(rng, shape, std)
+            return normal(rng, shape)
 
         def no_rng(*args, **kwargs):
             raise AssertionError("a checkpoint load created a generator")

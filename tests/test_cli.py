@@ -487,8 +487,9 @@ class TestExportEmbeddings:
 
 
 class TestCheckpointVocabulary:
-    """evaluate and export-embeddings read the vocabulary from --vocab, else
-    from the vocab.txt beside --ckpt; they never build one from --data."""
+    """evaluate, export-embeddings and predict read the vocabulary from
+    --vocab, else from the vocab.txt beside --ckpt; they never build one
+    from --data."""
 
     @pytest.fixture(scope="class")
     def ft3(self, tmp_path_factory):
@@ -509,7 +510,10 @@ class TestCheckpointVocabulary:
                          "--split", "train", "--out", str(tmp_path / name)] + extra) == 0
         assert (tmp_path / "beside.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
 
-    @pytest.mark.parametrize("cmd", [["evaluate"], ["export-embeddings", "--out", "emb.csv"]])
+    # each command ends in the flag that takes the data
+    @pytest.mark.parametrize("cmd", [["evaluate", "--data"],
+                                     ["export-embeddings", "--out", "emb.csv", "--data"],
+                                     ["predict", "--out", "pred.jsonl", "--input"]])
     def test_checkpoint_without_vocab_beside_it_exits_1(self, cmd, ft3, tmp_path, capsys,
                                                         monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -518,14 +522,14 @@ class TestCheckpointVocabulary:
         ckpt = alone / "finetuned.ckpt"
         ckpt.write_bytes((ft3 / "ft" / "finetuned.ckpt").read_bytes())
         capsys.readouterr()
-        rc = main(cmd + ["--data", str(ft3 / "data1.jsonl"), "--ckpt", str(ckpt)])
+        rc = main(cmd + [str(ft3 / "data1.jsonl"), "--ckpt", str(ckpt)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert str(alone / "vocab.txt") in captured.err and "--vocab" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
-        assert not (tmp_path / "emb.csv").exists()
+        assert not (tmp_path / "emb.csv").exists() and not (tmp_path / "pred.jsonl").exists()
 
     def test_vocab_of_other_size_exits_1(self, data_path, finetuned_dir, tmp_path, capsys):
         ckpt = str(finetuned_dir / "finetuned.ckpt")
@@ -618,6 +622,15 @@ class TestPredictVocabulary:
         assert main(["predict", "--ckpt", str(ft / "finetuned.ckpt"),
                      "--vocab", str(ft / "vocab.txt"), "--input", str(other),
                      "--out", str(pred_path)]) == 0
+
+    def test_without_vocab_reads_the_vocab_beside_the_checkpoint(self, data_path, finetuned_dir,
+                                                                 tmp_path):
+        ckpt = str(finetuned_dir / "finetuned.ckpt")
+        for name, extra in (("beside.jsonl", []),
+                            ("given.jsonl", ["--vocab", str(finetuned_dir / "vocab.txt")])):
+            assert main(["predict", "--ckpt", ckpt, "--input", data_path,
+                         "--out", str(tmp_path / name)] + extra) == 0
+        assert (tmp_path / "beside.jsonl").read_bytes() == (tmp_path / "given.jsonl").read_bytes()
 
 
 class TestErrorPaths:
@@ -779,7 +792,7 @@ class TestEveryFlagIsRead:
     def _argv(self, cmd, data, ft, out):
         """A run of ``cmd`` that passes only its required flags; a new
         subcommand fails here until it is added."""
-        ckpt, vocab = str(ft / "finetuned.ckpt"), str(ft / "vocab.txt")
+        ckpt = str(ft / "finetuned.ckpt")
         sets = _sets() + self.ONE_SEED
         return {
             "gen-data": ["gen-data", "--out", out],
@@ -792,8 +805,7 @@ class TestEveryFlagIsRead:
             "sweep": ["sweep", "--axis", "lambda", "--data", data, "--out", out]
                      + _sets(["retrieval_epochs=0", "generation_epochs=0"]) + self.ONE_SEED,
             "evaluate": ["evaluate", "--data", data, "--ckpt", ckpt],
-            "predict": ["predict", "--ckpt", ckpt, "--vocab", vocab, "--input", data,
-                        "--out", out],
+            "predict": ["predict", "--ckpt", ckpt, "--input", data, "--out", out],
             "export-embeddings": ["export-embeddings", "--data", data, "--ckpt", ckpt,
                                   "--out", out],
         }[cmd]

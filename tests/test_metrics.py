@@ -174,7 +174,7 @@ class TestExportEmbeddings:
         M.export_embeddings(enc, examples, ["Refund", "Cancel"], path)
         _, _, mat = M.load_embeddings(path)
         for row, ex in zip(mat, examples):
-            again = enc.encode(ex.utterance_ids).data
+            again = enc.embed([ex.utterance_ids])
             assert np.abs(row - again).max() < 1e-6
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -215,7 +215,7 @@ class TestExportEmbeddings:
         assert ids == [ex.example_id for ex in examples]
         assert intents[4] == "A|C" and intents[:4] == ["A", "B", "C", "A"]
         for row, ex in zip(mat, examples):
-            assert np.abs(row - enc.encode(ex.utterance_ids).data).max() <= 1e-6
+            assert np.abs(row - enc.embed([ex.utterance_ids])).max() <= 1e-6
 
     def test_empty_split_writes_the_header_only(self, tmp_path):
         enc, _ = self._encoder_and_examples()

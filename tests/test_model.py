@@ -16,6 +16,7 @@ from rsvp.model import (
     ResponseDecoder,
     _token_chunks,
     init_decoder_from_encoder,
+    pad_batch,
 )
 from rsvp.optim import adamw_step, zero_grad
 from rsvp.rng import SeedHub
@@ -73,30 +74,31 @@ class TestEncode:
     def test_zero_weights_give_zero_embedding(self, encoder):
         for p in encoder.parameters():
             p.tensor.data[...] = 0.0
-        q = encoder.encode([2, 7, 8])
-        np.testing.assert_array_equal(q.data, np.zeros(16, dtype=np.float32))
+        q = encoder.embed([[2, 7, 8]])
+        np.testing.assert_array_equal(q, np.zeros((1, 16), dtype=np.float32))
 
     def test_components_inside_tanh_range(self, encoder, rng):
         for _ in range(5):
             seq = [2] + list(rng.integers(6, 40, size=8))
-            q = encoder.encode(seq).data
+            q = encoder.embed([seq])
             assert np.all(q > -1.0) and np.all(q < 1.0)
 
     def test_pad_invariance(self, encoder, rng):
         for _ in range(5):
             seq = [2] + list(rng.integers(6, 40, size=int(rng.integers(3, 10))))
-            plain = encoder.encode_batch([seq]).data
-            padded = encoder.encode_batch([seq], pad_to=20).data
+            plain = encoder.embed([seq])
+            # a batch mate padded to 20 tokens pads seq's row to 20 as well
+            padded = encoder.embed([seq, seq + [seq[-1]] * (20 - len(seq))])[:1]
             assert np.abs(plain - padded).max() <= 1e-6
 
     def test_eval_mode_deterministic(self, encoder):
-        q1 = encoder.encode([2, 9, 9, 11]).data
-        q2 = encoder.encode([2, 9, 9, 11]).data
+        q1 = encoder.embed([[2, 9, 9, 11]])
+        q2 = encoder.embed([[2, 9, 9, 11]])
         assert np.array_equal(q1, q2)
 
     def test_too_long_sequence_rejected(self, encoder):
         with pytest.raises(ValueError, match="max_positions"):
-            encoder.encode([2] + [6] * 30)
+            encoder.embed([[2] + [6] * 30])
 
     @pytest.mark.parametrize("entry", ["forward_hidden", "encode_batch", "forward_teacher_forced"])
     def test_training_without_dropout_p_raises(self, encoder, entry):
@@ -115,8 +117,36 @@ class TestEncode:
         assert gen.bit_generator.state == state
 
     def test_empty_sequence_rejected(self, encoder):
-        with pytest.raises(ValueError):
-            encoder.encode([])
+        with pytest.raises(ValueError, match="empty"):
+            encoder.embed([[]])
+
+
+class TestEmptyInput:
+    """pad_batch refuses an empty batch or an empty sequence, and every
+    entry point that pads a batch refuses it through pad_batch."""
+
+    @pytest.fixture
+    def calls(self, encoder):
+        dec = init_decoder_from_encoder(encoder, SeedHub(5).stream("decoder_init"))
+        return {
+            "pad_batch": pad_batch,
+            "forward_hidden": encoder.forward_hidden,
+            "encode_batch": encoder.encode_batch,
+            "embed": encoder.embed,
+            "generate": lambda seqs: dec.generate(encoder, seqs[-1], 5),
+        }
+
+    @pytest.mark.parametrize("seqs", [[[]], [[2, 7, 9], []]], ids=["alone", "with_a_mate"])
+    @pytest.mark.parametrize("entry", ["pad_batch", "forward_hidden", "encode_batch", "embed",
+                                       "generate"])
+    def test_empty_sequence_raises_value_error(self, calls, entry, seqs):
+        with pytest.raises(ValueError, match="empty"):
+            calls[entry](seqs)
+
+    @pytest.mark.parametrize("entry", ["pad_batch", "forward_hidden", "encode_batch", "embed"])
+    def test_empty_batch_raises_value_error(self, calls, entry):
+        with pytest.raises(ValueError, match="empty"):
+            calls[entry]([])
 
 
 def _pooled_with_grads(enc, pooled):
@@ -157,9 +187,10 @@ class TestClsOnlyLastBlock:
     the [CLS] row gets the same masks in both."""
 
     CASES = {
-        "unequal_lengths": ([[2, 7, 9, 11, 13, 30], [2, 8], [2, 31, 32, 33]], None),
-        "pad_to": ([[2, 7, 9], [2, 8, 10, 12]], 9),
-        "batch_1": ([[2, 7, 9, 11]], None),
+        "unequal_lengths": [[2, 7, 9, 11, 13, 30], [2, 8], [2, 31, 32, 33]],
+        # a longer batch mate pads the two shorter rows to 9 tokens
+        "pad_to": [[2, 7, 9], [2, 8, 10, 12], [2, 8, 10, 12] + [12] * 5],
+        "batch_1": [[2, 7, 9, 11]],
     }
 
     @pytest.mark.parametrize("precision,tol", [("float64", 1e-12), ("float32", 1e-5)])
@@ -167,15 +198,15 @@ class TestClsOnlyLastBlock:
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_pooled_full_sequence(self, precision, tol, n_layers, training, case):
-        seqs, pad_to = self.CASES[case]
+        seqs = self.CASES[case]
         with ad.precision(precision):
             enc = ConversationalEncoder(small_config(n_layers=n_layers),
                                         SeedHub(3).stream("encoder_init"))
             bits_fast, bits_full = _RowConstantBits(17), _RowConstantBits(17)
             fast, fast_grads = _pooled_with_grads(enc, lambda: enc.encode_batch(
-                seqs, training=training, rng=bits_fast, pad_to=pad_to, dropout_p=0.1))
+                seqs, training=training, rng=bits_fast, dropout_p=0.1))
             full, full_grads = _pooled_with_grads(enc, lambda: enc.pool_cls(enc.forward_hidden(
-                seqs, training, bits_full, pad_to, 0.1)[0]))
+                seqs, training, bits_full, 0.1)[0]))
         assert fast.dtype == full.dtype == np.dtype(precision)
         assert np.abs(fast - full).max() <= tol
         for g_fast, g_full in zip(fast_grads, full_grads):
@@ -210,8 +241,9 @@ class TestPaddingInvariance:
             enc = ConversationalEncoder(small_config(n_layers=n_layers),
                                         SeedHub(4).stream("encoder_init"))
             alone, alone_grads = _pooled_with_grads(enc, lambda: enc.encode_batch(self.UTTS))
+            # the last batch mate pads the batch 3 tokens past the response
             joint, joint_grads = _pooled_with_grads(enc, lambda: ad.narrow0(enc.encode_batch(
-                self.UTTS + [self.RESPONSE], pad_to=len(self.RESPONSE) + 3), 0, n))
+                self.UTTS + [self.RESPONSE, self.RESPONSE + [23] * 3]), 0, n))
         assert np.abs(alone - joint).max() <= 1e-12
         for g_alone, g_joint in zip(alone_grads, joint_grads):
             assert np.abs(g_alone - g_joint).max() <= 1e-12
@@ -219,16 +251,16 @@ class TestPaddingInvariance:
 
 class TestEncodePair:
     def test_identical_sequences_identical_embeddings_bitwise(self, encoder):
-        q, p = encoder.encode([2, 7, 9]), encoder.encode([2, 7, 9])
-        assert np.array_equal(q.data, p.data)
+        q, p = encoder.embed([[2, 7, 9]]), encoder.embed([[2, 7, 9]])
+        assert np.array_equal(q, p)
 
     def test_shared_parameter_sensitivity(self, encoder):
         u, r = [2, 7, 9], [2, 11, 13, 14]
-        q0, p0 = encoder.encode(u), encoder.encode(r)
+        q0, p0 = encoder.embed([u]), encoder.embed([r])
         encoder.pool.w.tensor.data[0, 0] += 0.05
-        q1, p1 = encoder.encode(u), encoder.encode(r)
-        assert not np.array_equal(q0.data, q1.data)
-        assert not np.array_equal(p0.data, p1.data)
+        q1, p1 = encoder.embed([u]), encoder.embed([r])
+        assert not np.array_equal(q0, q1)
+        assert not np.array_equal(p0, p1)
 
     def test_batch_shapes(self, encoder, rng):
         seqs = [[2] + list(rng.integers(6, 40, size=5)) for _ in range(6)]
@@ -499,8 +531,8 @@ class TestSharedOptimizerPath:
         params = encoder.parameters()
         adamw_step(params, lr=1e-3)
         zero_grad(params)
-        q2, p2 = encoder.encode(seq), encoder.encode(seq)
-        assert np.array_equal(q2.data, p2.data)
+        q2, p2 = encoder.embed([seq]), encoder.embed([seq])
+        assert np.array_equal(q2, p2)
 
 
 def _block_names(i, *sublayers):
