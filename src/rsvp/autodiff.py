@@ -421,6 +421,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), grad_fn)
 
 
+def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
+    if (w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ValueError(f"{op} shape mismatch: {x.data.shape} x {w.data.shape} + {b.data.shape}")
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` of a (..., D) array: one 2-D GEMM over the flattened
+    rows, the bias added in place into its output."""
+    out = x.reshape(-1, w.shape[0]) @ w
+    out += b
+    return out.reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _affine_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> list:
+    """(operand, gradient) pairs of ``_affine`` from its output gradient
+    ``g``, for the operands that require grad only."""
+    d_in, d_out = w.data.shape
+    g2 = g.reshape(-1, d_out)
+    # the input is reshaped again here so a copy of a strided input is not kept alive
+    grads = ((x, lambda: (g2 @ w.data.T).reshape(x.data.shape)),
+             (w, lambda: x.data.reshape(-1, d_in).T @ g2),
+             (b, lambda: g2.sum(axis=0)))
+    return [(t, grad()) for t, grad in grads if t.requires_grad]
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` of a (..., D) input, a (D, O) weight and an (O,) bias, as one node.
 
@@ -429,22 +455,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     bias and one 2-D GEMM each for the weight and the input, each computed
     only for an operand that requires grad.
     """
-    if (w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]
-            or b.data.shape != w.data.shape[1:]):
-        raise ValueError(f"linear shape mismatch: {x.data.shape} x {w.data.shape} + {b.data.shape}")
-    d_in, d_out = w.data.shape
-    data = x.data.reshape(-1, d_in) @ w.data
-    data += b.data
-
-    def grad_fn(g):
-        g2 = g.reshape(-1, d_out)
-        # the input is reshaped again here so a copy of a strided input is not kept alive
-        grads = ((x, lambda: (g2 @ w.data.T).reshape(x.data.shape)),
-                 (w, lambda: x.data.reshape(-1, d_in).T @ g2),
-                 (b, lambda: g2.sum(axis=0)))
-        return [(t, grad()) for t, grad in grads if t.requires_grad]
-
-    return _make(data.reshape(x.data.shape[:-1] + (d_out,)), (x, w, b), grad_fn)
+    _check_affine("linear", x, w, b)
+    return _make(_affine(x.data, w.data, b.data), (x, w, b),
+                 lambda g: _affine_grads(g, x, w, b))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -639,14 +652,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def _dropout_mask(shape, p: float, rng, dtype):
-    """The scaled keep mask of one dropout draw at ``shape``, or None where
-    dropout is the identity; ``dropout``, ``attention`` and
+    """One dropout draw at ``shape``: a boolean keep mask and the scale of
+    the kept entries, a 0-d array of ``dtype``; ``(None, None)`` where
+    dropout is the identity. ``dropout``, ``attention`` and
     ``residual_layer_norm`` all draw through here.
 
     One ``rng.integers(0, 65536, size=shape, dtype=np.uint16)`` call per
     mask: an entry is kept when its draw is at least ``thr = round(p *
     65536)`` and then weighs 65536 / (65536 - thr). A p that rounds to
     ``thr == 0``, evaluation's p = 0 included, draws nothing.
+
+    The mask takes one byte per entry, where a mask of the input's dtype
+    would take four or eight, and the nodes keep it until backward. They
+    apply it with ``_apply_mask``, whose result has the bits of ``a *
+    (keep * scale)`` for finite ``a``, signed zeros included.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -654,11 +673,20 @@ def _dropout_mask(shape, p: float, rng, dtype):
     if thr == 65536:
         raise ValueError(f"dropout probability {p} rounds to 1 at 16-bit resolution")
     if thr == 0:
-        return None
+        return None, None
     draw = rng.integers(0, 65536, size=shape, dtype=np.uint16)
-    keep = (draw >= thr).astype(dtype)
-    keep *= np.asarray(65536 / (65536 - thr), dtype=dtype)
-    return keep
+    return draw >= thr, np.asarray(65536 / (65536 - thr), dtype=dtype)
+
+
+def _apply_mask(a: np.ndarray, keep, scale, out=None) -> np.ndarray:
+    """``a * keep``, then scaled in place: dropped entries become a signed
+    zero, kept ones ``a * scale``. ``a`` itself where ``keep`` is None;
+    ``out`` may be ``a``."""
+    if keep is None:
+        return a
+    out = np.multiply(a, keep, out=out)
+    out *= scale
+    return out
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -675,10 +703,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     and ``residual_layer_norm`` nodes draw through as well, so a fused node
     consumes the random stream exactly as its composite would.
     """
-    keep = _dropout_mask(x.data.shape, p, rng, x.data.dtype)
+    keep, scale = _dropout_mask(x.data.shape, p, rng, x.data.dtype)
     if keep is None:
         return x
-    return _make(x.data * keep, (x,), lambda g: [(x, g * keep)])
+    return _make(_apply_mask(x.data, keep, scale), (x,),
+                 lambda g: [(x, _apply_mask(g, keep, scale))])
 
 
 # ---------------------------------------------------------------------------
@@ -720,21 +749,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias, p: float, rng
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    keep = _dropout_mask(probs.shape, p, rng, probs.dtype)
-    data = _merge_heads((probs if keep is None else probs * keep) @ vh)
+    keep, drop_scale = _dropout_mask(probs.shape, p, rng, probs.dtype)
+    data = _merge_heads(_apply_mask(probs, keep, drop_scale) @ vh)
 
     def grad_fn(g):
         g = g.reshape(g.shape[:2] + heads).transpose(0, 2, 1, 3)
         grads = []
         if v.requires_grad:
-            dropped = probs if keep is None else probs * keep
+            dropped = _apply_mask(probs, keep, drop_scale)
             grads.append((v, _merge_heads(np.swapaxes(dropped, -1, -2) @ g)))
             del dropped
         if q.requires_grad or k.requires_grad:
             # softmax backward from the saved probabilities, in place
             ds = g @ np.swapaxes(vh, -1, -2)
-            if keep is not None:
-                ds *= keep
+            _apply_mask(ds, keep, drop_scale, out=ds)
             ds -= (ds * probs).sum(axis=-1, keepdims=True)
             ds *= probs
             ds *= scale
@@ -747,28 +775,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias, p: float, rng
     return _make(data, (q, k, v), grad_fn)
 
 
-def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, p: float,
-                        rng) -> Tensor:
-    """``layer_norm(x + dropout(y))`` as one node: the post-norm epilogue of
-    a transformer sublayer, after Megatron-LM's fused bias-dropout-add.
+def residual_layer_norm(x: Tensor, h: Tensor, w: Tensor, b: Tensor, gamma: Tensor,
+                        beta: Tensor, p: float, rng) -> Tensor:
+    """``layer_norm(x + dropout(h @ w + b))`` as one node: the output
+    projection and post-norm epilogue of a transformer sublayer, after
+    Megatron-LM's fused bias-dropout-add.
 
-    ``x`` (the residual stream) and ``y`` (the sublayer output) have one
-    shape. The mask is the one ``dropout`` would draw at ``y``'s shape; the
-    backward keeps only it and the normalized sum.
+    ``x`` is the (..., d) residual stream. ``h`` is the sublayer's output
+    before its projection (the attention context or the FFN's GELU
+    activations), a (..., D) tensor with ``x``'s leading axes, and ``w``
+    (D, d) and ``b`` (d,) are that projection, computed as ``linear``
+    computes it. The mask is the one ``dropout`` would draw at ``x``'s
+    shape. The projected output is never a graph tensor: backward keeps
+    ``h``, the 1-byte mask and the normalized sum, and recomputes nothing.
     """
-    if x.data.shape != y.data.shape:
-        raise ValueError(f"residual_layer_norm shape mismatch: {x.data.shape} and {y.data.shape}")
-    keep = _dropout_mask(y.data.shape, p, rng, y.data.dtype)
-    out, xn, inv = _normalize(x.data + (y.data if keep is None else y.data * keep), gamma, beta)
+    _check_affine("residual_layer_norm", h, w, b)
+    if x.data.shape != h.data.shape[:-1] + w.data.shape[1:]:
+        raise ValueError(f"residual_layer_norm shape mismatch: {x.data.shape} and "
+                         f"{h.data.shape} x {w.data.shape}")
+    s = _affine(h.data, w.data, b.data)
+    keep, scale = _dropout_mask(s.shape, p, rng, s.dtype)
+    _apply_mask(s, keep, scale, out=s)
+    s += x.data
+    out, xn, inv = _normalize(s, gamma, beta)
 
     def grad_fn(g):
         ds, dgamma, dbeta = _normalize_grads(g, xn, inv, gamma, beta)
         grads = [(x, ds), (gamma, dgamma), (beta, dbeta)]
-        if y.requires_grad:
-            grads.append((y, ds if keep is None else ds * keep))
+        if h.requires_grad or w.requires_grad or b.requires_grad:
+            grads += _affine_grads(_apply_mask(ds, keep, scale), h, w, b)
         return grads
 
-    return _make(out, (x, y, gamma, beta), grad_fn)
+    return _make(out, (x, h, w, b, gamma, beta), grad_fn)
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:

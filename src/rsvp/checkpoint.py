@@ -202,9 +202,15 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def restore_component(ckpt: Checkpoint, comp_name: str, component) -> None:
-    """Copy checkpoint arrays (and optimizer state) into a live component:
-    one owned, writable, C-contiguous copy of each, in the module's dtype."""
+def restore_component(ckpt: Checkpoint, comp_name: str, component, moments: bool = False) -> None:
+    """Copy checkpoint weights into a live component: one owned, writable,
+    C-contiguous copy of each, in the module's dtype.
+
+    With ``moments``, the AdamW moments and step counts are copied too, for
+    training to resume from. Without, as serving wants, the moments are
+    checked for presence and shape but not copied, and each parameter keeps
+    the untouched zero buffers and step 0 its constructor gave it.
+    """
     for pname, p in component.named_parameters():
         full = f"{comp_name}.{pname}"
         if full not in ckpt.arrays:
@@ -218,5 +224,7 @@ def restore_component(ckpt: Checkpoint, comp_name: str, component) -> None:
                 raise CheckpointError(
                     f"shape mismatch for {full!r}: checkpoint {arr.shape} vs model {shape}"
                 )
-        p.data, p.m, p.v = (arr.astype(dtype, order="C") for arr in stored)
-        p.step = int(ckpt.steps.get(full, 0))
+        p.data = stored[0].astype(dtype, order="C")
+        if moments:
+            p.m, p.v = (arr.astype(dtype, order="C") for arr in stored[1:])
+            p.step = int(ckpt.steps.get(full, 0))

@@ -87,7 +87,8 @@ def cmd_build_vocab(args) -> int:
 def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
     enc_cfg = cfg.encoder_config(len(prepared.vocab))
     if getattr(args, "init_ckpt", None):
-        ckpt, ckpt_cfg, encoder, _, _ = tr.load_stage_checkpoint(args.init_ckpt)
+        # training resumes: AdamW continues from the saved moments and steps
+        ckpt, ckpt_cfg, encoder, _, _ = tr.load_stage_checkpoint(args.init_ckpt, moments=True)
         # precision is not an EncoderConfig field; an encoder of the other
         # precision would be saved under this run's config
         if ckpt_cfg.precision != cfg.precision:

@@ -95,9 +95,10 @@ class LayerNorm(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
 
-    def residual(self, x: Tensor, y: Tensor, dropout_p, rng) -> Tensor:
-        """The post-norm epilogue of a sublayer: this norm of x + dropout(y)."""
-        return ad.residual_layer_norm(x, y, self.gamma, self.beta, dropout_p, rng)
+    def residual(self, x: Tensor, h: Tensor, proj: Linear, dropout_p, rng) -> Tensor:
+        """The output projection and post-norm epilogue of a sublayer: this
+        norm of x + dropout(proj(h)), one ``ad.residual_layer_norm`` node."""
+        return ad.residual_layer_norm(x, h, proj.w, proj.b, self.gamma, self.beta, dropout_p, rng)
 
 
 class MultiHeadAttention(Module):
@@ -116,17 +117,22 @@ class MultiHeadAttention(Module):
 
     def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng) -> Tensor:
         """Attention of the queries projected from ``x_q`` over keys and
-        values from ``project_kv``; ``bias`` is added to the logits."""
-        return self.wo(ad.attention(self.wq(x_q), k, v, self.n_heads, bias, dropout_p, rng))
+        values from ``project_kv``; ``bias`` is added to the logits. Returns
+        the (B, Tq, d_model) context before ``wo``, which the caller's
+        ``LayerNorm.residual`` applies."""
+        return ad.attention(self.wq(x_q), k, v, self.n_heads, bias, dropout_p, rng)
 
 
 class FeedForward(Module):
+    """``lin2(gelu(lin1(x)))``; calling it returns the GELU activations,
+    and the caller's ``LayerNorm.residual`` applies ``lin2``."""
+
     def __init__(self, name: str, d_model: int, d_ffn: int, rng: np.random.Generator | None):
         self.lin1 = Linear(f"{name}.lin1", d_model, d_ffn, rng)
         self.lin2 = Linear(f"{name}.lin2", d_ffn, d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(ad.gelu(self.lin1(x)))
+        return ad.gelu(self.lin1(x))
 
 
 class EncoderBlock(Module):
@@ -148,8 +154,8 @@ class EncoderBlock(Module):
         if cls_only:
             x = ad.token_at(x, 0).reshape(B, 1, d)
         a = self.attn.attend(x, k, v, bias, dropout_p, rng)
-        x = self.ln1.residual(x, a, dropout_p, rng)
-        return self.ln2.residual(x, self.ffn(x), dropout_p, rng)
+        x = self.ln1.residual(x, a, self.attn.wo, dropout_p, rng)
+        return self.ln2.residual(x, self.ffn(x), self.ffn.lin2, dropout_p, rng)
 
 
 def pad_batch(seqs):
@@ -313,10 +319,10 @@ class DecoderBlock(Module):
             # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
             k, v = (ad._as_tensor(buf[:, : t + 1], x) for buf in cache)
         a = self.self_attn.attend(x, k, v, self_bias, dropout_p, rng)
-        x = self.ln1.residual(x, a, dropout_p, rng)
+        x = self.ln1.residual(x, a, self.self_attn.wo, dropout_p, rng)
         c = self.cross_attn.attend(x, *cross_kv, cross_bias, dropout_p, rng)
-        x = self.ln_cross.residual(x, c, dropout_p, rng)
-        return self.ln2.residual(x, self.ffn(x), dropout_p, rng)
+        x = self.ln_cross.residual(x, c, self.cross_attn.wo, dropout_p, rng)
+        return self.ln2.residual(x, self.ffn(x), self.ffn.lin2, dropout_p, rng)
 
 
 class ResponseDecoder(_Embedded):

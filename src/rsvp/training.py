@@ -578,8 +578,11 @@ def save_stage_checkpoint(path, stage, cfg: StageConfig, vocab_size: int,
     save_checkpoint(path, stage, components, config, labels=labels)
 
 
-def load_stage_checkpoint(path):
-    """Rebuild (cfg, encoder, decoder?, classifier?) from a checkpoint file."""
+def load_stage_checkpoint(path, moments: bool = False):
+    """Rebuild (ckpt, cfg, encoder, decoder?, classifier?) from a checkpoint
+    file. Weights only, for serving, unless ``moments`` asks for the AdamW
+    moments and step counts that resuming training needs; see
+    ``restore_component``."""
     ckpt = load_checkpoint(path)
     try:
         conf = dict(ckpt.config)
@@ -594,10 +597,10 @@ def load_stage_checkpoint(path):
     # raises for any parameter the file lacks.
     with ad.precision(cfg.precision):
         encoder = ConversationalEncoder(enc_cfg, None)
-        restore_component(ckpt, "encoder", encoder)
+        restore_component(ckpt, "encoder", encoder, moments)
         if any(name.startswith("decoder.") for name in ckpt.arrays):
             decoder = ResponseDecoder(enc_cfg, None, BOS_ID, EOS_ID)
-            restore_component(ckpt, "decoder", decoder)
+            restore_component(ckpt, "decoder", decoder, moments)
         if any(name.startswith("classifier.") for name in ckpt.arrays):
             if "classifier.clf.lin2.b" not in ckpt.arrays:
                 raise CheckpointError(f"{path}: checkpoint is missing 'classifier.clf.lin2.b'")
@@ -607,7 +610,7 @@ def load_stage_checkpoint(path):
             except ValueError as e:
                 raise CheckpointError(f"{path}: {e}") from e
             classifier = IntentClassifier(cfg.pooled_dim, n_classes, None)
-            restore_component(ckpt, "classifier", classifier)
+            restore_component(ckpt, "classifier", classifier, moments)
     return ckpt, cfg, encoder, decoder, classifier
 
 

@@ -46,8 +46,8 @@ def composite_attention(q, k, v, n_heads, bias, p, rng):
     return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, Tq, d))
 
 
-def composite_residual_layer_norm(x, y, gamma, beta, p, rng):
-    return ad.layer_norm(ad.add(x, ad.dropout(y, p, rng)), gamma, beta)
+def composite_residual_layer_norm(x, h, w, b, gamma, beta, p, rng):
+    return ad.layer_norm(ad.add(x, ad.dropout(ad.linear(h, w, b), p, rng)), gamma, beta)
 
 
 def _leaf(r, shape, scale=1.0):
@@ -149,10 +149,13 @@ def make_builder(name: str, r: np.random.Generator, trial: int):
             q, k, v, 2, bias, 0.3, np.random.default_rng(trial)), w))), [q, k, v]
     if name == "residual_layer_norm":
         x = _leaf(r, (2, 3, 6))
-        y = _leaf(r, (2, 3, 6))
+        h = _leaf(r, (2, 3, 5))
+        w = _leaf(r, (5, 6), scale=0.5)
+        b = _leaf(r, (6,))
         gamma = Tensor(r.normal(1.0, 0.1, size=6), requires_grad=True)
         beta = Tensor(r.normal(0.0, 0.1, size=6), requires_grad=True)
-        w = Tensor(r.normal(size=(2, 3, 6)))
+        leaves = [x, h, w, b, gamma, beta]
+        proj = Tensor(r.normal(size=(2, 3, 6)))
         return (lambda: ad.tsum(ad.mul(ad.residual_layer_norm(
-            x, y, gamma, beta, 0.4, np.random.default_rng(trial)), w))), [x, y, gamma, beta]
+            *leaves, 0.4, np.random.default_rng(trial)), proj))), leaves
     raise KeyError(name)

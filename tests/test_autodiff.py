@@ -263,29 +263,82 @@ class TestFusedAttention:
 
 
 class TestFusedResidualLayerNorm:
+    """ad.residual_layer_norm(x, h, w, b, gamma, beta, p, rng) against
+    layer_norm(add(x, dropout(linear(h, w, b)))): within 1e-12 in float64,
+    bit for bit in float32, output and all six gradients."""
+
+    @staticmethod
+    def _make(shape, requires):
+        """Inputs for a (..., 6) residual stream and (..., 4) sublayer
+        output ``h``; ``requires`` says which of x and h require grad."""
+        x_shape, h_shape = shape, shape[:-1] + (4,)
+        make = _inputs([x_shape, h_shape, (4, 6), (6,), (6,), (6,)], requires + (True,) * 4)
+
+        def inputs():
+            x, h, w, b, gamma, beta = make()
+            gamma.data += 1.0
+            return [x, h, w, b, gamma, beta]
+        return inputs
+
+    @staticmethod
+    def _sides(inputs, p):
+        return _fused_and_composite(
+            lambda *t, rng: ad.residual_layer_norm(*t, p, rng),
+            lambda *t, rng: op_builders.composite_residual_layer_norm(*t, p, rng),
+            inputs, seed=23)
+
+    # shape1 is the [CLS]-only (B, 1, d) row of the last encoder block
     @pytest.mark.parametrize("shape", [(2, 5, 6), (3, 1, 6), (4, 6)])
     @pytest.mark.parametrize("p", [0.0, 0.4])
     @pytest.mark.parametrize("requires", [(True, True), (True, False), (False, True)])
     def test_matches_composite(self, shape, p, requires):
         with ad.precision("float64"):
-            make = _inputs([shape, shape, shape[-1:], shape[-1:]], requires + (True, True))
-
-            def inputs():
-                x, y, gamma, beta = make()
-                gamma.data += 1.0
-                return [x, y, gamma, beta]
-
-            sides = _fused_and_composite(
-                lambda x, y, g, b, rng: ad.residual_layer_norm(x, y, g, b, p, rng),
-                lambda x, y, g, b, rng: op_builders.composite_residual_layer_norm(
-                    x, y, g, b, p, rng),
-                inputs, seed=23)
+            sides = self._sides(self._make(shape, requires), p)
         _assert_fused_matches(sides)
 
+    @pytest.mark.parametrize("shape", [(2, 5, 6), (3, 1, 6), (4, 6)])
+    @pytest.mark.parametrize("p", [0.0, 0.4])
+    @pytest.mark.parametrize("requires", [(True, True), (True, False), (False, True)])
+    def test_float32_bit_for_bit(self, shape, p, requires):
+        with ad.precision("float32"):
+            (out_f, grads_f, state_f), (out_c, grads_c, state_c) = self._sides(
+                self._make(shape, requires), p)
+        assert out_f.dtype == out_c.dtype == np.float32
+        assert out_f.tobytes() == out_c.tobytes()
+        assert len(grads_f) == len(grads_c) == sum(requires) + 4
+        for g_f, g_c in zip(grads_f, grads_c):
+            assert g_f.dtype == np.float32 and g_f.shape == g_c.shape
+            assert g_f.tobytes() == g_c.tobytes()
+        assert state_f == state_c
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_no_grad_eval_path(self, precision):
+        with ad.precision(precision), ad.no_grad():
+            tensors = self._make((3, 1, 6), (True, True))()
+            fused = ad.residual_layer_norm(*tensors, 0.0, None)
+            composite = op_builders.composite_residual_layer_norm(*tensors, 0.0, None)
+        assert not fused.requires_grad and fused._grad_fn is None and fused._parents == ()
+        assert fused.data.dtype == np.dtype(precision)
+        assert fused.data.tobytes() == composite.data.tobytes()
+
+    def test_closure_yields_only_inputs_that_require_grad(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6)))
+        h = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        b, gamma, beta = (Tensor(rng.normal(size=6)) for _ in range(3))
+        out = ad.residual_layer_norm(x, h, w, b, gamma, beta, 0.3, np.random.default_rng(0))
+        yielded = out._grad_fn(np.ones(out.shape, dtype=out.dtype))
+        assert [t for t, _ in yielded if t.requires_grad] == [w]
+        assert not any(t is h or t is b for t, _ in yielded)
+
     def test_shape_mismatch_rejected(self):
-        x, y, g = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 1, 4))), Tensor(np.ones(4))
+        g = Tensor(np.ones(4))
+        x, h, w = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 1, 5))), Tensor(np.zeros((5, 4)))
         with pytest.raises(ValueError, match="residual_layer_norm shape mismatch"):
-            ad.residual_layer_norm(x, y, g, g, 0.0, None)
+            ad.residual_layer_norm(x, h, w, g, g, g, 0.0, None)
+        h = Tensor(np.zeros((2, 3, 6)))
+        with pytest.raises(ValueError, match="residual_layer_norm shape mismatch"):
+            ad.residual_layer_norm(x, h, w, g, g, g, 0.0, None)
 
 
 class TestGelu:
@@ -509,6 +562,41 @@ class TestDropout:
         x = Tensor(np.ones(3))
         with pytest.raises(ValueError, match="16-bit"):
             ad.dropout(x, 1.0 - 1e-6, np.random.default_rng(0))
+
+
+def _closure_arrays(t):
+    """The arrays a node's gradient closure keeps alive for backward."""
+    return [c.cell_contents for c in t._grad_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+class TestSavedMasks:
+    """A node that applies dropout keeps its mask for backward as one byte
+    per entry, and keeps no float array of the mask's shape besides the one
+    activation its backward reads."""
+
+    @staticmethod
+    def _of_shape(t, shape):
+        return sorted(a.dtype.name for a in _closure_arrays(t) if a.shape == shape)
+
+    def test_dropout(self, rng):
+        x = _leaf(rng, (4, 5, 6))
+        out = ad.dropout(x, 0.3, np.random.default_rng(0))
+        assert self._of_shape(out, (4, 5, 6)) == ["bool"]
+
+    def test_attention(self, rng):
+        q, k, v = _leaf(rng, (2, 3, 8)), _leaf(rng, (2, 5, 8)), _leaf(rng, (2, 5, 8))
+        out = ad.attention(q, k, v, 2, None, 0.3, np.random.default_rng(0))
+        # the softmax probabilities and the mask
+        assert self._of_shape(out, (2, 2, 3, 5)) == ["bool", "float32"]
+
+    def test_residual_layer_norm(self, rng):
+        x, h = _leaf(rng, (2, 3, 6)), _leaf(rng, (2, 3, 4))
+        w, b = _leaf(rng, (4, 6)), _leaf(rng, (6,))
+        gamma, beta = _leaf(rng, (6,)), _leaf(rng, (6,))
+        out = ad.residual_layer_norm(x, h, w, b, gamma, beta, 0.3, np.random.default_rng(0))
+        # the normalized sum and the mask; the projection h @ w + b is not kept
+        assert self._of_shape(out, (2, 3, 6)) == ["bool", "float32"]
 
 
 class TestEmbedding:

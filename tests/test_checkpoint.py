@@ -44,7 +44,7 @@ def test_optimizer_state_round_trips(tmp_path):
     p.step = 7
     path = tmp_path / "model.ckpt"
     save_stage_checkpoint(path, "retrieval", cfg, 30, enc)
-    _, _, restored, _, _ = load_stage_checkpoint(path)
+    _, _, restored, _, _ = load_stage_checkpoint(path, moments=True)
     rp = restored.pool.w
     np.testing.assert_array_equal(rp.m, p.m)
     np.testing.assert_array_equal(rp.v, p.v)
@@ -398,7 +398,7 @@ class TestLoadPath:
     def test_weights_moments_and_steps_restore_bitwise(self, tmp_path, precision):
         cfg, saved = _trained_looking_modules(precision)
         _save_modules(tmp_path / "m.ckpt", cfg, saved)
-        _, _, *restored = load_stage_checkpoint(tmp_path / "m.ckpt")
+        _, _, *restored = load_stage_checkpoint(tmp_path / "m.ckpt", moments=True)
         for module, back in zip(saved.values(), restored):
             assert [n for n, _ in module.named_parameters()] == [n for n, _ in back.named_parameters()]
             for p, q in zip(module.parameters(), back.parameters()):
@@ -410,8 +410,8 @@ class TestLoadPath:
     def test_restored_arrays_are_owned_writable_copies(self, tmp_path, precision):
         cfg, saved = _trained_looking_modules(precision)
         _save_modules(tmp_path / "m.ckpt", cfg, saved)
-        ckpt, _, *restored = load_stage_checkpoint(tmp_path / "m.ckpt")
-        _, _, *again = load_stage_checkpoint(tmp_path / "m.ckpt")
+        ckpt, _, *restored = load_stage_checkpoint(tmp_path / "m.ckpt", moments=True)
+        _, _, *again = load_stage_checkpoint(tmp_path / "m.ckpt", moments=True)
         views = [*ckpt.arrays.values(), *ckpt.moments1.values(), *ckpt.moments2.values()]
         assert len(views) == len(_restored_arrays(restored))
         assert not any(v.flags.writeable for v in views)
@@ -419,6 +419,33 @@ class TestLoadPath:
         for a in _restored_arrays(restored):
             assert a.flags.writeable and a.flags.c_contiguous
             assert not any(np.shares_memory(a, b) for b in others)
+
+    def test_serving_load_copies_no_moment_array(self, tmp_path, precision):
+        """By default a load restores the weights bit for bit and leaves
+        every parameter's moments the zero buffers, step 0, of a fresh one."""
+        cfg, saved = _trained_looking_modules(precision)
+        _save_modules(tmp_path / "m.ckpt", cfg, saved)
+        ckpt, _, *restored = load_stage_checkpoint(tmp_path / "m.ckpt")
+        views = [*ckpt.moments1.values(), *ckpt.moments2.values()]
+        for module, back in zip(saved.values(), restored):
+            for p, q in zip(module.parameters(), back.parameters()):
+                assert q.data.tobytes() == p.data.tobytes()
+                for buf in (q.m, q.v):
+                    assert buf.dtype == np.dtype(precision) and buf.shape == p.data.shape
+                    assert not buf.any()
+                    assert not any(np.shares_memory(buf, v) for v in views)
+                assert q.step == 0
+
+    def test_serving_load_checks_the_moments(self, tmp_path, precision):
+        cfg, saved = _trained_looking_modules(precision)
+        _save_modules(tmp_path / "m.ckpt", cfg, saved)
+        path, blob = tmp_path / "m.ckpt", (tmp_path / "m.ckpt").read_bytes()
+        header = _header(blob)
+        header["params"] = [e for e in header["params"]
+                            if e["name"] != "moment2.encoder.pool.b"]
+        path.write_bytes(_with_header(blob, json.dumps(header).encode()))
+        with pytest.raises(CheckpointError, match="moments for 'encoder.pool.b'"):
+            load_stage_checkpoint(path)
 
     def test_load_leaves_the_callers_default_dtype(self, tmp_path, precision):
         cfg, saved = _trained_looking_modules(precision)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rsvp import autodiff as ad
-from rsvp import cli
+from rsvp import checkpoint, cli
 from rsvp import training as tr
 from rsvp.cli import main
 from rsvp.config import StageConfig, load_config
@@ -237,6 +237,28 @@ class TestStageCommands:
             assert rc == 1
             assert f"precision={have!r}" in err and repr(want) in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_init_ckpt_resumes_adamw_state_bit_for_bit(self, precision, data_path, tmp_path):
+        """A stage resumed from --init-ckpt starts from every saved AdamW
+        moment and step count, as a serving load does not."""
+        out = tmp_path / "retr"
+        assert main(["pretrain-retrieval", "--data", data_path, "--out", str(out), "--seed", "0"]
+                    + _sets([f"precision={precision}"])) == 0
+        path = str(out / "retrieval.ckpt")
+        ckpt = checkpoint.load_checkpoint(path)
+        cfg = load_config(None, MICRO + [f"precision={precision}"])
+        encoder = cli._init_encoder(argparse.Namespace(init_ckpt=path), cfg,
+                                    tr.prepare(load_jsonl(data_path), cfg), 0, "generation")
+        params = encoder.named_parameters()
+        assert len(params) == len(ckpt.moments1) == len(ckpt.moments2)
+        for name, p in params:
+            full = f"encoder.{name}"
+            assert p.m.dtype == p.v.dtype == np.dtype(precision)
+            assert p.m.tobytes() == ckpt.moments1[full].tobytes()
+            assert p.v.tobytes() == ckpt.moments2[full].tobytes()
+            assert p.step == ckpt.steps[full] > 0
+        assert any(p.m.any() for _, p in params)
 
     def test_init_ckpt_may_change_dropout(self, data_path, retrieval_ckpt, tmp_path):
         assert main(["finetune", "--data", data_path, "--out", str(tmp_path / "ft"),

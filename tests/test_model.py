@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,42 @@ class TestFusedNodesMatchTheComposites:
         for g_fused, g_comp in zip(fused[1], composite[1]):
             assert np.abs(g_fused - g_comp).max() <= 1e-12 * max(1.0, np.abs(g_comp).max())
         assert fused[2] == composite[2]
+
+
+class TestSavedGraphMemory:
+    """What one training step keeps alive for backward, by ``tracemalloc``."""
+
+    # measured 13.55 MB with 1-byte dropout masks and every sublayer's
+    # output projection inside its residual-norm node; a float32 mask
+    # (15.31 MB) or a standalone wo/lin2 projection (15.76 MB) crosses it
+    DESK_GENERATION_BOUND_MB = 13.55 * 1.10
+
+    def test_desk_generation_step(self):
+        """The graph of one desk-shaped generation step (batch 16, 14-token
+        utterances, 22-token responses, 257-token vocabulary, the desk
+        model) in float32 training mode, as ``pretrain_generation`` builds it."""
+        r = np.random.default_rng(0)
+        cfg = EncoderConfig(vocab_size=257, d_model=128, n_layers=2, n_heads=4, d_ffn=256,
+                            pooled_dim=128)
+        enc = ConversationalEncoder(cfg, r)
+        dec = init_decoder_from_encoder(enc, r)
+        utts = [[2, *r.integers(5, 257, size=13)] for _ in range(16)]
+        resp = [[dec.bos_id, *r.integers(5, 257, size=21)] for _ in range(16)]
+        targets = r.integers(5, 257, size=(16, 22))
+        gen = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hidden, mask = enc.forward_hidden(utts, training=True, rng=gen, dropout_p=0.1)
+            logits, _ = dec.forward_teacher_forced(hidden, mask, resp, training=True, rng=gen,
+                                                   dropout_p=0.1)
+            loss = generation_loss(logits, targets, pad_id=0)
+            del hidden, mask, logits
+            graph_mb = (tracemalloc.get_traced_memory()[0] - before) / 1e6
+        finally:
+            tracemalloc.stop()
+        ad.backward(loss)
+        assert graph_mb <= self.DESK_GENERATION_BOUND_MB
 
 
 def _uncached_generate(dec, enc, u_ids, max_t, rows):

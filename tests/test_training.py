@@ -491,7 +491,7 @@ class TestStepAfterLoad:
             tr.save_stage_checkpoint(path, "finetuned", run_cfg, len(prepared.vocab), enc,
                                      decoder=dec, classifier=clf)
         saved = (enc, dec, clf)
-        _, _, *loaded = tr.load_stage_checkpoint(path)
+        _, _, *loaded = tr.load_stage_checkpoint(path, moments=True)
         with ad.precision(precision):
             for e, d, c in (saved, loaded):
                 hub = SeedHub(1)
