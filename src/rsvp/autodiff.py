@@ -21,7 +21,9 @@ nothing reads it. Evaluation paths run there.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
+import sys
 
 import numpy as np
 
@@ -615,29 +617,53 @@ def gather_last(a: Tensor, ids) -> Tensor:
 # composite / stochastic ops
 
 
+@functools.lru_cache(maxsize=None)
+def _inv_width(d: int, dtype) -> np.ndarray:
+    """A read-only (d,) vector of 1/d in ``dtype``: a GEMV against it takes
+    the row means of a (n, d) array."""
+    v = np.full(d, 1.0 / d, dtype=dtype)
+    v.setflags(write=False)
+    return v
+
+
 def _normalize(s: np.ndarray, gamma: Tensor, beta: Tensor):
-    """Layer norm of the array ``s`` over its last axis; returns the output,
-    the normalized input ``xn`` and the inverse deviation ``inv``."""
-    mu = s.mean(axis=-1, keepdims=True)
-    xn = s - mu
-    var = (xn * xn).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    """Layer norm of the array ``s`` over its last axis, on ``s`` flattened to
+    (n, d) rows; returns the output, the normalized input ``xn`` and the
+    inverse deviation ``inv``, of shape ``s.shape[:-1] + (1,)``.
+
+    Every row mean, here and in ``_normalize_grads``, is one GEMV against
+    ``_inv_width``: at one row that costs a fraction of ``ndarray.mean``,
+    whose Python wrapper dominates there. A row's bits depend on how many
+    rows share the call, as BLAS splits them into blocks, but not on where
+    the arrays sit in memory. The (n, 1) row statistics are fresh arrays,
+    which at that size cost less than writes in place.
+    """
+    d = s.shape[-1]
+    mean = _inv_width(d, s.dtype.type)
+    rows = s.reshape(-1, d)
+    xn = rows - (rows @ mean)[:, None]
+    inv = 1.0 / np.sqrt(np.square(xn) @ mean + _LN_EPS)[:, None]
     xn *= inv
-    return xn * gamma.data + beta.data, xn, inv
+    out = xn * gamma.data
+    out += beta.data
+    return out.reshape(s.shape), xn.reshape(s.shape), inv.reshape(s.shape[:-1] + (1,))
 
 
 def _normalize_grads(g: np.ndarray, xn: np.ndarray, inv: np.ndarray, gamma: Tensor, beta: Tensor):
-    """Gradients of ``_normalize`` with respect to its input, gamma and beta."""
-    reduce_axes = tuple(range(g.ndim - 1))
-    dgamma = (g * xn).sum(axis=reduce_axes).reshape(gamma.data.shape)
-    dbeta = g.sum(axis=reduce_axes).reshape(beta.data.shape)
-    dxn = g * gamma.data
-    dx = inv * (
-        dxn
-        - dxn.mean(axis=-1, keepdims=True)
-        - xn * (dxn * xn).mean(axis=-1, keepdims=True)
-    )
-    return dx, dgamma, dbeta
+    """Gradients of ``_normalize`` with respect to its input, gamma and beta:
+    dx = inv * (dxn - mean(dxn) - xn * mean(dxn * xn)), dxn = g * gamma."""
+    d = g.shape[-1]
+    mean = _inv_width(d, g.dtype.type)
+    g, xn = g.reshape(-1, d), xn.reshape(-1, d)
+    prod = g * xn
+    dgamma = prod.sum(axis=0).reshape(gamma.data.shape)
+    dbeta = g.sum(axis=0).reshape(beta.data.shape)
+    dx = g * gamma.data
+    np.multiply(dx, xn, out=prod)
+    dx -= (dx @ mean)[:, None]
+    dx -= np.multiply(xn, (prod @ mean)[:, None], out=prod)
+    dx *= inv.reshape(-1, 1)
+    return dx.reshape(inv.shape[:-1] + (d,)), dgamma, dbeta
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -651,16 +677,38 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _make(y, (x, gamma, beta), grad_fn)
 
 
+def _uint16_draws(rng, shape) -> np.ndarray:
+    """``rng.integers(0, 65536, size=shape, dtype=np.uint16)``, draw for
+    draw, leaving ``rng`` where that call would.
+
+    ``integers`` takes each pair of 16-bit draws from one 32-bit draw, low
+    half first, and each pair of 32-bit draws from one 64-bit output of the
+    bit generator, low half first; a 32-bit half left over is buffered in
+    the generator's state. So when the count is a multiple of four, nothing
+    is buffered (``has_uint32`` is 0) and the machine is little-endian,
+    the raw 64-bit outputs viewed as uint16 are the same values, at about
+    half the cost. Otherwise, and for generators without that state
+    (MT19937, or an object with no ``bit_generator``), ``integers`` runs.
+    """
+    n = math.prod(shape)
+    bits = getattr(rng, "bit_generator", None)
+    if (n % 4 == 0 and sys.byteorder == "little" and bits is not None
+            and bits.state.get("has_uint32") == 0):
+        return bits.random_raw(n // 4).view(np.uint16).reshape(shape)
+    return rng.integers(0, 65536, size=shape, dtype=np.uint16)
+
+
 def _dropout_mask(shape, p: float, rng, dtype):
     """One dropout draw at ``shape``: a boolean keep mask and the scale of
     the kept entries, a 0-d array of ``dtype``; ``(None, None)`` where
     dropout is the identity. ``dropout``, ``attention`` and
     ``residual_layer_norm`` all draw through here.
 
-    One ``rng.integers(0, 65536, size=shape, dtype=np.uint16)`` call per
-    mask: an entry is kept when its draw is at least ``thr = round(p *
-    65536)`` and then weighs 65536 / (65536 - thr). A p that rounds to
-    ``thr == 0``, evaluation's p = 0 included, draws nothing.
+    One ``_uint16_draws`` call per mask, the values of ``rng.integers(0,
+    65536, size=shape, dtype=np.uint16)``: an entry is kept when its draw
+    is at least ``thr = round(p * 65536)`` and then weighs 65536 / (65536 -
+    thr). A p that rounds to ``thr == 0``, evaluation's p = 0 included,
+    draws nothing.
 
     The mask takes one byte per entry, where a mask of the input's dtype
     would take four or eight, and the nodes keep it until backward. They
@@ -674,18 +722,18 @@ def _dropout_mask(shape, p: float, rng, dtype):
         raise ValueError(f"dropout probability {p} rounds to 1 at 16-bit resolution")
     if thr == 0:
         return None, None
-    draw = rng.integers(0, 65536, size=shape, dtype=np.uint16)
-    return draw >= thr, np.asarray(65536 / (65536 - thr), dtype=dtype)
+    return _uint16_draws(rng, shape) >= thr, np.asarray(65536 / (65536 - thr), dtype=dtype)
 
 
 def _apply_mask(a: np.ndarray, keep, scale, out=None) -> np.ndarray:
-    """``a * keep``, then scaled in place: dropped entries become a signed
-    zero, kept ones ``a * scale``. ``a`` itself where ``keep`` is None;
-    ``out`` may be ``a``."""
+    """``a * keep``, then scaled in place unless ``scale`` is None: dropped
+    entries become a signed zero, kept ones ``a * scale``. ``a`` itself
+    where ``keep`` is None; ``out`` may be ``a``."""
     if keep is None:
         return a
     out = np.multiply(a, keep, out=out)
-    out *= scale
+    if scale is not None:
+        out *= scale
     return out
 
 
@@ -729,10 +777,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias, p: float, rng
     d / n_heads; the (B, Tq, d) context and the gradients are merged back.
     ``bias`` is None or a constant array of two or more axes that
     broadcasts against the (B, Tq, Tk) scores, shared by all heads. The
-    forward takes the softmax in place and applies the mask ``dropout``
-    would draw at the probabilities' (B, n_heads, Tq, Tk) shape. The
-    backward starts from the saved probabilities and mask, as
-    FlashAttention's does, so no other array of that shape outlives it.
+    mask is the one ``dropout`` would draw at the probabilities' (B,
+    n_heads, Tq, Tk) shape.
+
+    As in FlashAttention, the softmax is never normalized at full size:
+    1/sqrt(d_head) is folded into q, the forward keeps the exponentiated
+    scores ``e`` and each row's reciprocal sum ``r``, and ``r`` times the
+    dropout scale multiplies the (B, n_heads, Tq, d_head) products
+    instead. The backward takes the softmax's row term as D = dO·O, the
+    row dot product of the output gradient and the output, so it keeps no
+    other array of the scores' shape.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[0] != qd.shape[0]
@@ -741,35 +795,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias, p: float, rng
                          f"n_heads {n_heads}")
     heads = (n_heads, qd.shape[2] // n_heads)
     qh, kh, vh = (a.reshape(a.shape[:2] + heads).transpose(0, 2, 1, 3) for a in (qd, kd, vd))
-    scale = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=qd.dtype)
-    probs = qh @ np.swapaxes(kh, -1, -2)
-    probs *= scale
+    scale = np.asarray(1.0 / math.sqrt(heads[1]), dtype=qd.dtype)
+    e = (qh * scale) @ kh.swapaxes(-1, -2)
     if bias is not None:
-        probs += np.asarray(bias, dtype=probs.dtype)[..., None, :, :]
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    keep, drop_scale = _dropout_mask(probs.shape, p, rng, probs.dtype)
-    data = _merge_heads(_apply_mask(probs, keep, drop_scale) @ vh)
+        e += np.asarray(bias, dtype=e.dtype)[..., None, :, :]
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    r = 1.0 / e.sum(axis=-1, keepdims=True)
+    keep, drop_scale = _dropout_mask(e.shape, p, rng, e.dtype)
+    row_scale = r if keep is None else r * drop_scale
+    ctx = _apply_mask(e, keep, None) @ vh
+    ctx *= row_scale
+    data = _merge_heads(ctx)
 
     def grad_fn(g):
-        g = g.reshape(g.shape[:2] + heads).transpose(0, 2, 1, 3)
+        g_heads = g.reshape(g.shape[:2] + heads)
+        gs = g_heads.transpose(0, 2, 1, 3) * row_scale
         grads = []
         if v.requires_grad:
-            dropped = _apply_mask(probs, keep, drop_scale)
-            grads.append((v, _merge_heads(np.swapaxes(dropped, -1, -2) @ g)))
-            del dropped
+            grads.append((v, _merge_heads(_apply_mask(e, keep, None).swapaxes(-1, -2) @ gs)))
         if q.requires_grad or k.requires_grad:
-            # softmax backward from the saved probabilities, in place
-            ds = g @ np.swapaxes(vh, -1, -2)
-            _apply_mask(ds, keep, drop_scale, out=ds)
-            ds -= (ds * probs).sum(axis=-1, keepdims=True)
-            ds *= probs
-            ds *= scale
+            # D = dO·O per head and row, times r: the softmax backward's row
+            # term at the scale of the unnormalized scores
+            d_r = (g_heads * data.reshape(g_heads.shape)).sum(axis=-1).transpose(0, 2, 1)[..., None]
+            d_r *= r
+            # the scores' gradient e * (mask * (dO r s) vᵀ - D r), in place
+            ds = gs @ vh.swapaxes(-1, -2)
+            _apply_mask(ds, keep, None, out=ds)
+            ds -= d_r
+            ds *= e
             if q.requires_grad:
-                grads.append((q, _merge_heads(ds @ kh)))
+                dq = ds @ kh
+                dq *= scale
+                grads.append((q, _merge_heads(dq)))
             if k.requires_grad:
-                grads.append((k, _merge_heads(np.swapaxes(ds, -1, -2) @ qh)))
+                dk = ds.swapaxes(-1, -2) @ qh
+                dk *= scale
+                grads.append((k, _merge_heads(dk)))
         return grads
 
     return _make(data, (q, k, v), grad_fn)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -562,6 +563,122 @@ class TestDropout:
         x = Tensor(np.ones(3))
         with pytest.raises(ValueError, match="16-bit"):
             ad.dropout(x, 1.0 - 1e-6, np.random.default_rng(0))
+
+
+class _CountingRng:
+    """A generator that counts its ``integers`` calls: the draws that did
+    not take the raw 64-bit path."""
+
+    def __init__(self, gen):
+        self.gen, self.bit_generator, self.integer_calls = gen, gen.bit_generator, 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return self.gen.integers(*args, **kwargs)
+
+
+class TestRawMaskDraws:
+    """ad._uint16_draws against rng.integers(0, 65536, size, dtype=np.uint16)
+    on one PCG64 stream. The shapes' element counts run through every
+    residue mod 4, so the stream passes through the buffered 32-bit half
+    and back, and counts that are multiples of four meet both states."""
+
+    SHAPES = [(2, 4), (3,), (4, 4), (5,), (2,), (7,), (3, 4), (1,), (1,), (2, 2, 4), (6,),
+              (8,), (6,), (4,), (9,), (7,), (12,), (2, 3), (1, 4, 4)]
+
+    @staticmethod
+    def _draw_all(spy, ref, shapes):
+        """Each shape's draws on both generators, compared; returns the set of
+        (count mod 4, buffered half before the draw, took the raw path)."""
+        seen = set()
+        for shape in shapes:
+            buffered = spy.bit_generator.state.get("has_uint32")
+            calls = spy.integer_calls
+            got = ad._uint16_draws(spy, shape)
+            want = ref.integers(0, 65536, size=shape, dtype=np.uint16)
+            assert got.dtype == np.uint16 and got.shape == shape
+            assert np.array_equal(got, want)
+            seen.add((math.prod(shape) % 4, buffered, spy.integer_calls == calls))
+        return seen
+
+    def test_equal_to_integers_draw_for_draw(self):
+        spy, ref = _CountingRng(np.random.default_rng(31)), np.random.default_rng(31)
+        seen = self._draw_all(spy, ref, self.SHAPES)
+        # every residue meets both states, and the raw path runs exactly when
+        # the count is a multiple of four and nothing is buffered
+        states = {(n, buffered) for n, buffered, _ in seen}
+        assert states == {(n, b) for n in range(4) for b in (0, 1)}
+        assert all(raw == (n == 0 and buffered == 0) for n, buffered, raw in seen)
+        # both generators continue alike: 16-, 32- and 64-bit draws and doubles.
+        # Their state dicts are not compared: after random_raw with nothing
+        # buffered, the unused ``uinteger`` field keeps an older value.
+        tails = [[gen.integers(0, 65536, size=3, dtype=np.uint16).tolist(),
+                  gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+                  gen.integers(0, 2**63, size=3).tolist(), gen.random(3).tolist()]
+                 for gen in (spy.gen, ref)]
+        assert tails[0] == tails[1]
+
+    def test_big_endian_takes_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(sys, "byteorder", "big")
+        spy, ref = _CountingRng(np.random.default_rng(32)), np.random.default_rng(32)
+        assert {raw for _, _, raw in self._draw_all(spy, ref, self.SHAPES)} == {False}
+        assert spy.integer_calls == len(self.SHAPES)
+
+    def test_generator_without_a_buffered_half_takes_the_fallback(self):
+        # MT19937 draws 32 bits natively: its state has no has_uint32
+        spy = _CountingRng(np.random.Generator(np.random.MT19937(3)))
+        ref = np.random.Generator(np.random.MT19937(3))
+        assert {raw for _, _, raw in self._draw_all(spy, ref, [(4, 4), (8,)])} == {False}
+
+    def test_dropout_masks_match_integers(self):
+        x = Tensor(np.ones((2, 4, 8)))
+        fast, ref = np.random.default_rng(33), np.random.default_rng(33)
+        for p in (0.1, 0.3, 0.5):
+            out = ad.dropout(x, p, fast)
+            draw = ref.integers(0, 65536, size=x.shape, dtype=np.uint16)
+            assert np.array_equal(out.data != 0, draw >= round(p * 65536))
+
+
+def _at_byte_offset(a: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte
+    boundary inside a larger buffer."""
+    raw = np.empty(a.nbytes + 64 + offset, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+class TestLayerNormByteOffsets:
+    """layer_norm and residual_layer_norm take their row means by GEMV. The
+    outputs and gradients must not depend on where the operands sit in
+    memory, or the heap layout of a process would change a seed's bits."""
+
+    CASES = {
+        # operand shapes: the input (residual stream, sublayer output,
+        # projection weight and bias), then gamma and beta
+        "layer_norm": [(2, 37, 128), (128,), (128,)],
+        "residual_layer_norm": [(2, 37, 128), (2, 37, 64), (64, 128), (128,), (128,), (128,)],
+    }
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("op", sorted(CASES))
+    def test_bits_do_not_depend_on_byte_offset(self, op, precision):
+        dtype = np.dtype(precision)
+        r = np.random.default_rng(6)
+        arrays = [r.normal(size=s).astype(dtype) for s in self.CASES[op]]
+        weights = r.normal(size=self.CASES[op][0]).astype(dtype)
+        results = set()
+        with ad.precision(precision):
+            for offset in range(0, 64, dtype.itemsize):
+                inputs = [Tensor(_at_byte_offset(a, offset), requires_grad=True) for a in arrays]
+                if op == "layer_norm":
+                    out = ad.layer_norm(*inputs)
+                else:
+                    out = ad.residual_layer_norm(*inputs, 0.1, np.random.default_rng(7))
+                ad.backward(ad.tsum(ad.mul(out, Tensor(_at_byte_offset(weights, offset)))))
+                results.add(tuple(a.tobytes() for a in [out.data] + [t.grad for t in inputs]))
+        assert len(results) == 1
 
 
 def _closure_arrays(t):
