@@ -45,37 +45,30 @@ _AS_A = tuple(np.float32(c) for c in (1.061405429, -1.453152027, 1.421413741, -0
 _erf_f64 = np.frompyfunc(math.erf, 1, 1)
 
 
-def set_default_dtype(dtype) -> None:
+def set_default_dtype(dtype: str) -> None:
     """Set the dtype used for newly created tensors ('float32' or 'float64')."""
     global _default_dtype
-    if isinstance(dtype, str):
-        if dtype not in _DTYPES:
-            raise ValueError(f"unsupported dtype {dtype!r}, expected float32 or float64")
-        dtype = _DTYPES[dtype]
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    _default_dtype = dtype
+    if dtype not in _DTYPES:
+        raise ValueError(f"unsupported dtype {dtype!r}, expected float32 or float64")
+    _default_dtype = _DTYPES[dtype]
 
 
 def default_dtype():
     return _default_dtype
 
 
-class precision:
-    """Context manager that temporarily switches the default dtype."""
-
-    def __init__(self, dtype):
-        self.dtype = dtype
-        self._saved = None
-
-    def __enter__(self):
-        self._saved = _default_dtype
-        set_default_dtype(self.dtype)
-        return self
-
-    def __exit__(self, *exc):
-        set_default_dtype(self._saved)
-        return False
+@contextlib.contextmanager
+def precision(dtype: str):
+    """Context manager that switches the default dtype to ``dtype``
+    ('float32' or 'float64'); the previous one comes back on exit, also
+    when the block raises."""
+    global _default_dtype
+    saved = _default_dtype
+    set_default_dtype(dtype)
+    try:
+        yield
+    finally:
+        _default_dtype = saved
 
 
 @contextlib.contextmanager

@@ -86,7 +86,7 @@ def cmd_build_vocab(args) -> int:
 
 def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
     enc_cfg = cfg.encoder_config(len(prepared.vocab))
-    if getattr(args, "init_ckpt", None):
+    if args.init_ckpt:
         # training resumes: AdamW continues from the saved moments and steps
         ckpt, ckpt_cfg, encoder, _, _ = tr.load_stage_checkpoint(args.init_ckpt, moments=True)
         # precision is not an EncoderConfig field; an encoder of the other
@@ -275,19 +275,21 @@ def _add_config(p):
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
 
 
-def _add_common(p, data=True, out=True, config=True):
-    """``config=False`` is for commands that take their config from a
-    checkpoint and so have no use for --config, --set and the seeds."""
-    if config:
-        _add_config(p)
-        seeds = p.add_mutually_exclusive_group()
-        seeds.add_argument("--seed", type=int, default=None)
-        seeds.add_argument("--seeds", default=None, help="comma-separated seed list")
-    if data:
-        p.add_argument("--data", required=True, help="JSONL dataset file")
-        p.add_argument("--vocab", default=None, help="token-per-line vocab file")
-    if out:
-        p.add_argument("--out", required=True, help="output directory")
+def _add_data(p):
+    p.add_argument("--data", required=True, help="JSONL dataset file")
+    p.add_argument("--vocab", default=None, help="token-per-line vocab file")
+
+
+def _add_training(p):
+    """The options of the commands that train: the config, the seeds, the
+    data and an output directory. Serving commands take their config from
+    a checkpoint and add only ``_add_data``."""
+    _add_config(p)
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None)
+    seeds.add_argument("--seeds", default=None, help="comma-separated seed list")
+    _add_data(p)
+    p.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,26 +315,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in STAGE_COMMANDS:
         p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} stage")
-        _add_common(p)
+        _add_training(p)
         p.add_argument("--init-ckpt", default=None, help="checkpoint to start from")
         p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("run-rsvp", help="full two-stage pipeline over all seeds")
-    _add_common(p)
+    _add_training(p)
     p.set_defaults(func=cmd_run_rsvp)
 
     p = sub.add_parser("run-baseline", help="fine-tuning-only baseline")
-    _add_common(p)
+    _add_training(p)
     p.add_argument("--with-uns-cl", action="store_true")
     p.set_defaults(func=cmd_run_baseline)
 
     p = sub.add_parser("sweep", help="batch-size/lambda sweeps or the ablation grid")
-    _add_common(p)
+    _add_training(p)
     p.add_argument("--axis", required=True, choices=["batch_n", "lambda", "ablation"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="evaluate a finetuned checkpoint on a split")
-    _add_common(p, out=False, config=False)
+    _add_data(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", default="test", choices=["train", "valid", "test"])
     p.add_argument("--out", default=None, help="optional metrics JSON path")
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("export-embeddings", help="CSV export of utterance embeddings")
-    _add_common(p, out=False, config=False)
+    _add_data(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", default="test", choices=["train", "valid", "test"])
     p.add_argument("--out", required=True, help="CSV output path")

@@ -99,7 +99,6 @@ _FIELDS = {f.name: f for f in dataclasses.fields(StageConfig)}
 
 def _parse_value(name: str, raw):
     """Coerce a config value (possibly a string from the CLI) to field type."""
-    f = _FIELDS[name]
     if name in ("seeds", "split_ratios"):
         if isinstance(raw, str):
             raw = [x for x in raw.replace(" ", "").split(",") if x]
@@ -109,7 +108,7 @@ def _parse_value(name: str, raw):
         if raw in (None, "none", "None", ""):
             return None
         return float(raw)
-    typ = f.type if isinstance(f.type, type) else type(f.default)
+    typ = type(_FIELDS[name].default)
     if typ is bool:
         if isinstance(raw, bool):
             return raw

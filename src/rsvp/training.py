@@ -409,13 +409,19 @@ def _pretrain_order(task_order: str) -> tuple:
     return ("retrieval", "generation")
 
 
-def _seed_pipeline(prepared: PreparedData, cfg: StageConfig, seed: int, pretraining: bool):
+def _seed_pipeline(prepared: PreparedData, cfg: StageConfig, seed: int):
+    """Train one seed's model: the pre-training stages whose epoch count is
+    above 0, in ``cfg.task_order``, then fine-tuning. Returns the test
+    metrics, the curves of the stages that ran, the encoder and the
+    classifier."""
     hub = SeedHub(seed)
     encoder = ConversationalEncoder(
         cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init")
     )
+    epochs = {"retrieval": cfg.retrieval_epochs, "generation": cfg.generation_epochs}
+    stages = [s for s in _pretrain_order(cfg.task_order) if epochs[s] > 0] + ["finetune"]
     stage_curves = {}
-    for stage in (_pretrain_order(cfg.task_order) if pretraining else ()) + ("finetune",):
+    for stage in stages:
         heads, stage_curves[stage] = train_stage(stage, encoder, prepared, cfg, hub)
     classifier = heads["classifier"]
     preds = predict_examples(encoder, classifier, prepared.test, cfg.multi_label)
@@ -423,21 +429,38 @@ def _seed_pipeline(prepared: PreparedData, cfg: StageConfig, seed: int, pretrain
     return metrics, stage_curves, encoder, classifier
 
 
-def _run_seeds(prepared: PreparedData, cfg: StageConfig, variant: str, pretraining: bool,
-               on_seed=None) -> RunReport:
-    """Run the pipeline once per seed in cfg.seeds, in cfg's precision, and
-    report the per-seed metrics, their mean and the loss curves.
-    ``on_seed(seed, encoder, classifier)`` sees each seed's trained model."""
+def run_rsvp(
+    prepared: PreparedData,
+    cfg: StageConfig,
+    variant: str = "full",
+    checkpoint_dir=None,
+) -> RunReport:
+    """The two-stage pipeline of ``_seed_pipeline`` once per seed in
+    cfg.seeds, in cfg's precision; reports the per-seed metrics, their mean
+    and the loss curves.
+
+    With ``checkpoint_dir`` set, the fine-tuned model for each seed is
+    saved as finetuned_seed<seed>.ckpt, and the vocabulary beside them as
+    vocab.txt.
+    """
     per_seed, curves = [], {}
     with ad.precision(cfg.precision):
         for seed in cfg.seeds:
-            metrics, stage_curves, encoder, classifier = _seed_pipeline(
-                prepared, cfg, seed, pretraining
-            )
+            metrics, curves[str(seed)], encoder, classifier = _seed_pipeline(prepared, cfg, seed)
             per_seed.append({"seed": seed, **metrics})
-            curves[str(seed)] = stage_curves
-            if on_seed is not None:
-                on_seed(seed, encoder, classifier)
+            if checkpoint_dir is not None:
+                os.makedirs(checkpoint_dir, exist_ok=True)
+                save_stage_checkpoint(
+                    os.path.join(checkpoint_dir, f"finetuned_seed{seed}.ckpt"),
+                    "finetuned",
+                    cfg,
+                    len(prepared.vocab),
+                    encoder,
+                    classifier=classifier,
+                    labels=prepared.label_names,
+                )
+    if checkpoint_dir is not None:
+        prepared.vocab.save(os.path.join(checkpoint_dir, "vocab.txt"))
     return RunReport(
         variant=variant,
         per_seed=per_seed,
@@ -447,44 +470,15 @@ def _run_seeds(prepared: PreparedData, cfg: StageConfig, variant: str, pretraini
     )
 
 
-def run_rsvp(
-    prepared: PreparedData,
-    cfg: StageConfig,
-    variant: str = "full",
-    checkpoint_dir=None,
-) -> RunReport:
-    """Full two-stage pipeline, repeated over cfg.seeds and averaged.
-
-    With ``checkpoint_dir`` set, the fine-tuned model for each seed is
-    saved as finetuned_seed<seed>.ckpt, and the vocabulary beside them as
-    vocab.txt.
-    """
-    def save(seed, encoder, classifier):
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        save_stage_checkpoint(
-            os.path.join(checkpoint_dir, f"finetuned_seed{seed}.ckpt"),
-            "finetuned",
-            cfg,
-            len(prepared.vocab),
-            encoder,
-            classifier=classifier,
-            labels=prepared.label_names,
-        )
-
-    report = _run_seeds(prepared, cfg, variant, pretraining=True,
-                        on_seed=save if checkpoint_dir is not None else None)
-    if checkpoint_dir is not None:
-        prepared.vocab.save(os.path.join(checkpoint_dir, "vocab.txt"))
-    return report
-
-
 def run_baseline_classifier(
     prepared: PreparedData, cfg: StageConfig, with_uns_cl: bool = False
 ) -> RunReport:
-    """Fine-tuning only, skipping both pre-training stages entirely."""
-    eff = cfg if with_uns_cl else cfg.replace(lam=0.0)
-    variant = "baseline_uns_cl" if with_uns_cl else "baseline"
-    return _run_seeds(prepared, eff, variant, pretraining=False)
+    """Fine-tuning only: ``run_rsvp`` with 0 epochs for both pre-training
+    stages, and without the consistency term unless ``with_uns_cl``."""
+    eff = cfg.replace(retrieval_epochs=0, generation_epochs=0)
+    if with_uns_cl:
+        return run_rsvp(prepared, eff, variant="baseline_uns_cl")
+    return run_rsvp(prepared, eff.replace(lam=0.0), variant="baseline")
 
 
 def ablation_variants(cfg: StageConfig) -> dict:

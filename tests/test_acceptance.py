@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +96,26 @@ def _check(build, leaves, h=1e-5):
         assert max_rel_error(t.grad, n) <= GRAD_TOL
 
 
+def _oracle_seed(name: str, trial: int) -> int:
+    """The seed of criterion 1's instance ``trial`` of op ``name``, derived
+    as ``SeedHub`` derives a stream's key, so every process draws the same
+    instances whatever its PYTHONHASHSEED."""
+    return zlib.crc32(f"acc/{name}/{trial}".encode())
+
+
+def test_oracle_seeds_do_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    code = ("from tests import op_builders; from tests.test_acceptance import _oracle_seed; "
+            "print([_oracle_seed(n, t) for n in op_builders.DIFFERENTIABLE_OPS for t in range(10)])")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(root), str(root / "src")]))
+        outs.append(subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert outs[0] == outs[1]
+
+
 def test_criterion_1_gradient_oracle_suite(capsys):
     """Every differentiable op and all four objectives pass central
     finite-difference checks in 64-bit mode, ten random instances each."""
@@ -99,7 +124,7 @@ def test_criterion_1_gradient_oracle_suite(capsys):
 
     for name in op_builders.DIFFERENTIABLE_OPS:
         for trial in range(10):
-            r = np.random.default_rng(abs(hash(("acc", name, trial))) % (2**32))
+            r = np.random.default_rng(_oracle_seed(name, trial))
             build, leaves = op_builders.make_builder(name, r, trial)
             _check(build, leaves)
 

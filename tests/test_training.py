@@ -564,6 +564,29 @@ class TestPipelines:
         assert report.config["lam"] == 0.0
         assert set(report.curves["0"]) == {"finetune"}
 
+    @pytest.mark.parametrize("with_uns_cl", [False, True])
+    def test_baseline_is_run_rsvp_without_pretraining_epochs(self, dataset, with_uns_cl):
+        prepared, cfg = dataset
+        idle = cfg.replace(retrieval_epochs=0, generation_epochs=0)
+        if with_uns_cl:
+            expected = tr.run_rsvp(prepared, idle, variant="baseline_uns_cl")
+        else:
+            expected = tr.run_rsvp(prepared, idle.replace(lam=0.0), variant="baseline")
+        report = tr.run_baseline_classifier(prepared, cfg, with_uns_cl=with_uns_cl)
+        assert report.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("stage, other", [("retrieval", "generation"),
+                                              ("generation", "retrieval")])
+    def test_stage_with_zero_epochs_does_not_run(self, dataset, monkeypatch, stage, other):
+        prepared, cfg = dataset
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{stage} pre-training ran with 0 epochs")
+
+        monkeypatch.setattr(tr, f"pretrain_{stage}", refuse)
+        report = tr.run_rsvp(prepared, cfg.replace(**{f"{stage}_epochs": 0}))
+        assert set(report.curves["0"]) == {other, "finetune"}
+
     def test_ablation_variants_cover_grid(self, dataset):
         prepared, cfg = dataset
         variants = tr.ablation_variants(cfg)
