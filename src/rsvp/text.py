@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,23 @@ _EMOJI_RANGES = (
 _EMOJI_RE = re.compile(
     "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
 )
-_WS_RE = re.compile(r"\s+")
 _TURN_JOINER = f" {SEP} "
+
+
+def _strip_urls_and_emoji(text: str) -> str:
+    """Replace URLs, then emoji, with spaces. Each pass runs only on text
+    it can match: a URL match holds "://" or "www." (case-sensitive), and
+    every emoji code point is above U+007F."""
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if not text.isascii():
+        text = _EMOJI_RE.sub(" ", text)
+    return text
 
 
 def preprocess(text: str) -> str:
     """Strip URLs and emoji, collapse whitespace, trim. Idempotent."""
-    text = _URL_RE.sub(" ", text)
-    text = _EMOJI_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(_strip_urls_and_emoji(text).split())
 
 
 @dataclass
@@ -82,7 +91,8 @@ def tokenize(text: str, char_fallback: bool = False) -> list[str]:
     The character fallback handles scripts without word boundaries; reserved
     marker tokens are kept intact in either mode.
     """
-    tokens = preprocess(text).split()
+    # str.split() splits on exactly the characters \s matches
+    tokens = _strip_urls_and_emoji(text).split()
     if not char_fallback:
         return tokens
     out: list[str] = []
@@ -117,7 +127,8 @@ class Vocab:
         return self._tokens[idx]
 
     def encode_tokens(self, tokens: list[str]) -> list[int]:
-        return [self.id(t) for t in tokens]
+        get, unk = self._ids.get, self.unk_id
+        return [get(t, unk) for t in tokens]
 
     def decode_ids(self, ids) -> list[str]:
         return [self._tokens[int(i)] for i in ids]
@@ -143,10 +154,9 @@ def build_vocab(corpus, min_freq: int = 1, char_fallback: bool = False) -> Vocab
     docs = list(corpus)
     if not docs:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for doc in docs:
-        for tok in tokenize(doc, char_fallback=char_fallback):
-            counts[tok] = counts.get(tok, 0) + 1
+        counts.update(tokenize(doc, char_fallback=char_fallback))
     kept = [
         tok
         for tok, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-UNITS = ("retrieval_epoch", "generation_epoch", "finetune_epoch", "score_batched",
+UNITS = ("prepare", "retrieval_epoch", "generation_epoch", "finetune_epoch", "score_batched",
          "score_b1", "decode_step")
 MICRO = ["--set", "d_model=16", "--set", "n_layers=1", "--set", "n_heads=2",
          "--set", "d_ffn=32", "--set", "pooled_dim=16"]

@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import time
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -96,17 +95,10 @@ def _check(build, leaves, h=1e-5):
         assert max_rel_error(t.grad, n) <= GRAD_TOL
 
 
-def _oracle_seed(name: str, trial: int) -> int:
-    """The seed of criterion 1's instance ``trial`` of op ``name``, derived
-    as ``SeedHub`` derives a stream's key, so every process draws the same
-    instances whatever its PYTHONHASHSEED."""
-    return zlib.crc32(f"acc/{name}/{trial}".encode())
-
-
 def test_oracle_seeds_do_not_depend_on_the_hash_seed():
     root = Path(__file__).resolve().parents[1]
-    code = ("from tests import op_builders; from tests.test_acceptance import _oracle_seed; "
-            "print([_oracle_seed(n, t) for n in op_builders.DIFFERENTIABLE_OPS for t in range(10)])")
+    code = ("from tests import op_builders; print([op_builders.oracle_seed(n, t) "
+            "for n in op_builders.DIFFERENTIABLE_OPS for t in range(10)])")
     outs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
@@ -124,7 +116,7 @@ def test_criterion_1_gradient_oracle_suite(capsys):
 
     for name in op_builders.DIFFERENTIABLE_OPS:
         for trial in range(10):
-            r = np.random.default_rng(_oracle_seed(name, trial))
+            r = np.random.default_rng(op_builders.oracle_seed(name, trial))
             build, leaves = op_builders.make_builder(name, r, trial)
             _check(build, leaves)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +40,78 @@ class TestPreprocess:
         for s in cases:
             once = tx.preprocess(s)
             assert tx.preprocess(once) == once
+
+
+# the cleanup as three unconditional passes, the definition the guarded
+# passes of tx.preprocess and tx.tokenize must reproduce
+_WS_RE = re.compile(r"\s+")
+
+
+def _reference_preprocess(text):
+    text = tx._URL_RE.sub(" ", text)
+    text = tx._EMOJI_RE.sub(" ", text)
+    return _WS_RE.sub(" ", text).strip()
+
+
+def _reference_tokenize(text, char_fallback):
+    tokens = _reference_preprocess(text).split()
+    if not char_fallback:
+        return tokens
+    return [c for tok in tokens for c in ([tok] if tok in tx.RESERVED_TOKENS else tok)]
+
+
+_SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+_PIECES = (
+    ["refund", "Order", "a1", "x", "?", "[SEP]", "[CLS]", "é", "中文", "café",
+     "https://shop.example/a?b=1", "ftp://files.example.org/f", "x://y", "9://z",
+     "www.shop.example/p", "WWW.SHOP.EXAMPLE", "awww.b", "http:/half", "://",
+     "www.", "\u200d", "\ufe0f"]
+    + [chr(c) for bounds in tx._EMOJI_RANGES for c in bounds]
+    + _SPACES
+)
+
+
+def _fuzzed_texts(n, seed=0):
+    """Random joins of the pieces, abutting or separated by whitespace."""
+    r = random.Random(seed)
+    seps = ["", " ", "  "] + _SPACES
+    return [
+        "".join(r.choice(_PIECES) + r.choice(seps) for _ in range(r.randint(0, 12)))
+        for _ in range(n)
+    ]
+
+
+class TestGuardedCleanup:
+    def test_emoji_ranges_are_outside_ascii(self):
+        assert min(lo for lo, _ in tx._EMOJI_RANGES) > 0x7F
+
+    def test_uppercase_www_survives(self):
+        assert tx.preprocess("see WWW.SHOP.EXAMPLE now") == "see WWW.SHOP.EXAMPLE now"
+
+    def test_matches_unconditional_passes_on_fuzzed_text(self):
+        for text in _fuzzed_texts(12_000):
+            assert tx.preprocess(text) == _reference_preprocess(text), repr(text)
+            for fallback in (False, True):
+                assert tx.tokenize(text, fallback) == _reference_tokenize(text, fallback), repr(text)
+
+    def test_build_vocab_matches_counting_by_dict(self):
+        texts = _fuzzed_texts(2_000, seed=2)
+        for fallback in (False, True):
+            counts = {}
+            for text in texts:
+                for tok in _reference_tokenize(text, fallback):
+                    counts[tok] = counts.get(tok, 0) + 1
+            order = sorted((t for t in counts if t not in tx.RESERVED_TOKENS),
+                           key=lambda t: (-counts[t], t))
+            vocab = tx.build_vocab(texts, char_fallback=fallback)
+            assert [vocab.token(i) for i in range(len(vocab))] == list(tx.RESERVED_TOKENS) + order
+
+    def test_encode_tokens_matches_id_per_token(self):
+        texts = _fuzzed_texts(2_000, seed=1)
+        vocab = tx.build_vocab(texts[:1_000], min_freq=2)
+        for text in texts:
+            tokens = tx.tokenize(text) + ["never-seen-token"]
+            assert vocab.encode_tokens(tokens) == [vocab.id(t) for t in tokens]
 
 
 class TestFlatten:

@@ -12,7 +12,8 @@ of the command picks CPU 1. A build-dependent bias of the host then falls
 on both sides alike, which sequential benchmark runs in separate processes
 cannot guarantee.
 
-The units are one epoch of each training stage, batched scoring, batch-1
+The units are ``training.prepare`` of the workload's records with a fresh
+vocabulary, one epoch of each training stage, batched scoring, batch-1
 scoring and greedy decoding, at the shapes of a ``perfbench/workloads.py``
 workload. Each repeat times every unit on both sides, by process CPU time,
 the parent first on even repeats and the change first on odd ones. For
@@ -44,7 +45,7 @@ import time  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 SEED = 1  # of the workload's records and of training
-UNITS = ("retrieval_epoch", "generation_epoch", "finetune_epoch", "score_batched",
+UNITS = ("prepare", "retrieval_epoch", "generation_epoch", "finetune_epoch", "score_batched",
          "score_b1", "decode_step")
 
 
@@ -99,8 +100,8 @@ class Side:
         self.SeedHub = importlib.import_module(f"{name}.rng").SeedHub
         text = importlib.import_module(f"{name}.text")
         self.cfg = importlib.import_module(f"{name}.config").StageConfig(**dataclasses.asdict(cfg))
-        self.prepared = self.tr.prepare(
-            [text.DialogueRecord(**dataclasses.asdict(r)) for r in records], self.cfg)
+        self.records = [text.DialogueRecord(**dataclasses.asdict(r)) for r in records]
+        self.prepared = self.tr.prepare(self.records, self.cfg)
         p = self.prepared
         self.seqs = [ex.utterance_ids for ex in p.train + p.valid + p.test]
         self.generate_seqs = self.seqs[:generate_records]
@@ -118,6 +119,9 @@ class Side:
     def encoder(self):
         return self.model.ConversationalEncoder(self.cfg.encoder_config(len(self.prepared.vocab)),
                                                 self.hub().stream("encoder_init"))
+
+    def prepare(self):
+        return lambda: self.tr.prepare(self.records, self.cfg)
 
     def retrieval_epoch(self):
         enc, cfg = self.encoder(), self.cfg.replace(retrieval_epochs=1)
