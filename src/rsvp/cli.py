@@ -19,13 +19,10 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from . import training as tr
 from .checkpoint import CheckpointError
 from .config import StageConfig, load_config
 from .metrics import export_embeddings, multilabel_predicted
-from .rng import SeedHub
-from .model import ConversationalEncoder
 from .synth import gen_data
 from .text import Vocab, encode_utterance, load_jsonl, read_jsonl, split
 
@@ -38,12 +35,12 @@ def _setup_logging():
 
 
 def _resolve_config(args) -> StageConfig:
-    cfg = load_config(args.config, args.set or [])
-    if args.seeds:
-        cfg = cfg.replace(seeds=tuple(int(s) for s in args.seeds.split(",")))
-    elif args.seed is not None:
-        cfg = cfg.replace(seeds=(int(args.seed),))
-    return cfg
+    overrides = list(args.set or [])
+    # --seed s and --seeds s each mean --set seeds=s, after every other --set
+    for seeds in (args.seed, args.seeds):
+        if seeds is not None:
+            overrides.append(f"seeds={seeds}")
+    return load_config(args.config, overrides)
 
 
 def _load_prepared(args, cfg: StageConfig):
@@ -52,13 +49,9 @@ def _load_prepared(args, cfg: StageConfig):
     return tr.prepare(records, cfg, vocab=vocab)
 
 
-def _write_resolved_config(out_dir, cfg: StageConfig):
+def _write_resolved_config(out_dir, cfg: StageConfig) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "resolved_config.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+    tr._write_json(os.path.join(out_dir, "resolved_config.json"), cfg.to_dict())
 
 
 def cmd_gen_data(args) -> int:
@@ -66,7 +59,7 @@ def cmd_gen_data(args) -> int:
         n_intents=args.n_intents,
         n_per_intent=args.n_per_intent,
         vocab_style=args.vocab_style,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         out_path=args.out,
     )
     print(f"wrote {len(records)} records to {args.out}")
@@ -84,66 +77,51 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def _init_encoder(args, cfg: StageConfig, prepared, seed: int, next_stage: str):
+def _resume_encoder(args, cfg: StageConfig, prepared, stage: str):
+    """The encoder of ``--init-ckpt``, with the AdamW moments and step
+    counts that training continues from, once it fits this run."""
+    ckpt, ckpt_cfg, encoder, _, _ = tr.load_stage_checkpoint(args.init_ckpt, moments=True)
+    # precision is not an EncoderConfig field; an encoder of the other
+    # precision would be saved under this run's config
+    if ckpt_cfg.precision != cfg.precision:
+        raise ValueError(f"--init-ckpt {args.init_ckpt} has precision={ckpt_cfg.precision!r}, "
+                         f"but this run's config gives {cfg.precision!r}")
+    # a model of another shape would train, then write a checkpoint that
+    # no command can load with this run's config
     enc_cfg = cfg.encoder_config(len(prepared.vocab))
-    if args.init_ckpt:
-        # training resumes: AdamW continues from the saved moments and steps
-        ckpt, ckpt_cfg, encoder, _, _ = tr.load_stage_checkpoint(args.init_ckpt, moments=True)
-        # precision is not an EncoderConfig field; an encoder of the other
-        # precision would be saved under this run's config
-        if ckpt_cfg.precision != cfg.precision:
-            raise ValueError(f"--init-ckpt {args.init_ckpt} has precision={ckpt_cfg.precision!r}, "
-                             f"but this run's config gives {cfg.precision!r}")
-        # a model of another shape would train, then write a checkpoint that
-        # no command can load with this run's config
-        for field in dataclasses.fields(enc_cfg):
-            have, want = getattr(encoder.cfg, field.name), getattr(enc_cfg, field.name)
-            if have != want:
-                raise ValueError(f"--init-ckpt {args.init_ckpt} has {field.name}={have!r}, "
-                                 f"but this run's config and data give {want!r}")
-        tr.check_stage_transition(ckpt.stage, next_stage, cfg.task_order)
-        return encoder
-    hub = SeedHub(seed)
-    with ad.precision(cfg.precision):
-        return ConversationalEncoder(enc_cfg, hub.stream("encoder_init"))
+    for field in dataclasses.fields(enc_cfg):
+        have, want = getattr(encoder.cfg, field.name), getattr(enc_cfg, field.name)
+        if have != want:
+            raise ValueError(f"--init-ckpt {args.init_ckpt} has {field.name}={have!r}, "
+                             f"but this run's config and data give {want!r}")
+    tr.check_stage_transition(ckpt.stage, tr._CKPT_TAG[stage], cfg.task_order)
+    return encoder
 
 
-def _save_stage(args, cfg: StageConfig, seed: int, prepared, stage: str, ckpt_stage: str,
-                history, encoder, **heads) -> str:
-    """Write a stage command's outputs into --out: the resolved config, the
-    checkpoint, <stage>_curves.csv and vocab.txt; returns the checkpoint path."""
-    _write_resolved_config(args.out, cfg)
-    ckpt_path = os.path.join(args.out, f"{ckpt_stage}.ckpt")
-    tr.save_stage_checkpoint(ckpt_path, ckpt_stage, cfg, len(prepared.vocab), encoder,
-                             labels=prepared.label_names, **heads)
-    tr.write_curves_csv(os.path.join(args.out, f"{stage}_curves.csv"), {str(seed): {stage: history}})
-    prepared.vocab.save(os.path.join(args.out, "vocab.txt"))
-    return ckpt_path
-
-
-# stage subcommand -> (training stage, checkpoint tag)
+# stage subcommand -> the training stage it runs
 STAGE_COMMANDS = {
-    "pretrain-retrieval": ("retrieval", "retrieval"),
-    "pretrain-generation": ("generation", "generation"),
-    "finetune": ("finetune", "finetuned"),
+    "pretrain-retrieval": "retrieval",
+    "pretrain-generation": "generation",
+    "finetune": "finetune",
 }
 
 
 def cmd_stage(args) -> int:
     """Train one stage at the first seed, from --init-ckpt or a fresh
-    encoder, and write its outputs; fine-tuning also prints test metrics."""
-    stage, ckpt_stage = STAGE_COMMANDS[args.command]
+    encoder, and write into --out the resolved config, the checkpoint with
+    vocab.txt beside it and <stage>_curves.csv; fine-tuning also prints
+    test metrics."""
+    stage = STAGE_COMMANDS[args.command]
     cfg = _resolve_config(args)
     seed = cfg.seeds[0]
     prepared = _load_prepared(args, cfg)
-    with ad.precision(cfg.precision):
-        encoder = _init_encoder(args, cfg, prepared, seed, ckpt_stage)
-        heads, history = tr.train_stage(stage, encoder, prepared, cfg, SeedHub(seed))
-    ckpt_path = _save_stage(args, cfg, seed, prepared, stage, ckpt_stage, history, encoder, **heads)
-    if "classifier" in heads:
-        preds = tr.predict_examples(encoder, heads["classifier"], prepared.test, cfg.multi_label)
-        if preds:
-            print(json.dumps(tr.compute_metrics(preds, cfg.multi_label), sort_keys=True))
+    encoder = _resume_encoder(args, cfg, prepared, stage) if args.init_ckpt else None
+    metrics, curves, encoder, heads = tr._seed_pipeline(prepared, cfg, seed, [stage], encoder)
+    _write_resolved_config(args.out, cfg)
+    ckpt_path = tr._save_model(args.out, stage, cfg, prepared, encoder, heads)
+    tr.write_curves_csv(os.path.join(args.out, f"{stage}_curves.csv"), {str(seed): curves})
+    if metrics:
+        print(json.dumps(metrics, sort_keys=True))
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -220,10 +198,7 @@ def cmd_evaluate(args) -> int:
     metrics = tr.compute_metrics(preds, cfg.multi_label)
     print(json.dumps(metrics, sort_keys=True))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump({"split": args.split, "metrics": metrics, "config": cfg.to_dict()}, f,
-                      indent=2, sort_keys=True)
-            f.write("\n")
+        tr._write_json(args.out, {"split": args.split, "metrics": metrics, "config": cfg.to_dict()})
     return 0
 
 
@@ -252,7 +227,7 @@ def cmd_predict(args) -> int:
                 {"id": record_id, "intent": chosen,
                  "scores": {name: float(s) for name, s in zip(ckpt.labels, row)}}
             )
-    text_out = "\n".join(json.dumps(o, sort_keys=True) for o in outputs) + "\n"
+    text_out = "".join(json.dumps(o, sort_keys=True) + "\n" for o in outputs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text_out)
@@ -286,8 +261,8 @@ def _add_training(p):
     a checkpoint and add only ``_add_data``."""
     _add_config(p)
     seeds = p.add_mutually_exclusive_group()
-    seeds.add_argument("--seed", type=int, default=None)
-    seeds.add_argument("--seeds", default=None, help="comma-separated seed list")
+    seeds.add_argument("--seed", default=None, help="same as --set seeds=SEED")
+    seeds.add_argument("--seeds", default=None, help="same as --set seeds=SEEDS")
     _add_data(p)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -364,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CheckpointError, KeyError, FloatingPointError) as e:
+    except (ValueError, OSError, CheckpointError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -50,14 +50,28 @@ class StageConfig:
     gen_loss_reduction: str = "token_mean"  # or "sequence_sum"
 
     def __post_init__(self):
-        if min(self.retrieval_epochs, self.generation_epochs, self.finetune_epochs) < 0:
-            raise ValueError("epoch counts must be nonnegative")
-        if self.pretrain_batch < 1 or self.finetune_batch < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        for name in ("retrieval_epochs", "generation_epochs", "finetune_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("pretrain_batch", "finetune_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a one-pair retrieval batch has no negative, so its gradient is zero
+        if self.retrieval_epochs > 0 and self.pretrain_batch < 2:
+            raise ValueError(f"pretrain_batch must be >= 2 while retrieval_epochs > 0, "
+                             f"got {self.pretrain_batch}")
+        # the comparisons are written so that NaN is refused too
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be positive, or none to turn clipping off, "
+                             f"got {self.clip_norm}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not self.lam >= 0:
+            raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.task_order not in ("retrieval_first", "generation_first"):
@@ -69,7 +83,7 @@ class StageConfig:
         if self.gen_loss_reduction not in ("token_mean", "sequence_sum"):
             raise ValueError(f"unknown gen_loss_reduction {self.gen_loss_reduction!r}")
         if not self.seeds:
-            raise ValueError("at least one seed is required")
+            raise ValueError("seeds must hold at least one seed")
         self.seeds = tuple(int(s) for s in self.seeds)
         self.split_ratios = tuple(float(r) for r in self.split_ratios)
 
@@ -95,54 +109,75 @@ class StageConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(StageConfig)}
+# comma-separated fields and the type of their items
+_LISTS = {"seeds": int, "split_ratios": float}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _spelling(name: str, value) -> str:
+    """A config file's JSON ``value`` for ``name`` as ``--set`` would spell
+    it: a list only for the comma-separated fields, null only for clip_norm."""
+    if isinstance(value, list) and name in _LISTS:
+        items = value
+    elif value is None and name == "clip_norm":
+        return "none"
+    else:
+        items = [value]
+    if not all(isinstance(v, (str, int, float)) for v in items):
+        raise ValueError(f"config value {name}={json.dumps(value)} is not a JSON string, number "
+                         f"or boolean" + (", or a list of them" if name in _LISTS else ""))
+    return ",".join(v if isinstance(v, str) else json.dumps(v) for v in items)
 
 
 def _parse_value(name: str, raw):
-    """Coerce a config value (possibly a string from the CLI) to field type."""
-    if name in ("seeds", "split_ratios"):
-        if isinstance(raw, str):
-            raw = [x for x in raw.replace(" ", "").split(",") if x]
-        caster = int if name == "seeds" else float
-        return tuple(caster(x) for x in raw)
-    if name == "clip_norm":
-        if raw in (None, "none", "None", ""):
-            return None
-        return float(raw)
-    typ = type(_FIELDS[name].default)
-    if typ is bool:
-        if isinstance(raw, bool):
-            return raw
-        if str(raw).lower() in ("1", "true", "yes"):
-            return True
-        if str(raw).lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"cannot parse boolean config value {name}={raw!r}")
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    return str(raw)
+    """The one parse rule for a config value: ``raw`` is the text of
+    ``--set name=raw``, or a config file's JSON value, read as its
+    ``--set`` spelling. Every refusal is a ValueError naming ``name``."""
+    if name not in _FIELDS:
+        raise ValueError(f"unknown config key {name!r}")
+    text = (raw if isinstance(raw, str) else _spelling(name, raw)).strip()
+    if name == "clip_norm" and text in ("none", "None", ""):
+        return None
+    kind = _LISTS.get(name) or (float if name == "clip_norm" else type(_FIELDS[name].default))
+    try:
+        if name in _LISTS:
+            # int("") raises: "0,,1" is refused, not read as (0, 1)
+            return tuple(kind(item) for item in text.split(",")) if text else ()
+        if kind is bool:
+            return _BOOLS[text.lower()]
+        return kind(text)
+    except (KeyError, ValueError):
+        of = "a comma-separated list of " if name in _LISTS else ""
+        raise ValueError(
+            f"cannot read config value {name}={text!r} as {of}{kind.__name__}") from None
+
+
+def _parse_overrides(items) -> dict:
+    """``key=value`` items parsed by ``_parse_value``, by key; a later item
+    wins. ``tools/ab_time.py`` applies its ``--set`` items through this."""
+    values = {}
+    for item in items:
+        key, eq, text = item.partition("=")
+        if not eq:
+            raise ValueError(f"override {item!r} is not of the form key=value")
+        values[key.strip()] = _parse_value(key.strip(), text)
+    return values
 
 
 def load_config(path=None, overrides=None) -> StageConfig:
     """Build a StageConfig from an optional flat JSON file plus key=value
-    overrides. Unknown keys are rejected; overrides win over the file."""
+    overrides, which win over the file. A file value is accepted exactly
+    when its ``--set`` spelling would be, and parses to the same value.
+    Unknown keys are rejected."""
     values: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a flat JSON object")
-        for key, val in raw.items():
-            if key not in _FIELDS:
-                raise ValueError(f"{path}: unknown config key {key!r}")
-            values[key] = _parse_value(key, val)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not of the form key=value")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, val.strip())
+        try:
+            values = {key: _parse_value(key, val) for key, val in raw.items()}
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+    values.update(_parse_overrides(overrides or []))
     return StageConfig(**values)

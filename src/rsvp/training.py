@@ -369,12 +369,17 @@ class RunReport:
         """Write <name>.json plus a long-format <name>_curves.csv; returns paths."""
         os.makedirs(out_dir, exist_ok=True)
         json_path = os.path.join(out_dir, f"{name}.json")
-        with open(json_path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(json_path, self.to_dict())
         csv_path = os.path.join(out_dir, f"{name}_curves.csv")
         write_curves_csv(csv_path, self.curves)
         return {"report": json_path, "curves": csv_path}
+
+
+def _write_json(path, obj) -> None:
+    """The JSON every output file holds: indented, keys sorted, newline-ended."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def write_curves_csv(path, curves: dict) -> None:
@@ -409,24 +414,41 @@ def _pretrain_order(task_order: str) -> tuple:
     return ("retrieval", "generation")
 
 
-def _seed_pipeline(prepared: PreparedData, cfg: StageConfig, seed: int):
-    """Train one seed's model: the pre-training stages whose epoch count is
-    above 0, in ``cfg.task_order``, then fine-tuning. Returns the test
-    metrics, the curves of the stages that ran, the encoder and the
-    classifier."""
+# the checkpoint tag of the model each training stage leaves
+_CKPT_TAG = {"retrieval": "retrieval", "generation": "generation", "finetune": "finetuned"}
+
+
+def _seed_pipeline(prepared: PreparedData, cfg: StageConfig, seed: int, stages, encoder=None):
+    """Train one seed's model through ``stages`` in order, in cfg's
+    precision, from ``encoder`` or else the seed's fresh encoder. Returns
+    the test metrics after fine-tuning (``{}`` without fine-tuning or with
+    an empty test split), the curves of ``stages``, the encoder and the
+    heads the last stage trained."""
     hub = SeedHub(seed)
-    encoder = ConversationalEncoder(
-        cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init")
-    )
-    epochs = {"retrieval": cfg.retrieval_epochs, "generation": cfg.generation_epochs}
-    stages = [s for s in _pretrain_order(cfg.task_order) if epochs[s] > 0] + ["finetune"]
-    stage_curves = {}
-    for stage in stages:
-        heads, stage_curves[stage] = train_stage(stage, encoder, prepared, cfg, hub)
-    classifier = heads["classifier"]
-    preds = predict_examples(encoder, classifier, prepared.test, cfg.multi_label)
-    metrics = compute_metrics(preds, cfg.multi_label) if preds else {}
-    return metrics, stage_curves, encoder, classifier
+    curves, metrics, heads = {}, {}, {}
+    with ad.precision(cfg.precision):
+        if encoder is None:
+            encoder = ConversationalEncoder(
+                cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init")
+            )
+        for stage in stages:
+            heads, curves[stage] = train_stage(stage, encoder, prepared, cfg, hub)
+        if "classifier" in heads:
+            preds = predict_examples(encoder, heads["classifier"], prepared.test, cfg.multi_label)
+            metrics = compute_metrics(preds, cfg.multi_label) if preds else {}
+    return metrics, curves, encoder, heads
+
+
+def _save_model(out_dir, stage: str, cfg: StageConfig, prepared: PreparedData, encoder, heads,
+                suffix: str = "") -> str:
+    """Write the model ``stage`` left as <tag><suffix>.ckpt in ``out_dir``,
+    and the vocabulary beside it as vocab.txt; returns the checkpoint path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{_CKPT_TAG[stage]}{suffix}.ckpt")
+    save_stage_checkpoint(path, _CKPT_TAG[stage], cfg, len(prepared.vocab), encoder,
+                          labels=prepared.label_names, **heads)
+    prepared.vocab.save(os.path.join(out_dir, "vocab.txt"))
+    return path
 
 
 def run_rsvp(
@@ -435,32 +457,23 @@ def run_rsvp(
     variant: str = "full",
     checkpoint_dir=None,
 ) -> RunReport:
-    """The two-stage pipeline of ``_seed_pipeline`` once per seed in
-    cfg.seeds, in cfg's precision; reports the per-seed metrics, their mean
-    and the loss curves.
+    """The two-stage pipeline once per seed in cfg.seeds: the pre-training
+    stages whose epoch count is above 0, in ``cfg.task_order``, then
+    fine-tuning. Reports the per-seed test metrics, their mean and the loss
+    curves.
 
     With ``checkpoint_dir`` set, the fine-tuned model for each seed is
     saved as finetuned_seed<seed>.ckpt, and the vocabulary beside them as
     vocab.txt.
     """
+    epochs = {"retrieval": cfg.retrieval_epochs, "generation": cfg.generation_epochs}
+    stages = [s for s in _pretrain_order(cfg.task_order) if epochs[s] > 0] + ["finetune"]
     per_seed, curves = [], {}
-    with ad.precision(cfg.precision):
-        for seed in cfg.seeds:
-            metrics, curves[str(seed)], encoder, classifier = _seed_pipeline(prepared, cfg, seed)
-            per_seed.append({"seed": seed, **metrics})
-            if checkpoint_dir is not None:
-                os.makedirs(checkpoint_dir, exist_ok=True)
-                save_stage_checkpoint(
-                    os.path.join(checkpoint_dir, f"finetuned_seed{seed}.ckpt"),
-                    "finetuned",
-                    cfg,
-                    len(prepared.vocab),
-                    encoder,
-                    classifier=classifier,
-                    labels=prepared.label_names,
-                )
-    if checkpoint_dir is not None:
-        prepared.vocab.save(os.path.join(checkpoint_dir, "vocab.txt"))
+    for seed in cfg.seeds:
+        metrics, curves[str(seed)], encoder, heads = _seed_pipeline(prepared, cfg, seed, stages)
+        per_seed.append({"seed": seed, **metrics})
+        if checkpoint_dir is not None:
+            _save_model(checkpoint_dir, "finetune", cfg, prepared, encoder, heads, f"_seed{seed}")
     return RunReport(
         variant=variant,
         per_seed=per_seed,
@@ -611,7 +624,7 @@ def load_stage_checkpoint(path, moments: bool = False):
 def check_stage_transition(ckpt_stage: str, next_stage: str, task_order: str) -> None:
     """Warn when a checkpoint seeds a stage that does not come after its
     own in the pipeline ``task_order`` runs."""
-    order = _pretrain_order(task_order) + ("finetuned",)
+    order = _pretrain_order(task_order) + (_CKPT_TAG["finetune"],)
     if order.index(ckpt_stage) >= order.index(next_stage):
         logger.warning(
             "loading a %s-stage checkpoint into the %s stage; this rewinds the pipeline",

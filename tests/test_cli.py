@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
+import re
 import warnings
 
 import numpy as np
@@ -93,6 +95,89 @@ class TestConfig:
             load_config(None, ["tau=0"])
         with pytest.raises(ValueError):
             load_config(None, ["task_order=sideways"])
+
+    # (key, JSON value in a --config file, the same value spelled for --set)
+    FILE_AND_SET = [
+        ("d_model", 2.5, "2.5"), ("finetune_epochs", 1.9, "1.9"), ("lr", True, "true"),
+        ("lr", [1], "[1]"), ("d_model", None, "none"), ("d_model", {"a": 1}, '{"a": 1}'),
+        ("seeds", 5, "5"), ("seeds", [0, 1], "0,1"), ("seeds", [], ""), ("seeds", [[0]], "[0]"),
+        ("split_ratios", [0.5, 0.25, 0.25], "0.5,0.25,0.25"), ("clip_norm", None, "none"),
+        ("clip_norm", 2, "2"), ("multi_label", True, "true"), ("multi_label", 1.0, "1.0"),
+        ("lr", 1, "1"), ("lr", "0.5", "0.5"), ("precision", "float64", "float64"),
+    ]
+
+    @pytest.mark.parametrize("key,value,spelling", FILE_AND_SET)
+    def test_a_file_value_parses_as_its_set_spelling(self, tmp_path, key, value, spelling):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        try:
+            expected = load_config(None, [f"{key}={spelling}"])
+        except ValueError as e:
+            assert f"{key}=" in str(e) or f"{key} " in str(e)
+            with pytest.raises(ValueError, match=f"{key}[= ]"):
+                load_config(path)
+        else:
+            assert load_config(path) == expected
+
+    def test_mistyped_file_values_are_refused_by_key(self, tmp_path):
+        # each once trained with the value cut to the field's type
+        for key, value in (("d_model", 2.5), ("finetune_epochs", 1.9), ("lr", True)):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ValueError, match=f"{path}: cannot read config value {key}="):
+                load_config(path)
+
+    def test_empty_seed_list_items_are_refused(self):
+        for seeds in ("0,,1", "0,1,", ",0"):
+            with pytest.raises(ValueError, match="config value seeds="):
+                load_config(None, [f"seeds={seeds}"])
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"lr": 0.0}, "lr must be positive, got 0.0"),
+        ({"lr": -1.0}, "lr must be positive, got -1.0"),
+        ({"lr": float("nan")}, "lr must be positive, got nan"),
+        ({"weight_decay": -5.0}, "weight_decay must be nonnegative, got -5.0"),
+        ({"lam": float("nan")}, "lam must be nonnegative, got nan"),
+        ({"tau": float("nan")}, "tau must be positive, got nan"),
+        ({"clip_norm": 0.0}, "clip_norm must be positive"),
+        ({"clip_norm": -1.0}, "clip_norm must be positive"),
+        ({"pretrain_batch": 1}, "pretrain_batch must be >= 2 while retrieval_epochs > 0, got 1"),
+    ])
+    def test_configs_that_cannot_train_are_refused(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StageConfig(**fields)
+
+    def test_configs_near_the_refused_ones_stay_valid(self):
+        StageConfig(pretrain_batch=1, retrieval_epochs=0)
+        StageConfig(weight_decay=0.0, clip_norm=None, lr=1e12)
+        StageConfig(clip_norm=1e-3)
+        for batch in tr.SWEEP_VALUES["batch_n"]:
+            StageConfig(pretrain_batch=batch)
+
+    def test_resolved_config_loads_back_equal_in_every_field(self, data_path, tmp_path):
+        # every field away from its default, so a field that does not round-trip shows
+        sets = [
+            "retrieval_epochs=0", "generation_epochs=3", "finetune_epochs=4",
+            "task_order=generation_first", "pretrain_batch=5", "finetune_batch=6", "lr=0.003",
+            "weight_decay=0.02", "clip_norm=1.5", "tau=0.7", "lam=0.25", "dropout_p=0.2",
+            "seeds=4,2", "precision=float64", "d_model=32", "n_layers=1", "n_heads=2",
+            "d_ffn=64", "pooled_dim=32", "max_len=48", "min_freq=2", "char_fallback=true",
+            "split_ratios=0.7,0.2,0.1", "split_seed=3", "multi_label=true",
+            "checkpoint_selection=final", "gen_loss_reduction=sequence_sum",
+        ]
+        cfg = load_config(None, sets)
+        default = StageConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(StageConfig))
+        first = tmp_path / "first"
+        assert main(["pretrain-retrieval", "--data", data_path, "--out", str(first)]
+                    + [arg for item in sets for arg in ("--set", item)]) == 0
+        written = first / "resolved_config.json"
+        assert load_config(written) == cfg
+        again = tmp_path / "again"
+        assert main(["pretrain-retrieval", "--data", data_path, "--out", str(again),
+                     "--config", str(written)]) == 0
+        assert (again / "resolved_config.json").read_bytes() == written.read_bytes()
 
 
 class TestGenDataCommand:
@@ -248,8 +333,8 @@ class TestStageCommands:
         path = str(out / "retrieval.ckpt")
         ckpt = checkpoint.load_checkpoint(path)
         cfg = load_config(None, MICRO + [f"precision={precision}"])
-        encoder = cli._init_encoder(argparse.Namespace(init_ckpt=path), cfg,
-                                    tr.prepare(load_jsonl(data_path), cfg), 0, "generation")
+        encoder = cli._resume_encoder(argparse.Namespace(init_ckpt=path), cfg,
+                                      tr.prepare(load_jsonl(data_path), cfg), "generation")
         params = encoder.named_parameters()
         assert len(params) == len(ckpt.moments1) == len(ckpt.moments2)
         for name, p in params:
@@ -286,9 +371,9 @@ class TestDtypeScope:
     """A float64 config runs in float64 and leaves the process default alone."""
 
     def test_init_encoder_builds_in_config_precision(self, data_path):
-        cfg = load_config(None, MICRO + ["precision=float64"])
+        cfg = load_config(None, MICRO + ["precision=float64", "retrieval_epochs=0"])
         prepared = tr.prepare(load_jsonl(data_path), cfg)
-        encoder = cli._init_encoder(argparse.Namespace(init_ckpt=None), cfg, prepared, 0, "retrieval")
+        _, _, encoder, _ = tr._seed_pipeline(prepared, cfg, 0, ["retrieval"])
         assert encoder.tok_emb.data.dtype == np.float64
         assert ad.default_dtype() is np.float32
 
@@ -372,6 +457,18 @@ class TestPredict:
         assert isinstance(lines[0]["intent"], str)
         assert abs(sum(lines[0]["scores"].values()) - 1.0) < 1e-6
 
+
+    def test_no_records_write_an_empty_file(self, finetuned_dir, tmp_path, capsys):
+        inputs = tmp_path / "incoming.jsonl"
+        inputs.write_text("\n")
+        out = tmp_path / "pred.jsonl"
+        common = ["predict", "--ckpt", str(finetuned_dir / "finetuned.ckpt"),
+                  "--input", str(inputs)]
+        assert main(common + ["--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+        capsys.readouterr()
+        assert main(common) == 0
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("value", [None, 7, True, {"k": 1}, ["a"]],
                              ids=["null", "number", "bool", "object", "list"])
@@ -656,6 +753,56 @@ class TestPredictVocabulary:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv,message", [
+        (["--seeds", ""], "seeds must hold at least one seed"),
+        (["--seeds", "0,,1"], "cannot read config value seeds='0,,1'"),
+        (["--set", "seeds=0,,1"], "cannot read config value seeds='0,,1'"),
+        (["--seed", "1.5"], "cannot read config value seeds='1.5'"),
+        (["--set", "lr=0"], "lr must be positive, got 0.0"),
+        (["--set", "clip_norm=0"], "clip_norm must be positive"),
+        (["--set", "weight_decay=-5"], "weight_decay must be nonnegative, got -5.0"),
+        (["--set", "pretrain_batch=1"], "pretrain_batch must be >= 2 while retrieval_epochs > 0"),
+    ])
+    def test_refused_setting_exits_1_with_one_error_line(self, argv, message, data_path,
+                                                         tmp_path, capsys):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["run-rsvp", "--data", data_path, "--out", str(out)] + _sets() + argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_mistyped_config_file_exits_1_before_training(self, data_path, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"d_model": 2.5}))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["run-rsvp", "--data", data_path, "--out", str(out), "--config", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {path}: cannot read config value "
+                                           "d_model='2.5' as int\n")
+        assert not out.exists()
+
+    def test_seed_means_set_seeds(self, data_path, tmp_path):
+        for name, argv in (("seed", ["--seed", "3"]), ("set", ["--set", "seeds=3"]),
+                           ("seeds", ["--seeds", " 3"])):
+            assert main(["pretrain-retrieval", "--data", data_path, "--out", str(tmp_path / name)]
+                        + _sets() + argv) == 0
+        written = {(tmp_path / name / "resolved_config.json").read_bytes()
+                   for name in ("seed", "set", "seeds")}
+        assert len(written) == 1 and '"seeds": [\n    3\n  ]' in written.pop().decode()
+
+    def test_key_error_is_not_caught(self, data_path, tmp_path, monkeypatch):
+        # no input reaches a KeyError; one is a bug and keeps its traceback
+        def broken(*args, **kwargs):
+            raise KeyError("planted")
+
+        monkeypatch.setattr(tr, "prepare", broken)
+        with pytest.raises(KeyError, match="planted"):
+            main(["run-rsvp", "--data", data_path, "--out", str(tmp_path / "o")] + _sets())
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["run-rsvp", "--data", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "o")] + _sets())

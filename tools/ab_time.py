@@ -80,14 +80,9 @@ def load_workload(name: str):
 
 
 def with_overrides(cfg, items):
-    """``cfg`` with ``key=value`` overrides of its int and float fields."""
-    for item in items:
-        key, _, raw = item.partition("=")
-        current = getattr(cfg, key.strip())
-        if type(current) not in (int, float):
-            raise SystemExit(f"--set {key}: only int and float fields can be set")
-        cfg = cfg.replace(**{key.strip(): type(current)(raw)})
-    return cfg
+    """``cfg`` with ``key=value`` overrides, parsed as ``rsvp --set`` parses them."""
+    from rsvp.config import _parse_overrides  # importable once load_workload has run
+    return cfg.replace(**_parse_overrides(items))
 
 
 class Side:
@@ -195,14 +190,17 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", default="desk", choices=("desk", "long"))
     ap.add_argument("--repeats", type=int, default=10)
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                    help="override an int or float config field of the workload")
+                    help="override a config field of the workload, as rsvp --set does")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     workload = load_workload(args.workload)
-    cfg = with_overrides(workload.config(SEED), args.set)
+    try:
+        cfg = with_overrides(workload.config(SEED), args.set)
+    except ValueError as e:
+        ap.error(str(e))
     records = workload.records(SEED)
     with tempfile.TemporaryDirectory(prefix="ab_time_") as tmp:
         load_package("rsvp_parent", extract_parent(args.parent, tmp))
