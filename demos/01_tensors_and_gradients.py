@@ -6,36 +6,36 @@ import numpy as np
 
 from rsvp import autodiff as ad
 from rsvp.autodiff import Tensor
-from rsvp.optim import Parameter, adamw_step, zero_grad
+from rsvp.optim import Parameter, adamw_step
 
-print("== tensors and reverse-mode gradients ==")
-ad.set_default_dtype("float64")
+print("== tensors and reverse-mode gradients (float64 inside the with block) ==")
+with ad.precision("float64"):
+    w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    x = Tensor(np.array([0.5, -1.0, 2.0]))
+    loss = ad.tsum(ad.tanh(ad.mul(w, x)))
+    loss.backward()
+    print(f"loss = sum(tanh(w*x)) = {loss.item():.6f}")
+    print(f"dloss/dw             = {w.grad}")
 
-w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-x = Tensor(np.array([0.5, -1.0, 2.0]))
-loss = ad.tsum(ad.tanh(ad.mul(w, x)))
-loss.backward()
-print(f"loss = sum(tanh(w*x)) = {loss.item():.6f}")
-print(f"dloss/dw             = {w.grad}")
+    # spot-check against central finite differences
+    h = 1e-6
+    fd = np.zeros(3)
+    for i in range(3):
+        wp, wm = w.data.copy(), w.data.copy()
+        wp[i] += h
+        wm[i] -= h
+        fd[i] = (np.tanh(wp * x.data).sum() - np.tanh(wm * x.data).sum()) / (2 * h)
+    print(f"finite differences   = {fd}")
+    print(f"max abs deviation    = {np.abs(fd - w.grad).max():.2e}\n")
 
-# spot-check against central finite differences
-h = 1e-6
-fd = np.zeros(3)
-for i in range(3):
-    wp, wm = w.data.copy(), w.data.copy()
-    wp[i] += h
-    wm[i] -= h
-    fd[i] = (np.tanh(wp * x.data).sum() - np.tanh(wm * x.data).sum()) / (2 * h)
-print(f"finite differences   = {fd}")
-print(f"max abs deviation    = {np.abs(fd - w.grad).max():.2e}\n")
-
-print("== gradients accumulate until zeroed (a Parameter is a Tensor) ==")
+print("== gradients accumulate until dropped (a Parameter is a Tensor) ==")
 p = Parameter("demo", np.ones(4))
 ad.tsum(p).backward()
 ad.tsum(p).backward()
-print(f"after two backward passes: grad = {p.grad}")
-zero_grad([p])
-print(f"after zero_grad:           grad = {p.grad}\n")
+print(f"after two backward passes:  grad = {p.grad}")
+p.grad = None  # what the training loop does after each AdamW update
+ad.tsum(p).backward()
+print(f"after dropping, a backward: grad = {p.grad}\n")
 
 print("== backward frees the graph it walks, so it runs once per graph ==")
 loss = ad.tsum(ad.mul(p, p))

@@ -12,13 +12,11 @@ from rsvp.model import ConversationalEncoder
 from rsvp.rng import SeedHub
 from rsvp.synth import gen_data
 from rsvp.training import prepare, pretrain_generation, pretrain_retrieval
-from rsvp import autodiff as ad
 
 cfg = StageConfig(
     retrieval_epochs=10, generation_epochs=40, lr=1e-3, weight_decay=0.0,
     dropout_p=0.0, pretrain_batch=16, max_len=64,
 )
-ad.set_default_dtype(cfg.precision)
 records = gen_data(5, 40, seed=7)
 prepared = prepare(records, cfg)
 hub = SeedHub(0)

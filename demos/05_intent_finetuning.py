@@ -20,14 +20,12 @@ from rsvp.training import (
     pretrain_generation,
     pretrain_retrieval,
 )
-from rsvp import autodiff as ad
 
 cfg = StageConfig(
     retrieval_epochs=10, generation_epochs=5, finetune_epochs=25,
     lr=1e-3, weight_decay=0.0, pretrain_batch=16, finetune_batch=10,
     max_len=64, dropout_p=0.1,
 )
-ad.set_default_dtype(cfg.precision)
 records = gen_data(5, 40, seed=7)
 prepared = prepare(records, cfg)
 hub = SeedHub(0)

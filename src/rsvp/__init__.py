@@ -6,7 +6,7 @@ and fine-tunes an intent classifier with cross-entropy plus an
 unsupervised dropout-consistency contrastive term. Everything runs on a
 small NumPy reverse-mode autodiff core.
 """
-from .autodiff import Tensor, backward, no_grad, precision, set_default_dtype
+from .autodiff import Tensor, backward, no_grad, precision
 from .config import StageConfig, load_config
 from .losses import (
     classification_loss,
@@ -24,7 +24,7 @@ from .model import (
     ResponseDecoder,
     init_decoder_from_encoder,
 )
-from .optim import Parameter, adamw_step, zero_grad
+from .optim import Parameter, adamw_step
 from .rng import SeedHub
 from .synth import gen_data
 from .text import DialogueRecord, EncodedExample, Vocab, build_vocab, encode, load_jsonl, preprocess, split

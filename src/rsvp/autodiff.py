@@ -3,10 +3,10 @@
 A small NumPy-backed engine: every operation records its parent tensors
 and a gradient closure, and ``backward`` walks the implicit graph once in
 reverse topological order. Gradients land on leaf tensors only and
-accumulate across calls until explicitly reset. ``backward`` frees each
-node's saved arrays as it passes the node, so a graph runs backward once:
-a second pass through it raises ``RuntimeError``, and the forward must be
-run again.
+accumulate across calls until the caller sets ``grad`` back to None.
+``backward`` frees each node's saved arrays as it passes the node, so a
+graph runs backward once: a second pass through it raises
+``RuntimeError``, and the forward must be run again.
 
 Two precision modes exist: float32 (training default) and float64 (used
 by the finite-difference gradient checks). Within one mode, identical
@@ -45,26 +45,19 @@ _AS_A = tuple(np.float32(c) for c in (1.061405429, -1.453152027, 1.421413741, -0
 _erf_f64 = np.frompyfunc(math.erf, 1, 1)
 
 
-def set_default_dtype(dtype: str) -> None:
-    """Set the dtype used for newly created tensors ('float32' or 'float64')."""
-    global _default_dtype
-    if dtype not in _DTYPES:
-        raise ValueError(f"unsupported dtype {dtype!r}, expected float32 or float64")
-    _default_dtype = _DTYPES[dtype]
-
-
 def default_dtype():
     return _default_dtype
 
 
 @contextlib.contextmanager
 def precision(dtype: str):
-    """Context manager that switches the default dtype to ``dtype``
-    ('float32' or 'float64'); the previous one comes back on exit, also
-    when the block raises."""
+    """Context manager that makes ``dtype`` ('float32' or 'float64') the
+    dtype of newly created tensors, the one way to change it; the caller's
+    dtype comes back on exit, also when the block raises."""
     global _default_dtype
-    saved = _default_dtype
-    set_default_dtype(dtype)
+    if dtype not in _DTYPES:
+        raise ValueError(f"unsupported dtype {dtype!r}, expected float32 or float64")
+    saved, _default_dtype = _default_dtype, _DTYPES[dtype]
     try:
         yield
     finally:
@@ -212,12 +205,12 @@ def _released(g):
 def backward(loss: Tensor) -> None:
     """Populate leaf gradients of a scalar loss, freeing the graph as it goes.
 
-    Gradients accumulate across calls: running backward twice without
-    zeroing, each time on a freshly built graph, doubles every leaf
-    gradient. Right after an interior node's closure runs, the node drops
-    its parents and closure, so each saved array is freed once no later
-    node needs it and nothing of the graph stays reachable through
-    ``loss``. A graph therefore takes one backward pass; a second one
+    Gradients accumulate across calls: running backward twice, each time
+    on a freshly built graph, doubles every leaf gradient; a leaf whose
+    ``grad`` is None stores a copy of its gradient instead. Right after
+    an interior node's closure runs, the node drops its parents and
+    closure, so each saved array is freed once no later node needs it
+    and nothing of the graph stays reachable through ``loss``. A graph therefore takes one backward pass; a second one
     that reaches any of its interior nodes raises ``RuntimeError``.
     """
     if not isinstance(loss, Tensor):

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .model import EncoderConfig
+from .text import _checked_ratios
 
 
 @dataclass
@@ -82,10 +83,13 @@ class StageConfig:
             raise ValueError(f"unknown checkpoint_selection {self.checkpoint_selection!r}")
         if self.gen_loss_reduction not in ("token_mean", "sequence_sum"):
             raise ValueError(f"unknown gen_loss_reduction {self.gen_loss_reduction!r}")
+        # a response of max_len ids keeps [BOS] and [EOS]
+        if self.max_len < 2:
+            raise ValueError(f"max_len must be >= 2, got {self.max_len}")
         if not self.seeds:
             raise ValueError("seeds must hold at least one seed")
         self.seeds = tuple(int(s) for s in self.seeds)
-        self.split_ratios = tuple(float(r) for r in self.split_ratios)
+        self.split_ratios = _checked_ratios(self.split_ratios, "split_ratios")
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(

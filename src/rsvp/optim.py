@@ -30,13 +30,6 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def zero_grad(params) -> None:
-    """Reset existing gradient buffers to exactly zero."""
-    for p in params:
-        if p.grad is not None:
-            p.grad.fill(0.0)
-
-
 def global_grad_norm(params) -> float:
     total = 0.0
     for p in params:

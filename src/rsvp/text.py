@@ -301,6 +301,16 @@ def label_set(records) -> list[str]:
     return sorted(names)
 
 
+def _checked_ratios(ratios, name: str) -> tuple:
+    """``ratios`` as a tuple of floats, or a ValueError naming ``name``
+    unless they are three finite, nonnegative values summing to 1. The
+    comparisons are written so that NaN and infinities are refused too."""
+    ratios = tuple(float(r) for r in ratios)
+    if not (len(ratios) == 3 and all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ValueError(f"{name} must be three nonnegative values summing to 1, got {ratios}")
+    return ratios
+
+
 def split(records, ratios, seed: int):
     """Stratified-by-first-intent split into (train, valid, test).
 
@@ -308,9 +318,7 @@ def split(records, ratios, seed: int):
     proportions within one example of the targets; single-member strata go
     to training. Deterministic under ``seed``.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
+    ratios = _checked_ratios(ratios, "ratios")
     rng = np.random.default_rng(seed)
     strata: dict[str, list[DialogueRecord]] = {}
     for rec in records:

@@ -35,7 +35,7 @@ from .model import (
     ResponseDecoder,
     init_decoder_from_encoder,
 )
-from .optim import adamw_step, global_grad_norm, zero_grad
+from .optim import adamw_step, global_grad_norm
 from .rng import SeedHub
 from .text import BOS_ID, EOS_ID, PAD_ID, Vocab, build_vocab, flatten_dialogue, label_set, split
 from .text import encode as encode_record
@@ -91,12 +91,19 @@ def prepare(records, cfg: StageConfig, vocab: Vocab | None = None) -> PreparedDa
     return PreparedData(enc(train_recs), enc(valid_recs), enc(test_recs), vocab, label_names)
 
 
-def _usable_pairs(examples):
-    """Pairs whose response carries content beyond the BOS/EOS bracket."""
+def _usable_pairs(examples, stage: str, cfg: StageConfig, needed: int):
+    """Pairs whose response carries content beyond the BOS/EOS bracket; a
+    ``stage`` with epochs to run refuses fewer than ``needed`` (1 or 2)."""
     usable = [ex for ex in examples if len(ex.response_ids) > 2]
     skipped = len(examples) - len(usable)
     if skipped:
         logger.info("excluded %d pairs with empty responses from pre-training", skipped)
+    if getattr(cfg, f"{stage}_epochs") > 0 and len(usable) < needed:
+        msg = (f"{stage} pre-training needs at least "
+               f"{('one usable pair', 'two usable pairs')[needed - 1]}")
+        if cfg.max_len < 3:
+            msg += f"; max_len={cfg.max_len} truncates every response to [BOS][EOS]"
+        raise ValueError(msg)
     return usable
 
 
@@ -116,7 +123,8 @@ def _run_epochs(stage: str, cfg: StageConfig, hub: SeedHub, params, n_items: int
     further entries for it. A non-finite loss raises ``FloatingPointError``
     before that batch's backward pass, and a non-finite pre-clip global
     gradient norm raises it before the update, so the weights and optimizer
-    state stay those of the last finite step.
+    state stay those of the last finite step. Each update leaves every
+    ``params`` gradient None, so none outlives its step.
     """
     history = []
     for epoch in range(epoch_offset, epoch_offset + n_epochs):
@@ -147,7 +155,8 @@ def _run_epochs(stage: str, cfg: StageConfig, hub: SeedHub, params, n_items: int
                 )
             adamw_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
                        grad_norm=norm)
-            zero_grad(params)
+            for p in params:
+                p.grad = None  # the next backward stores a fresh gradient
             for key, mean in stats.items():
                 sums[key] = sums.get(key, 0.0) + mean * weight
             total += weight
@@ -162,9 +171,7 @@ def _run_epochs(stage: str, cfg: StageConfig, hub: SeedHub, params, n_items: int
 def pretrain_retrieval(encoder, examples, cfg: StageConfig, hub: SeedHub, epoch_offset: int = 0):
     """Contrastive utterance-to-response training; returns per-epoch stats
     (loss and in-batch recall@1, averaged over pairs)."""
-    usable = _usable_pairs(examples)
-    if cfg.retrieval_epochs > 0 and len(usable) < 2:
-        raise ValueError("retrieval pre-training needs at least two usable pairs")
+    usable = _usable_pairs(examples, "retrieval", cfg, 2)
 
     def step(idx, drop_rng):
         batch = [usable[i] for i in idx]
@@ -194,9 +201,7 @@ def pretrain_generation(encoder, examples, cfg: StageConfig, hub: SeedHub, decod
     """
     if decoder is None:
         decoder = init_decoder_from_encoder(encoder, hub.stream("decoder_init"))
-    usable = _usable_pairs(examples)
-    if cfg.generation_epochs > 0 and not usable:
-        raise ValueError("generation pre-training needs at least one usable pair")
+    usable = _usable_pairs(examples, "generation", cfg, 1)
 
     def step(idx, drop_rng):
         batch = [usable[i] for i in idx]

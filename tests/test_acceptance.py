@@ -30,7 +30,7 @@ from rsvp.losses import (
 )
 from rsvp.metrics import Prediction, accuracy, mrr_at_k, multilabel_metrics
 from rsvp.model import ConversationalEncoder, IntentClassifier, init_decoder_from_encoder
-from rsvp.optim import adamw_step, zero_grad
+from rsvp.optim import adamw_step
 from rsvp.rng import SeedHub
 from rsvp.synth import gen_data
 from rsvp import training as tr
@@ -108,11 +108,10 @@ def test_oracle_seeds_do_not_depend_on_the_hash_seed():
     assert outs[0] == outs[1]
 
 
-def test_criterion_1_gradient_oracle_suite(capsys):
+def test_criterion_1_gradient_oracle_suite(capsys, float64):
     """Every differentiable op and all four objectives pass central
     finite-difference checks in 64-bit mode, ten random instances each."""
     start = time.perf_counter()
-    ad.set_default_dtype("float64")
 
     for name in op_builders.DIFFERENTIABLE_OPS:
         for trial in range(10):
@@ -147,8 +146,7 @@ def test_criterion_1_gradient_oracle_suite(capsys):
     _announce(capsys, f"ACCEPTANCE 1 gradient-oracle-suite: PASS ({elapsed:.1f}s)")
 
 
-def test_criterion_2_loss_constants(capsys):
-    ad.set_default_dtype("float64")
+def test_criterion_2_loss_constants(capsys, float64):
     for n in (2, 4, 16):
         q = Tensor(np.tile([1.0, -2.0, 0.5], (n, 1)))
         p = Tensor(np.tile([2.0, 1.0, -1.0], (n, 1)))
@@ -166,11 +164,10 @@ def test_criterion_2_loss_constants(capsys):
     _announce(capsys, "ACCEPTANCE 2 loss-constants: PASS")
 
 
-def test_criterion_3_mask_and_sharing_invariants(capsys, desk_data):
+def test_criterion_3_mask_and_sharing_invariants(capsys, desk_data, float64):
     # 64-bit mode: float32 BLAS blocking noise at d_model=128 sits right at
     # the 1e-6 bound even for mathematically identical paths
     prepared, cfg = desk_data
-    ad.set_default_dtype("float64")
     hub = SeedHub(42)
     enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
     dec = init_decoder_from_encoder(enc, hub.stream("decoder_init"))
@@ -203,48 +200,48 @@ def test_criterion_4_pipeline_memorization(capsys, desk_data):
     """Desk model on synthetic data: retrieval recall, generation loss and
     fine-tune accuracy all reach their bars inside the epoch budgets."""
     prepared, base = desk_data
-    ad.set_default_dtype(base.precision)
-    start = time.perf_counter()
-    hub = SeedHub(0)
-    enc = ConversationalEncoder(base.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+    with ad.precision(base.precision):
+        start = time.perf_counter()
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(base.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
 
-    cfg_a = base.replace(dropout_p=0.0, retrieval_epochs=5)
-    recall, epochs_a = 0.0, 0
-    while epochs_a < 50:
-        hist = tr.pretrain_retrieval(enc, prepared.train, cfg_a, hub, epoch_offset=epochs_a)
-        epochs_a += cfg_a.retrieval_epochs
-        recall = hist[-1]["recall_at_1"]
-        if recall >= 0.95:
-            break
-    assert recall >= 0.95, f"recall@1 {recall:.3f} after {epochs_a} epochs"
+        cfg_a = base.replace(dropout_p=0.0, retrieval_epochs=5)
+        recall, epochs_a = 0.0, 0
+        while epochs_a < 50:
+            hist = tr.pretrain_retrieval(enc, prepared.train, cfg_a, hub, epoch_offset=epochs_a)
+            epochs_a += cfg_a.retrieval_epochs
+            recall = hist[-1]["recall_at_1"]
+            if recall >= 0.95:
+                break
+        assert recall >= 0.95, f"recall@1 {recall:.3f} after {epochs_a} epochs"
 
-    cfg_b = base.replace(dropout_p=0.0, generation_epochs=10)
-    subset = prepared.train[:32]
-    decoder, gen_loss, epochs_b = None, float("inf"), 0
-    while epochs_b < 200:
-        decoder, hist = tr.pretrain_generation(enc, subset, cfg_b, hub, decoder=decoder,
-                                               epoch_offset=epochs_b)
-        epochs_b += cfg_b.generation_epochs
-        gen_loss = hist[-1]["loss"]
-        if gen_loss <= 0.1:
-            break
-    assert gen_loss <= 0.1, f"per-token loss {gen_loss:.4f} after {epochs_b} epochs"
+        cfg_b = base.replace(dropout_p=0.0, generation_epochs=10)
+        subset = prepared.train[:32]
+        decoder, gen_loss, epochs_b = None, float("inf"), 0
+        while epochs_b < 200:
+            decoder, hist = tr.pretrain_generation(enc, subset, cfg_b, hub, decoder=decoder,
+                                                   epoch_offset=epochs_b)
+            epochs_b += cfg_b.generation_epochs
+            gen_loss = hist[-1]["loss"]
+            if gen_loss <= 0.1:
+                break
+        assert gen_loss <= 0.1, f"per-token loss {gen_loss:.4f} after {epochs_b} epochs"
 
-    cfg_c = base.replace(dropout_p=0.1, finetune_epochs=20, checkpoint_selection="final")
-    classifier, train_acc, epochs_c = None, 0.0, 0
-    while epochs_c < 200:
-        classifier, _ = tr.finetune(enc, prepared.train, prepared.valid, cfg_c, hub,
-                                    len(prepared.label_names), classifier=classifier,
-                                    epoch_offset=epochs_c)
-        epochs_c += cfg_c.finetune_epochs
-        train_acc = accuracy(tr.predict_examples(enc, classifier, prepared.train))
-        if train_acc >= 0.99:
-            break
-    test_acc = accuracy(tr.predict_examples(enc, classifier, prepared.test))
-    elapsed = time.perf_counter() - start
-    assert train_acc >= 0.99, f"train accuracy {train_acc:.3f} after {epochs_c} epochs"
-    assert test_acc >= 0.90, f"test accuracy {test_acc:.3f}"
-    assert elapsed < 600.0
+        cfg_c = base.replace(dropout_p=0.1, finetune_epochs=20, checkpoint_selection="final")
+        classifier, train_acc, epochs_c = None, 0.0, 0
+        while epochs_c < 200:
+            classifier, _ = tr.finetune(enc, prepared.train, prepared.valid, cfg_c, hub,
+                                        len(prepared.label_names), classifier=classifier,
+                                        epoch_offset=epochs_c)
+            epochs_c += cfg_c.finetune_epochs
+            train_acc = accuracy(tr.predict_examples(enc, classifier, prepared.train))
+            if train_acc >= 0.99:
+                break
+        test_acc = accuracy(tr.predict_examples(enc, classifier, prepared.test))
+        elapsed = time.perf_counter() - start
+        assert train_acc >= 0.99, f"train accuracy {train_acc:.3f} after {epochs_c} epochs"
+        assert test_acc >= 0.90, f"test accuracy {test_acc:.3f}"
+        assert elapsed < 600.0
     _announce(
         capsys,
         "ACCEPTANCE 4 pipeline-memorization: PASS "
@@ -258,34 +255,35 @@ def test_criterion_5_lambda_zero_bitwise_degeneracy(capsys, micro_data):
     to an independently written cross-entropy-only training loop."""
     prepared, cfg = micro_data
     run_cfg = cfg.replace(finetune_epochs=3, lam=0.0, checkpoint_selection="final", seeds=(0,))
-    ad.set_default_dtype(run_cfg.precision)
-    n_classes = len(prepared.label_names)
+    with ad.precision(run_cfg.precision):
+        n_classes = len(prepared.label_names)
 
-    hub1 = SeedHub(0)
-    enc1 = ConversationalEncoder(run_cfg.encoder_config(len(prepared.vocab)), hub1.stream("encoder_init"))
-    clf1, _ = tr.finetune(enc1, prepared.train, prepared.valid, run_cfg, hub1, n_classes)
+        hub1 = SeedHub(0)
+        enc1 = ConversationalEncoder(run_cfg.encoder_config(len(prepared.vocab)), hub1.stream("encoder_init"))
+        clf1, _ = tr.finetune(enc1, prepared.train, prepared.valid, run_cfg, hub1, n_classes)
 
-    hub2 = SeedHub(0)
-    enc2 = ConversationalEncoder(run_cfg.encoder_config(len(prepared.vocab)), hub2.stream("encoder_init"))
-    clf2 = IntentClassifier(run_cfg.pooled_dim, n_classes, hub2.stream("classifier_init"))
-    feats = [(ex.utterance_ids, ex.label) for ex in prepared.train]
-    params = enc2.parameters() + clf2.parameters()
-    for epoch in range(run_cfg.finetune_epochs):
-        shuffle = hub2.stream("shuffle_finetune", epoch)
-        drop = hub2.stream("dropout_finetune", epoch)
-        perm = shuffle.permutation(len(feats))
-        for start in range(0, len(feats), run_cfg.finetune_batch):
-            idx = perm[start : start + run_cfg.finetune_batch]
-            seqs = [feats[i][0] for i in idx]
-            y = np.asarray([feats[i][1] for i in idx], dtype=np.int64)
-            q = enc2.encode_batch(seqs, training=True, rng=drop, dropout_p=run_cfg.dropout_p)
-            ce = classification_loss(ad.softmax(clf2(q), axis=-1), y)
-            ad.backward(ce)
-            adamw_step(params, lr=run_cfg.lr, weight_decay=run_cfg.weight_decay)
-            zero_grad(params)
+        hub2 = SeedHub(0)
+        enc2 = ConversationalEncoder(run_cfg.encoder_config(len(prepared.vocab)), hub2.stream("encoder_init"))
+        clf2 = IntentClassifier(run_cfg.pooled_dim, n_classes, hub2.stream("classifier_init"))
+        feats = [(ex.utterance_ids, ex.label) for ex in prepared.train]
+        params = enc2.parameters() + clf2.parameters()
+        for epoch in range(run_cfg.finetune_epochs):
+            shuffle = hub2.stream("shuffle_finetune", epoch)
+            drop = hub2.stream("dropout_finetune", epoch)
+            perm = shuffle.permutation(len(feats))
+            for start in range(0, len(feats), run_cfg.finetune_batch):
+                idx = perm[start : start + run_cfg.finetune_batch]
+                seqs = [feats[i][0] for i in idx]
+                y = np.asarray([feats[i][1] for i in idx], dtype=np.int64)
+                q = enc2.encode_batch(seqs, training=True, rng=drop, dropout_p=run_cfg.dropout_p)
+                ce = classification_loss(ad.softmax(clf2(q), axis=-1), y)
+                ad.backward(ce)
+                adamw_step(params, lr=run_cfg.lr, weight_decay=run_cfg.weight_decay)
+                for p in params:  # zero-fill and add, where the library drops and copies
+                    p.grad.fill(0.0)
 
-    pairs = zip(enc1.parameters() + clf1.parameters(), enc2.parameters() + clf2.parameters())
-    assert all(np.array_equal(a.data, b.data) for a, b in pairs)
+        pairs = zip(enc1.parameters() + clf1.parameters(), enc2.parameters() + clf2.parameters())
+        assert all(np.array_equal(a.data, b.data) for a, b in pairs)
     _announce(capsys, "ACCEPTANCE 5 lambda-zero-bitwise: PASS")
 
 

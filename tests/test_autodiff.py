@@ -42,20 +42,17 @@ class TestMatmul:
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
             ad.matmul(a, b)
 
-    def test_gradients_match_finite_differences(self, rng):
-        ad.set_default_dtype("float64")
+    def test_gradients_match_finite_differences(self, rng, float64):
         a = _leaf(rng, (3, 4))
         b = _leaf(rng, (4, 2))
         _check_grads(lambda: ad.tsum(ad.matmul(a, b)), [a, b])
 
-    def test_batched_gradients(self, rng):
-        ad.set_default_dtype("float64")
+    def test_batched_gradients(self, rng, float64):
         a = _leaf(rng, (2, 3, 3, 4))
         b = _leaf(rng, (2, 3, 4, 2))
         _check_grads(lambda: ad.tsum(ad.matmul(a, b)), [a, b])
 
-    def test_weight_broadcast_over_leading_dimensions(self, rng):
-        ad.set_default_dtype("float64")
+    def test_weight_broadcast_over_leading_dimensions(self, rng, float64):
         a = _leaf(rng, (2, 3, 4))
         b = _leaf(rng, (4, 5))
         _check_grads(lambda: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b])
@@ -69,8 +66,7 @@ class TestMatmul:
 class TestLinear:
     """x @ W + b as one node: one 2-D GEMM over the flattened rows."""
 
-    def test_gradients_match_finite_differences(self, rng):
-        ad.set_default_dtype("float64")
+    def test_gradients_match_finite_differences(self, rng, float64):
         x = _leaf(rng, (2, 3, 4))
         w = _leaf(rng, (4, 5))
         b = _leaf(rng, (5,))
@@ -353,9 +349,8 @@ class TestGelu:
         assert np.abs(y).max() <= 1.0
         assert y[-2] == 1.0 and y[-1] == -1.0
 
-    def test_float64_equals_math_erf_formula(self, rng):
+    def test_float64_equals_math_erf_formula(self, rng, float64):
         erf = np.vectorize(math.erf)
-        ad.set_default_dtype("float64")
         x = rng.normal(0.0, 3.0, size=(4, 9, 128))
         y = ad.gelu(Tensor(x)).data
         assert y.dtype == np.float64
@@ -378,13 +373,13 @@ class TestGelu:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_zero_d_input_equals_one_element(self, dtype):
-        ad.set_default_dtype(dtype)
-        a, b = Tensor(np.array(0.7), requires_grad=True), Tensor(np.array([0.7]), requires_grad=True)
-        ya, yb = ad.gelu(a), ad.gelu(b)
-        assert ya.data.shape == () and ya.data == yb.data[0]
-        ad.backward(ya)
-        ad.backward(ad.tsum(yb))
-        assert a.grad.shape == () and a.grad == b.grad[0]
+        with ad.precision(dtype):
+            a, b = Tensor(np.array(0.7), requires_grad=True), Tensor(np.array([0.7]), requires_grad=True)
+            ya, yb = ad.gelu(a), ad.gelu(b)
+            assert ya.data.shape == () and ya.data == yb.data[0]
+            ad.backward(ya)
+            ad.backward(ad.tsum(yb))
+            assert a.grad.shape == () and a.grad == b.grad[0]
 
 
 class TestExpit:
@@ -419,12 +414,11 @@ class TestSoftmax:
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
 
-    def test_matches_extended_precision(self, rng):
+    def test_matches_extended_precision(self, rng, float64):
         import mpmath
 
         from .oracles import mp_softmax
 
-        ad.set_default_dtype("float64")
         x = rng.normal(size=5)
         out = ad.softmax(Tensor(x)).data
         expected = mp_softmax(x)
@@ -458,8 +452,7 @@ class TestCosineSimilarity:
             scaled = ad.cosine_similarity(Tensor(c * a), Tensor(b)).item()
             assert abs(scaled - base) < 1e-6
 
-    def test_matches_direct_formula(self, rng):
-        ad.set_default_dtype("float64")
+    def test_matches_direct_formula(self, rng, float64):
         a = rng.normal(size=8)
         b = rng.normal(size=8)
         expected = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
@@ -753,8 +746,7 @@ class TestConstantOperands:
             assert pairs[0][1].shape == a.shape
 
     @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
-    def test_gradient_unchanged_by_constant_partner(self, op, rng):
-        ad.set_default_dtype("float64")
+    def test_gradient_unchanged_by_constant_partner(self, op, rng, float64):
         a = _leaf(rng, (2, 3))
         c_data = rng.uniform(1.0, 2.0, size=(1, 3))
         ad.backward(ad.tsum(op(a, Tensor(c_data))))
@@ -813,9 +805,8 @@ class TestBackward:
 
 
 @pytest.mark.parametrize("name", op_builders.DIFFERENTIABLE_OPS)
-def test_finite_difference_across_ops(name, rng):
+def test_finite_difference_across_ops(name, rng, float64):
     """Randomized gradient check for every differentiable operation."""
-    ad.set_default_dtype("float64")
     for trial in range(10):
         r = np.random.default_rng(op_builders.oracle_seed(name, trial))
         build, leaves = op_builders.make_builder(name, r, trial)
@@ -827,6 +818,22 @@ def test_precision_context_switches_dtype():
     with ad.precision("float64"):
         assert Tensor(np.zeros(2)).dtype == np.float64
     assert Tensor(np.zeros(2)).dtype == np.float32
+
+
+def test_precision_restores_the_callers_dtype_when_the_block_raises():
+    with ad.precision("float64"):
+        with pytest.raises(KeyError):
+            with ad.precision("float32"):
+                raise KeyError("inside")
+        assert ad.default_dtype() is np.float64
+    assert ad.default_dtype() is np.float32
+
+
+def test_precision_refuses_an_unknown_dtype_and_changes_nothing():
+    with pytest.raises(ValueError, match="unsupported dtype 'float16'"):
+        with ad.precision("float16"):
+            pass
+    assert ad.default_dtype() is np.float32
 
 
 def test_determinism_same_inputs_same_bits(rng):

@@ -21,7 +21,6 @@ from rsvp.training import (
 
 def _encoder_and_cfg():
     cfg = StageConfig(d_model=32, n_layers=1, n_heads=2, d_ffn=64, pooled_dim=16, max_len=24)
-    ad.set_default_dtype(cfg.precision)
     enc = ConversationalEncoder(cfg.encoder_config(30), SeedHub(8).stream("encoder_init"))
     return enc, cfg
 

@@ -142,6 +142,13 @@ class TestConfig:
         ({"clip_norm": 0.0}, "clip_norm must be positive"),
         ({"clip_norm": -1.0}, "clip_norm must be positive"),
         ({"pretrain_batch": 1}, "pretrain_batch must be >= 2 while retrieval_epochs > 0, got 1"),
+        ({"max_len": 1}, "max_len must be >= 2, got 1"),
+        ({"split_ratios": (0.5, 0.5)}, "split_ratios must be three nonnegative values summing to 1"),
+        ({"split_ratios": (float("nan"), 0.5, 0.5)}, "split_ratios must be three nonnegative"),
+        ({"split_ratios": (0.5, float("nan"), 0.5)}, "split_ratios must be three nonnegative"),
+        ({"split_ratios": (float("inf"), 0.5, 0.5)}, "split_ratios must be three nonnegative"),
+        ({"split_ratios": (-0.5, 0.75, 0.75)}, "split_ratios must be three nonnegative"),
+        ({"split_ratios": (0.5, 0.25, 0.2)}, "split_ratios must be three nonnegative"),
     ])
     def test_configs_that_cannot_train_are_refused(self, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -151,6 +158,7 @@ class TestConfig:
         StageConfig(pretrain_batch=1, retrieval_epochs=0)
         StageConfig(weight_decay=0.0, clip_norm=None, lr=1e12)
         StageConfig(clip_norm=1e-3)
+        StageConfig(max_len=2, split_ratios=(1.0, 0.0, 0.0))
         for batch in tr.SWEEP_VALUES["batch_n"]:
             StageConfig(pretrain_batch=batch)
 
@@ -762,6 +770,9 @@ class TestErrorPaths:
         (["--set", "clip_norm=0"], "clip_norm must be positive"),
         (["--set", "weight_decay=-5"], "weight_decay must be nonnegative, got -5.0"),
         (["--set", "pretrain_batch=1"], "pretrain_batch must be >= 2 while retrieval_epochs > 0"),
+        (["--set", "split_ratios=0.5,0.5"], "split_ratios must be three nonnegative values"),
+        (["--set", "split_ratios=nan,0.5,0.5"], "split_ratios must be three nonnegative values"),
+        (["--set", "max_len=1"], "max_len must be >= 2, got 1"),
     ])
     def test_refused_setting_exits_1_with_one_error_line(self, argv, message, data_path,
                                                          tmp_path, capsys):
@@ -773,6 +784,25 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd,stage,needs", [
+        ("pretrain-retrieval", "retrieval", "two usable pairs"),
+        ("pretrain-generation", "generation", "one usable pair"),
+    ])
+    def test_max_len_that_empties_every_response_is_named(self, cmd, stage, needs, data_path,
+                                                          tmp_path, capsys):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main([cmd, "--data", data_path, "--out", str(out), "--seed", "0"]
+                  + _sets(["max_len=2"]))
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {stage} pre-training needs at least {needs}; "
+                                           "max_len=2 truncates every response to [BOS][EOS]\n")
+        assert not out.exists()
+
+    def test_finetune_runs_at_max_len_2(self, data_path, tmp_path):
+        assert main(["finetune", "--data", data_path, "--out", str(tmp_path / "ft"), "--seed", "0"]
+                    + _sets(["max_len=2"])) == 0
 
     def test_mistyped_config_file_exits_1_before_training(self, data_path, tmp_path, capsys):
         path = tmp_path / "cfg.json"

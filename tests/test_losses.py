@@ -24,35 +24,30 @@ def _rand_embed(rng, n, d):
 
 
 class TestRetrievalLoss:
-    def test_single_pair_is_zero(self, rng):
-        ad.set_default_dtype("float64")
+    def test_single_pair_is_zero(self, rng, float64):
         q = _rand_embed(rng, 1, 4)
         p = _rand_embed(rng, 1, 4)
         assert abs(L.retrieval_loss(q, p, 0.8).item()) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 16])
-    def test_uniform_similarities_give_log_n(self, n):
-        ad.set_default_dtype("float64")
+    def test_uniform_similarities_give_log_n(self, n, float64):
         q = Tensor(np.tile([1.0, 2.0, 3.0], (n, 1)), requires_grad=True)
         p = Tensor(np.tile([0.5, -1.0, 2.0], (n, 1)), requires_grad=True)
         assert abs(L.retrieval_loss(q, p, 0.8).item() - math.log(n)) < 1e-6
 
-    def test_n4_constant_is_1_38629(self):
-        ad.set_default_dtype("float64")
+    def test_n4_constant_is_1_38629(self, float64):
         q = Tensor(np.ones((4, 3)))
         p = Tensor(np.ones((4, 3)))
         assert abs(L.retrieval_loss(q, p, 0.8).item() - 1.38629) < 1e-5
 
-    def test_matches_high_precision_oracle(self, rng):
-        ad.set_default_dtype("float64")
+    def test_matches_high_precision_oracle(self, rng, float64):
         for _ in range(5):
             q = rng.normal(size=(3, 4))
             p = rng.normal(size=(3, 4))
             ours = L.retrieval_loss(Tensor(q), Tensor(p), 0.8).item()
             assert abs(ours - mp_retrieval_loss(q, p, 0.8)) < 1e-6
 
-    def test_gradients_match_finite_differences(self, rng):
-        ad.set_default_dtype("float64")
+    def test_gradients_match_finite_differences(self, rng, float64):
         q = _rand_embed(rng, 3, 4)
         p = _rand_embed(rng, 3, 4)
         loss = L.retrieval_loss(q, p, 0.8)
@@ -73,8 +68,7 @@ class TestRetrievalLoss:
             ).item()
             assert loss >= -1e-6
 
-    def test_positive_row_rescaling_leaves_loss(self, rng):
-        ad.set_default_dtype("float64")
+    def test_positive_row_rescaling_leaves_loss(self, rng, float64):
         q = rng.normal(size=(4, 6))
         p = rng.normal(size=(4, 6))
         base = L.retrieval_loss(Tensor(q), Tensor(p), 0.8).item()
@@ -82,8 +76,7 @@ class TestRetrievalLoss:
         p2 = p * rng.uniform(0.2, 7.0, size=(4, 1))
         assert abs(L.retrieval_loss(Tensor(q2), Tensor(p2), 0.8).item() - base) < 1e-6
 
-    def test_strictly_decreases_as_diagonal_improves(self):
-        ad.set_default_dtype("float64")
+    def test_strictly_decreases_as_diagonal_improves(self, float64):
         # anchor 0 aligned more and more with its positive, negatives fixed
         p = np.array([[1.0, 0.0], [0.0, 1.0]])
         prev = None
@@ -107,8 +100,7 @@ class TestRetrievalLoss:
 
 
 class TestUnsupContrastive:
-    def test_closed_form_orthogonal_unit_rows(self):
-        ad.set_default_dtype("float64")
+    def test_closed_form_orthogonal_unit_rows(self, float64):
         q = np.array([[1.0, 0.0], [0.0, 1.0]])
         loss = L.unsup_contrastive_loss(Tensor(q), Tensor(q), 1.0).item()
         assert abs(loss - (-math.log(math.e / (math.e + 1.0)))) < 1e-6
@@ -131,14 +123,12 @@ class TestGenerationLoss:
         logits[np.arange(4), targets] = 100.0
         assert L.generation_loss(Tensor(logits), targets).item() < 1e-3
 
-    def test_uniform_logits_give_log_vocab(self):
-        ad.set_default_dtype("float64")
+    def test_uniform_logits_give_log_vocab(self, float64):
         logits = Tensor(np.zeros((6, 11)))
         targets = np.arange(6)
         assert abs(L.generation_loss(logits, targets).item() - math.log(11)) < 1e-6
 
-    def test_matches_high_precision_oracle(self, rng):
-        ad.set_default_dtype("float64")
+    def test_matches_high_precision_oracle(self, rng, float64):
         logits = rng.normal(size=(2, 5, 7))
         targets = rng.integers(1, 7, size=(2, 5))
         targets[0, -1] = 0  # padded position
@@ -153,8 +143,7 @@ class TestGenerationLoss:
         masked = L.generation_loss(Tensor(logits), padded, pad_id=0).item()
         assert abs(short - masked) < 1e-6
 
-    def test_sequence_sum_reduction(self, rng):
-        ad.set_default_dtype("float64")
+    def test_sequence_sum_reduction(self, rng, float64):
         logits = rng.normal(size=(2, 3, 5))
         targets = rng.integers(1, 5, size=(2, 3))
         mean = L.generation_loss(Tensor(logits), targets, reduction="token_mean").item()
@@ -166,8 +155,7 @@ class TestGenerationLoss:
         with pytest.raises(ValueError, match="out of range"):
             L.generation_loss(logits, np.array([1, 5, 2]))
 
-    def test_gradients_match_finite_differences(self, rng):
-        ad.set_default_dtype("float64")
+    def test_gradients_match_finite_differences(self, rng, float64):
         logits = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         targets = rng.integers(0, 6, size=4)
         L.generation_loss(logits, targets).backward()
@@ -178,8 +166,7 @@ class TestGenerationLoss:
 
 
 class TestClassificationLoss:
-    def test_uniform_over_38_intents(self):
-        ad.set_default_dtype("float64")
+    def test_uniform_over_38_intents(self, float64):
         probs = Tensor(np.full((5, 38), 1.0 / 38))
         labels = np.arange(5)
         loss = L.classification_loss(probs, labels).item()
@@ -191,8 +178,7 @@ class TestClassificationLoss:
         probs[np.arange(3), [0, 1, 2]] = 1.0
         assert abs(L.classification_loss(Tensor(probs), np.array([0, 1, 2])).item()) < 1e-9
 
-    def test_matches_high_precision_oracle(self, rng):
-        ad.set_default_dtype("float64")
+    def test_matches_high_precision_oracle(self, rng, float64):
         logits = rng.normal(size=(6, 9))
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         labels = rng.integers(0, 9, size=6)
@@ -204,8 +190,7 @@ class TestClassificationLoss:
         with pytest.raises(ValueError, match="out of range"):
             L.classification_loss(probs, np.array([0, 3]))
 
-    def test_gradients_through_softmax_match_finite_differences(self, rng):
-        ad.set_default_dtype("float64")
+    def test_gradients_through_softmax_match_finite_differences(self, rng, float64):
         logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         labels = rng.integers(0, 5, size=3)
         L.classification_loss(ad.softmax(logits, axis=-1), labels).backward()
@@ -219,8 +204,7 @@ class TestClassificationLoss:
 
 
 class TestMultilabelLoss:
-    def test_zero_logits_give_log_two(self):
-        ad.set_default_dtype("float64")
+    def test_zero_logits_give_log_two(self, float64):
         logits = Tensor(np.zeros((3, 5)))
         y = np.zeros((3, 5))
         y[0, 1] = 1
@@ -231,15 +215,13 @@ class TestMultilabelLoss:
         logits = Tensor(np.array([[100.0, -100.0, 100.0]]))
         assert L.multilabel_loss(logits, y).item() < 1e-6
 
-    def test_matches_high_precision_oracle(self, rng):
-        ad.set_default_dtype("float64")
+    def test_matches_high_precision_oracle(self, rng, float64):
         logits = rng.normal(size=(4, 6))
         y = (rng.random((4, 6)) > 0.5).astype(float)
         ours = L.multilabel_loss(Tensor(logits), y).item()
         assert abs(ours - mp_multilabel_loss(logits, y)) < 1e-6
 
-    def test_gradients_match_finite_differences(self, rng):
-        ad.set_default_dtype("float64")
+    def test_gradients_match_finite_differences(self, rng, float64):
         logits = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         y = (rng.random((3, 4)) > 0.5).astype(float)
         L.multilabel_loss(logits, y).backward()
@@ -264,9 +246,8 @@ class TestCombinedLoss:
         with pytest.raises(ValueError):
             L.combined_finetune_loss(Tensor(np.array(1.0)), Tensor(np.array(1.0)), -0.1)
 
-    def test_gradient_linearity_on_tiny_model(self, rng):
+    def test_gradient_linearity_on_tiny_model(self, rng, float64):
         """grad(ce + lam*uns) must equal grad(ce) + lam*grad(uns)."""
-        ad.set_default_dtype("float64")
         lam = 0.7
 
         def build(w_arr):

@@ -19,7 +19,7 @@ from rsvp.model import (
     init_decoder_from_encoder,
     pad_batch,
 )
-from rsvp.optim import adamw_step, zero_grad
+from rsvp.optim import adamw_step
 from rsvp.rng import SeedHub
 from rsvp.synth import gen_data
 from rsvp import training as tr
@@ -350,7 +350,6 @@ class TestDecoder:
     def test_overfit_one_pair_regenerates_response(self):
         # memorization oracle: a single pair trained to convergence must be
         # reproduced exactly by greedy decoding
-        ad.set_default_dtype("float32")
         enc = ConversationalEncoder(
             small_config(), SeedHub(11).stream("encoder_init")
         )
@@ -365,7 +364,8 @@ class TestDecoder:
             loss = generation_loss(logits, targets, pad_id=0)
             ad.backward(loss)
             adamw_step(params, lr=3e-3)
-            zero_grad(params)
+            for p in params:
+                p.grad = None
         assert dec.generate(enc, u, 10) == [20, 21, 22, 23]
 
 
@@ -593,7 +593,6 @@ class TestSharedOptimizerPath:
         loss.backward()
         params = encoder.parameters()
         adamw_step(params, lr=1e-3)
-        zero_grad(params)
         q2, p2 = encoder.embed([seq]), encoder.embed([seq])
         assert np.array_equal(q2, p2)
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from rsvp import autodiff as ad
-from rsvp.optim import Parameter, adamw_step, global_grad_norm, zero_grad
+from rsvp.optim import Parameter, adamw_step, global_grad_norm
 
 
-def test_first_step_moves_by_learning_rate():
+def test_first_step_moves_by_learning_rate(float64):
     # bias correction makes the very first update lr * g / (|g| + eps)
-    ad.set_default_dtype("float64")
     p = Parameter("w", np.array([1.0]))
     p.tensor.grad = np.array([1.0])
     adamw_step([p], lr=2e-5)
@@ -48,15 +47,6 @@ def test_step_counter_and_grads_untouched():
     np.testing.assert_array_equal(p.tensor.grad, g)
 
 
-def test_zero_grad_resets_to_exact_zero():
-    p = Parameter("w", np.ones(4))
-    loss = ad.tsum(ad.mul(p.tensor, p.tensor))
-    loss.backward()
-    assert np.any(p.grad != 0)
-    zero_grad([p])
-    np.testing.assert_array_equal(p.grad, np.zeros(4))
-
-
 def test_clip_norm_scales_update():
     big = Parameter("a", np.zeros(2))
     big.tensor.grad = np.array([30.0, 40.0], dtype=np.float32)  # norm 50
@@ -68,9 +58,8 @@ def test_clip_norm_scales_update():
     np.testing.assert_allclose(big.data, ref.data, rtol=1e-4)
 
 
-def test_matches_reference_adamw_trajectory(rng):
+def test_matches_reference_adamw_trajectory(rng, float64):
     """Five steps against a straight transcription of the update equations."""
-    ad.set_default_dtype("float64")
     w = rng.normal(size=4)
     grads = [rng.normal(size=4) for _ in range(5)]
     p = Parameter("w", w.copy())
@@ -130,8 +119,7 @@ def test_buffered_update_is_bit_identical_to_temporaries(rng, dtype, weight_deca
             np.testing.assert_array_equal(a, b)
 
 
-def test_parameter_is_a_tensor_autodiff_takes_directly():
-    ad.set_default_dtype("float64")
+def test_parameter_is_a_tensor_autodiff_takes_directly(float64):
     p = Parameter("w", np.array([1.0, -2.0, 3.0]))
     assert isinstance(p, ad.Tensor)
     assert p.tensor is p

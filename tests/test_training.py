@@ -13,7 +13,7 @@ from rsvp.config import StageConfig
 from rsvp.losses import classification_loss
 from rsvp.metrics import Prediction
 from rsvp.model import _EVAL_TOKEN_BUDGET, ConversationalEncoder, IntentClassifier, _token_chunks
-from rsvp.optim import Parameter, adamw_step, zero_grad
+from rsvp.optim import Parameter, adamw_step
 from rsvp.rng import SeedHub
 from rsvp.synth import gen_data
 from rsvp.text import EncodedExample
@@ -83,6 +83,18 @@ class TestStageContracts:
         with caplog.at_level(logging.INFO, logger="rsvp.training"):
             tr.pretrain_retrieval(enc, prepared.train + hollow, cfg.replace(retrieval_epochs=1), hub)
         assert any("excluded 4 pairs" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("stage,needs", [("retrieval", "two usable pairs"),
+                                             ("generation", "one usable pair")])
+    def test_too_few_usable_pairs_blame_the_data_at_a_usable_max_len(self, dataset, stage, needs):
+        prepared, cfg = dataset
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        hollow = [EncodedExample(ex.example_id, ex.utterance_ids, ex.response_ids[:2], ex.label)
+                  for ex in prepared.train[:4]]
+        with pytest.raises(ValueError) as raised:
+            getattr(tr, f"pretrain_{stage}")(enc, hollow, cfg, hub)
+        assert str(raised.value) == f"{stage} pre-training needs at least {needs}"
 
     def test_single_pair_trailing_batch_dropped(self, dataset, caplog):
         prepared, cfg = dataset
@@ -185,7 +197,8 @@ class TestFinetune:
                 ce = classification_loss(ad.softmax(clf2(q), axis=-1), y)
                 ad.backward(ce)
                 adamw_step(params, lr=run_cfg.lr, weight_decay=run_cfg.weight_decay)
-                zero_grad(params)
+                for p in params:
+                    p.grad = None
 
         assert _bits_equal(_param_bits([enc1, clf1]), _param_bits([enc2, clf2]))
 
@@ -321,6 +334,25 @@ class TestNonFiniteGradient:
 
 
 class TestEpochLoop:
+    @pytest.mark.parametrize("stage", ["retrieval", "generation", "finetune"])
+    def test_a_stage_leaves_no_gradient_on_what_it_trained(self, dataset, stage):
+        """Each update drops the gradients it read, so a trained model
+        carries no gradient buffer into the next stage or a checkpoint."""
+        prepared, cfg = dataset
+        hub = SeedHub(0)
+        enc = ConversationalEncoder(cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
+        if stage == "retrieval":
+            tr.pretrain_retrieval(enc, prepared.train, cfg, hub)
+            trained = enc.parameters()
+        elif stage == "generation":
+            dec, _ = tr.pretrain_generation(enc, prepared.train, cfg, hub)
+            trained = enc.backbone_parameters() + dec.parameters()
+        else:
+            clf, _ = tr.finetune(enc, prepared.train, prepared.valid, cfg, hub,
+                                 len(prepared.label_names))
+            trained = enc.parameters() + clf.parameters()
+        assert trained and all(p.grad is None for p in trained)
+
     def test_empty_finetune_epoch_reports_zero_loss(self, dataset):
         prepared, cfg = dataset
         hub = SeedHub(0)

@@ -23,6 +23,27 @@ decoder step, so sides that stop at different lengths still compare.
 
 Both sides share one allocator, so memory figures and page-fault effects
 still need benchmark runs in separate processes.
+
+A/A calibration: ``--parent HEAD`` on an unchanged tree (``81c243c``),
+under ``taskset -c 1`` on a 2-vCPU AVX-512 Xeon, run twice at 6 and at
+12 repeats. Median change/parent ratio per unit, interquartile range in
+brackets, first round:
+
+    unit              desk x6             desk x12            long x6             long x12
+    prepare           1.009 (0.978-1.065) 0.930 (0.902-1.026) 1.002 (0.913-1.105) 1.010 (0.908-1.046)
+    retrieval_epoch   0.997 (0.977-1.119) 1.034 (0.992-1.066) 1.024 (1.010-1.059) 0.993 (0.910-1.064)
+    generation_epoch  0.989 (0.925-1.011) 0.997 (0.976-1.035) 0.969 (0.913-1.001) 0.992 (0.940-1.011)
+    finetune_epoch    0.992 (0.955-1.048) 0.981 (0.905-1.049) 0.986 (0.977-1.010) 1.031 (0.997-1.062)
+    score_batched     0.980 (0.971-1.008) 1.001 (0.957-1.007) 0.996 (0.961-1.013) 1.012 (0.991-1.034)
+    score_b1          1.008 (0.970-1.020) 1.010 (0.990-1.017) 0.994 (0.972-1.010) 1.024 (0.966-1.050)
+    decode_step       0.974 (0.915-0.981) 0.999 (0.958-1.198) 1.012 (0.987-1.025) 0.954 (0.935-1.017)
+
+Second round, 12 repeats: ``desk`` retrieval_epoch 1.043, generation_epoch
+0.934 and score_b1 1.047; every ``long`` unit within 0.968-1.030. Twelve
+repeats therefore do not keep every unit within 1.00 +/- 0.03: 7 of the 28
+unit medians at 12 repeats fell outside it, against 3 of 28 at 6 repeats,
+and the worst read 0.930 and 1.047. A ratio within about 0.93-1.07 is not
+a measured difference.
 """
 from __future__ import annotations
 
