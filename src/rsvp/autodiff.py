@@ -358,13 +358,13 @@ def _erf_f32(x: np.ndarray) -> np.ndarray:
     return np.copysign(poly, x, out=poly)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, erf form.
+def _gelu(x: np.ndarray):
+    """GELU of an array, ``x * phi`` with phi = (1 + erf(x / sqrt(2))) / 2;
+    returns the output, in ``x``'s dtype, and ``phi``.
 
     float32 inputs of any size take erf from the float32 rational form
     ``_erf_f32``; float64 inputs take ``math.erf`` element by element.
     """
-    x = a.data
     # erf runs on a flat view, so a 0-d input also gives it arrays to write into
     z = x.reshape(-1) * _INV_SQRT2
     if x.dtype == np.float32:
@@ -374,13 +374,19 @@ def gelu(a: Tensor) -> Tensor:
     phi = phi.reshape(x.shape)
     phi += 1.0
     phi *= 0.5
-    y = x * phi
+    return (x * phi).astype(x.dtype, copy=False), phi
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Gaussian error linear unit, erf form, as ``_gelu`` computes it."""
+    x = a.data
+    y, phi = _gelu(x)
 
     def grad_fn(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
         return [(a, g * (phi + x * pdf))]
 
-    return _make(y.astype(x.dtype, copy=False), (a,), grad_fn)
+    return _make(y, (a,), grad_fn)
 
 
 def clamp_min(a: Tensor, lo: float) -> Tensor:
@@ -750,9 +756,42 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # of every intermediate of the composite
 
 
+def _split_heads(a: np.ndarray, heads) -> np.ndarray:
+    """(B, T, h·d_head) -> a (B, h, T, d_head) view; ``heads`` is (h, d_head)."""
+    return a.reshape(a.shape[:2] + heads).transpose(0, 2, 1, 3)
+
+
 def _merge_heads(a: np.ndarray) -> np.ndarray:
     """(B, h, T, d_head) -> a (B, T, h·d_head) copy."""
     return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
+
+
+def _head_scale(d_head: int, dtype) -> np.ndarray:
+    """1/sqrt(d_head) as a 0-d array of ``dtype``, the factor ``_attend`` folds into q."""
+    return np.asarray(1.0 / math.sqrt(d_head), dtype=dtype)
+
+
+def _attend(qh, kh, vh, scale, bias=None, keep=None, drop_scale=None):
+    """The forward of ``attention`` on head views: ``dropout(softmax(q kᵀ
+    scale + bias)) v`` of (B, h, Tq, d_head) queries over (B, h, Tk, d_head)
+    keys and values. ``keep`` and ``drop_scale`` are a ``_dropout_mask``
+    draw at the (B, h, Tq, Tk) scores' shape, None for none.
+
+    Returns the (B, h, Tq, d_head) context, the exponentiated scores ``e``,
+    each row's reciprocal sum ``r`` and the row scale that multiplied the
+    products, ``r`` times the dropout scale; ``attention``'s backward reads
+    all four.
+    """
+    e = (qh * scale) @ kh.swapaxes(-1, -2)
+    if bias is not None:
+        e += np.asarray(bias, dtype=e.dtype)[..., None, :, :]
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    r = 1.0 / e.sum(axis=-1, keepdims=True)
+    row_scale = r if keep is None else r * drop_scale
+    ctx = _apply_mask(e, keep, None) @ vh
+    ctx *= row_scale
+    return ctx, e, r, row_scale
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias, p: float, rng) -> Tensor:
@@ -780,18 +819,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias, p: float, rng
         raise ValueError(f"attention shape mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}, "
                          f"n_heads {n_heads}")
     heads = (n_heads, qd.shape[2] // n_heads)
-    qh, kh, vh = (a.reshape(a.shape[:2] + heads).transpose(0, 2, 1, 3) for a in (qd, kd, vd))
-    scale = np.asarray(1.0 / math.sqrt(heads[1]), dtype=qd.dtype)
-    e = (qh * scale) @ kh.swapaxes(-1, -2)
-    if bias is not None:
-        e += np.asarray(bias, dtype=e.dtype)[..., None, :, :]
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    r = 1.0 / e.sum(axis=-1, keepdims=True)
-    keep, drop_scale = _dropout_mask(e.shape, p, rng, e.dtype)
-    row_scale = r if keep is None else r * drop_scale
-    ctx = _apply_mask(e, keep, None) @ vh
-    ctx *= row_scale
+    qh, kh, vh = (_split_heads(a, heads) for a in (qd, kd, vd))
+    scale = _head_scale(heads[1], qd.dtype)
+    # the scores' shape and dtype, drawn before they exist: nothing draws in between
+    keep, drop_scale = _dropout_mask(qh.shape[:3] + kh.shape[2:3], p, rng,
+                                     np.result_type(qd, kd))
+    ctx, e, r, row_scale = _attend(qh, kh, vh, scale, bias, keep, drop_scale)
     data = _merge_heads(ctx)
 
     def grad_fn(g):

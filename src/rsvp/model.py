@@ -205,6 +205,10 @@ def _causal_bias(T: int, dtype) -> np.ndarray:
     return np.triu(np.full((T, T), MASK_BIAS), k=1).astype(dtype)
 
 
+def _too_long(length: int, max_positions: int) -> ValueError:
+    return ValueError(f"sequence length {length} exceeds max_positions {max_positions}")
+
+
 class _Embedded(Module):
     """Token and position embeddings with their layer norm, the input path
     the encoder and the decoder share."""
@@ -220,9 +224,7 @@ class _Embedded(Module):
         standing at positions start .. start + T - 1."""
         stop = start + ids.shape[1]
         if stop > self.cfg.max_positions:
-            raise ValueError(
-                f"sequence length {stop} exceeds max_positions {self.cfg.max_positions}"
-            )
+            raise _too_long(stop, self.cfg.max_positions)
         x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb, np.arange(start, stop))
         return self.emb_ln(x)
 
@@ -303,26 +305,70 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.d_ffn, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", cfg.d_model)
 
-    def __call__(self, x, self_bias, cross_kv, cross_bias, dropout_p, rng, cache=None, t=0):
+    def __call__(self, x, self_bias, cross_kv, cross_bias, dropout_p, rng):
         """(B, T, d) states in, (B, T, d) out; ``cross_kv`` is
-        ``cross_attn.project_kv`` of the encoder states.
-
-        With ``cache``, x (1, 1, d) is the one position ``t``: its
-        self-attention key and value are written into row ``t`` of the
-        cache buffers (1, >t, d), and it attends over rows 0..t, every one
-        of which precedes it.
-        """
+        ``cross_attn.project_kv`` of the encoder states."""
         k, v = self.self_attn.project_kv(x)
-        if cache is not None:
-            for buf, new in zip(cache, (k, v)):
-                buf[:, t] = new.data[:, 0]
-            # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
-            k, v = (ad._as_tensor(buf[:, : t + 1], x) for buf in cache)
         a = self.self_attn.attend(x, k, v, self_bias, dropout_p, rng)
         x = self.ln1.residual(x, a, self.self_attn.wo, dropout_p, rng)
         c = self.cross_attn.attend(x, *cross_kv, cross_bias, dropout_p, rng)
         x = self.ln_cross.residual(x, c, self.cross_attn.wo, dropout_p, rng)
         return self.ln2.residual(x, self.ffn(x), self.ffn.lin2, dropout_p, rng)
+
+
+def _weights(lin: Linear) -> tuple:
+    return lin.w.data, lin.b.data
+
+
+class _DecodeBlock:
+    """One decoder block's state for one greedy reply, built once: its
+    weights as arrays, the utterance's cross-attention keys and values, and
+    a (1, n, d_model) self-attention key/value cache, each viewed as
+    (1, h, T, d_head) heads once.
+
+    ``step`` runs the block on one position's row through the array kernels
+    the graph nodes run (``_affine``, ``_attend``, ``_gelu``, ``_normalize``),
+    on operands of the shapes and memory layout ``DecoderBlock`` gives them
+    over the same cache, so its output has the same bits. It makes no
+    Tensor and draws no dropout mask.
+    """
+
+    def __init__(self, blk: DecoderBlock, enc_hidden: np.ndarray, n: int, heads, dtype):
+        sa, ca = blk.self_attn, blk.cross_attn
+        self.q_heads = (1, 1) + heads
+        self.scale = ad._head_scale(heads[1], dtype)
+        self.wq, self.wk, self.wv, self.wo = map(_weights, (sa.wq, sa.wk, sa.wv, sa.wo))
+        self.cross_wq, self.cross_wo = _weights(ca.wq), _weights(ca.wo)
+        self.lin1, self.lin2 = _weights(blk.ffn.lin1), _weights(blk.ffn.lin2)
+        self.ln1, self.ln_cross, self.ln2 = blk.ln1, blk.ln_cross, blk.ln2
+        self.cross_kh, self.cross_vh = (ad._split_heads(ad._affine(enc_hidden, *_weights(lin)), heads)
+                                        for lin in (ca.wk, ca.wv))
+        self.k_cache, self.v_cache = (np.empty((1, n, heads[0] * heads[1]), dtype) for _ in "kv")
+        self.kh, self.vh = (ad._split_heads(c, heads) for c in (self.k_cache, self.v_cache))
+
+    def _attend(self, x, wq, kh, vh):
+        """The (1, 1, d_model) context, before the output projection, of the
+        query projected from ``x`` over the key and value heads."""
+        qh = ad._affine(x, *wq).reshape(self.q_heads).transpose(0, 2, 1, 3)
+        return ad._merge_heads(ad._attend(qh, kh, vh, self.scale)[0])
+
+    @staticmethod
+    def _residual(x, h, proj, norm):
+        """``residual_layer_norm`` without dropout: norm(x + proj(h))."""
+        s = ad._affine(h, *proj)
+        s += x
+        return ad._normalize(s, norm.gamma, norm.beta)[0]
+
+    def step(self, x: np.ndarray, t: int) -> np.ndarray:
+        """The block's output row at position ``t`` from its input row ``x``;
+        the row's self-attention key and value go into cache row ``t``."""
+        self.k_cache[0, t] = ad._affine(x, *self.wk)
+        self.v_cache[0, t] = ad._affine(x, *self.wv)
+        a = self._attend(x, self.wq, self.kh[:, :, : t + 1], self.vh[:, :, : t + 1])
+        x = self._residual(x, a, self.wo, self.ln1)
+        c = self._attend(x, self.cross_wq, self.cross_kh, self.cross_vh)
+        x = self._residual(x, c, self.cross_wo, self.ln_cross)
+        return self._residual(x, ad._gelu(ad._affine(x, *self.lin1))[0], self.lin2, self.ln2)
 
 
 class ResponseDecoder(_Embedded):
@@ -360,37 +406,50 @@ class ResponseDecoder(_Embedded):
             x = blk(x, self_bias, blk.cross_attn.project_kv(enc_hidden), cross_bias, p, rng)
         return self.lm_head(x), mask
 
-    @ad.no_grad()
     def generate(self, encoder: ConversationalEncoder, u_ids, max_t: int) -> list[int]:
-        """Greedy decoding from [BOS] until [EOS] or max_t tokens; deterministic,
-        and graph-free: it runs under ``ad.no_grad()``.
+        """Greedy decoding from [BOS] until [EOS] or max_t tokens; deterministic
+        and graph-free.
 
-        Decoding is incremental. The utterance's encoder states are projected
-        to each block's cross-attention keys/values once per call; each step
-        then runs only the newest token, one row, through the blocks teacher
-        forcing runs and the LM head, attending over the self-attention
-        keys/values cached by the earlier steps. Step t emits what the last
-        row of ``forward_teacher_forced`` over [BOS] and the t tokens before
-        it would pick, and raises ValueError where that sequence would
-        exceed ``max_positions``.
+        Decoding is incremental. Once per call, the utterance runs through the
+        encoder under ``ad.no_grad()``, and each block projects its
+        cross-attention keys/values from those states and allocates its
+        self-attention key/value cache. Each step then runs only the newest
+        token, one row, through every block and the LM head on plain arrays,
+        attending over the keys/values the earlier steps cached. Its logits
+        have the bits of the same step composed of the graph nodes that
+        teacher forcing runs, over the same cache. Step t emits what the last row of
+        ``forward_teacher_forced`` over [BOS] and the t tokens before it
+        would pick, and raises ValueError where that sequence would exceed
+        ``max_positions``.
         """
+        return [tok for tok, _ in self._greedy_steps(encoder, u_ids, max_t)
+                if tok != self.eos_id]
+
+    def _greedy_steps(self, encoder: ConversationalEncoder, u_ids, max_t: int):
+        """``generate`` one step at a time: yields each step's token and its
+        (vocab_size,) logits row, ending after [EOS] or max_t steps."""
         if max_t <= 0:
-            return []
-        enc_hidden, _ = encoder.forward_hidden([list(u_ids)])
-        cross_kv = [blk.cross_attn.project_kv(enc_hidden) for blk in self.blocks]
-        shape = (1, min(max_t, self.cfg.max_positions), self.cfg.d_model)
-        dtype = self.tok_emb.dtype
-        self_kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in self.blocks]
-        tok, out = self.bos_id, []
-        for t in range(max_t):
-            x = self._embed(np.array([[tok]]), start=t)
-            for blk, kv, ckv in zip(self.blocks, self_kv, cross_kv):
-                x = blk(x, None, ckv, None, 0.0, None, cache=kv, t=t)
-            tok = int(np.argmax(self.lm_head(x).data[0, 0]))
+            return
+        with ad.no_grad():
+            enc_hidden, _ = encoder.forward_hidden([list(u_ids)])
+        cfg, dtype = self.cfg, self.tok_emb.dtype
+        n = min(max_t, cfg.max_positions)
+        heads = (cfg.n_heads, cfg.d_model // cfg.n_heads)
+        blocks = [_DecodeBlock(blk, enc_hidden.data, n, heads, dtype) for blk in self.blocks]
+        tok_emb, pos_emb, ln = self.tok_emb.data, self.pos_emb.data, self.emb_ln
+        lm_head = _weights(self.lm_head)
+        tok = self.bos_id
+        for t in range(n):
+            x = ad._normalize(tok_emb[tok] + pos_emb[t], ln.gamma, ln.beta)[0]
+            for blk in blocks:
+                x = blk.step(x, t)
+            row = ad._affine(x, *lm_head).reshape(-1)
+            tok = int(row.argmax())
+            yield tok, row
             if tok == self.eos_id:
-                break
-            out.append(tok)
-        return out
+                return
+        if max_t > n:
+            raise _too_long(n + 1, cfg.max_positions)
 
 
 def init_decoder_from_encoder(

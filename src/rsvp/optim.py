@@ -23,7 +23,8 @@ class Parameter(Tensor):
         self.v = np.zeros(self.data.shape, self.data.dtype)
         self.step = 0
 
-    # the parameter itself, for callers written against ``p.tensor``
+    # the parameter itself; its only callers are perfbench's gradient check
+    # (perfbench/checks.py) and the test that pins the alias for it
     tensor = property(lambda self: self)
 
     def __repr__(self):

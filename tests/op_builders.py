@@ -2,7 +2,8 @@
 
 Each builder returns (rebuild, leaf_tensors): ``rebuild()`` constructs the
 scalar loss from the leaves' current array contents, so finite differences
-can perturb the arrays in place and re-evaluate.
+can perturb the arrays in place and re-evaluate. The composites below
+are the references that fused nodes and graph-free decoding must match.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ def oracle_seed(name: str, trial: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the composites the fused nodes replace, built from the public ops
+# the composites the fused nodes and array-level decoding replace, built
+# from the public ops
 
 
 def composite_linear(x, w, b):
@@ -57,6 +59,47 @@ def composite_attention(q, k, v, n_heads, bias, p, rng):
 
 def composite_residual_layer_norm(x, h, w, b, gamma, beta, p, rng):
     return ad.layer_norm(ad.add(x, ad.dropout(ad.linear(h, w, b), p, rng)), gamma, beta)
+
+
+def graph_greedy_steps(dec, enc, u_ids, max_t):
+    """Greedy decoding composed of graph nodes with the graph on, the
+    reference for ``ResponseDecoder.generate``: each step embeds the newest
+    token at its position and runs every block as ``ad.linear``,
+    ``ad.attention``, ``ad.residual_layer_norm`` and ``ad.gelu`` nodes,
+    attending over self-attention keys/values cached in (1, n, d_model)
+    arrays. Returns the tokens before [EOS] and each step's logits tensor,
+    (1, 1, vocab_size)."""
+    if max_t <= 0:
+        return [], []
+    hidden, _ = enc.forward_hidden([list(u_ids)])
+    cross_kv = [blk.cross_attn.project_kv(hidden) for blk in dec.blocks]
+    shape = (1, min(max_t, dec.cfg.max_positions), dec.cfg.d_model)
+    caches = [(np.empty(shape, dec.tok_emb.dtype), np.empty(shape, dec.tok_emb.dtype))
+              for _ in dec.blocks]
+    tok, tokens, logits = dec.bos_id, [], []
+    for t in range(max_t):
+        x = dec._embed(np.array([[tok]]), start=t)
+        for blk, cache, (ck, cv) in zip(dec.blocks, caches, cross_kv):
+            sa, ca, ffn = blk.self_attn, blk.cross_attn, blk.ffn
+            for buf, lin in zip(cache, (sa.wk, sa.wv)):
+                buf[:, t] = ad.linear(x, lin.w, lin.b).data[:, 0]
+            # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
+            k, v = (ad._as_tensor(buf[:, : t + 1], x) for buf in cache)
+            a = ad.attention(ad.linear(x, sa.wq.w, sa.wq.b), k, v, sa.n_heads, None, 0.0, None)
+            x = ad.residual_layer_norm(x, a, sa.wo.w, sa.wo.b, blk.ln1.gamma, blk.ln1.beta,
+                                       0.0, None)
+            c = ad.attention(ad.linear(x, ca.wq.w, ca.wq.b), ck, cv, ca.n_heads, None, 0.0, None)
+            x = ad.residual_layer_norm(x, c, ca.wo.w, ca.wo.b, blk.ln_cross.gamma,
+                                       blk.ln_cross.beta, 0.0, None)
+            f = ad.gelu(ad.linear(x, ffn.lin1.w, ffn.lin1.b))
+            x = ad.residual_layer_norm(x, f, ffn.lin2.w, ffn.lin2.b, blk.ln2.gamma, blk.ln2.beta,
+                                       0.0, None)
+        logits.append(ad.linear(x, dec.lm_head.w, dec.lm_head.b))
+        tok = int(np.argmax(logits[-1].data[0, 0]))
+        if tok == dec.eos_id:
+            break
+        tokens.append(tok)
+    return tokens, logits
 
 
 def _leaf(r, shape, scale=1.0):

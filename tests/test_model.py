@@ -76,7 +76,7 @@ class TestStageConfig:
 class TestEncode:
     def test_zero_weights_give_zero_embedding(self, encoder):
         for p in encoder.parameters():
-            p.tensor.data[...] = 0.0
+            p.data[...] = 0.0
         q = encoder.embed([[2, 7, 8]])
         np.testing.assert_array_equal(q, np.zeros((1, 16), dtype=np.float32))
 
@@ -157,7 +157,7 @@ def _pooled_with_grads(enc, pooled):
     returns (embeddings, every parameter gradient)."""
     params = enc.parameters()
     for p in params:
-        p.tensor.grad = None
+        p.grad = None
     out = pooled()
     weights = np.random.default_rng(11).normal(size=out.shape)
     ad.backward(ad.tsum(ad.mul(out, ad.Tensor(weights))))
@@ -260,7 +260,7 @@ class TestEncodePair:
     def test_shared_parameter_sensitivity(self, encoder):
         u, r = [2, 7, 9], [2, 11, 13, 14]
         q0, p0 = encoder.embed([u]), encoder.embed([r])
-        encoder.pool.w.tensor.data[0, 0] += 0.05
+        encoder.pool.w.data[0, 0] += 0.05
         q1, p1 = encoder.embed([u]), encoder.embed([r])
         assert not np.array_equal(q0, q1)
         assert not np.array_equal(p0, p1)
@@ -281,7 +281,7 @@ class TestDecoder:
                 assert np.array_equal(dp.data, ep.data)
         assert np.array_equal(dec.tok_emb.data, encoder.tok_emb.data)
         # updating one side never moves the other
-        dec.blocks[0].self_attn.wq.w.tensor.data += 1.0
+        dec.blocks[0].self_attn.wq.w.data += 1.0
         assert not np.array_equal(
             dec.blocks[0].self_attn.wq.w.data, encoder.blocks[0].attn.wq.w.data
         )
@@ -289,8 +289,8 @@ class TestDecoder:
     def test_zeroed_cross_attention_ignores_utterance(self, encoder):
         dec = init_decoder_from_encoder(encoder, SeedHub(5).stream("decoder_init"))
         for blk in dec.blocks:
-            blk.cross_attn.wo.w.tensor.data[...] = 0.0
-            blk.cross_attn.wo.b.tensor.data[...] = 0.0
+            blk.cross_attn.wo.w.data[...] = 0.0
+            blk.cross_attn.wo.b.data[...] = 0.0
         r = [4, 7, 8, 5]
         h1, m1 = encoder.forward_hidden([[2, 7, 9]])
         h2, m2 = encoder.forward_hidden([[2, 30, 31, 32, 33]])
@@ -467,19 +467,13 @@ def _uncached_generate(dec, enc, u_ids, max_t, rows):
 
 
 def _cached_generate(dec, enc, u_ids, max_t, rows):
-    """``generate``, appending the logit row of each step to ``rows``."""
-    head = dec.lm_head
-
-    def recording_head(x):
-        out = head(x)
-        rows.append(out.data[0, -1])
-        return out
-
-    dec.lm_head = recording_head
-    try:
-        return dec.generate(enc, u_ids, max_t)
-    finally:
-        dec.lm_head = head
+    """``generate``'s steps, appending each step's logit row to ``rows``."""
+    tokens = []
+    for tok, row in dec._greedy_steps(enc, u_ids, max_t):
+        rows.append(row)
+        if tok != dec.eos_id:
+            tokens.append(tok)
+    return tokens
 
 
 def _random_models(seed, n_layers=2, **kw):
@@ -503,7 +497,7 @@ class TestIncrementalGenerate:
     def test_matches_uncached_loop(self, n_layers, utt_len, seed):
         with ad.precision("float64"):
             enc, dec = _random_models(seed, n_layers=n_layers)
-            dec.lm_head.b.tensor.data[dec.eos_id] = -1e3  # decode all max_t steps
+            dec.lm_head.b.data[dec.eos_id] = -1e3  # decode all max_t steps
             u = [2] + list(np.random.default_rng(seed).integers(6, 40, size=utt_len - 1))
             cached, oracle = [], []
             tokens = _cached_generate(dec, enc, u, 20, cached)
@@ -524,7 +518,7 @@ class TestIncrementalGenerate:
     def test_eos_at_first_step_returns_empty(self):
         with ad.precision("float64"):
             enc, dec = _random_models(5)
-            dec.lm_head.b.tensor.data[dec.eos_id] = 1e3
+            dec.lm_head.b.data[dec.eos_id] = 1e3
             cached, oracle = [], []
             assert _cached_generate(dec, enc, [2, 7], 8, cached) == []
             assert _uncached_generate(dec, enc, [2, 7], 8, oracle) == []
@@ -533,7 +527,7 @@ class TestIncrementalGenerate:
     def test_max_t_one(self):
         with ad.precision("float64"):
             enc, dec = _random_models(6)
-            dec.lm_head.b.tensor.data[dec.eos_id] = -1e3
+            dec.lm_head.b.data[dec.eos_id] = -1e3
             cached, oracle = [], []
             tokens = _cached_generate(dec, enc, [2, 7, 9], 1, cached)
             assert tokens == _uncached_generate(dec, enc, [2, 7, 9], 1, oracle)
@@ -568,7 +562,7 @@ class TestIncrementalGenerate:
     def test_max_positions_limit_at_same_step(self, max_t, raises):
         with ad.precision("float64"):
             enc, dec = _random_models(7, max_positions=8)
-            dec.lm_head.b.tensor.data[dec.eos_id] = -1e3
+            dec.lm_head.b.data[dec.eos_id] = -1e3
             cached, oracle = [], []
             if raises:
                 with pytest.raises(ValueError, match="sequence length 9 exceeds max_positions 8"):
@@ -678,31 +672,41 @@ class TestGraphFreeEval:
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     def test_generate_runs_graph_free_and_bit_equal(self, precision):
-        """generate against its undecorated body, which builds the graph."""
-        with ad.precision(precision):
-            enc, dec = _random_models(9)
-        dec.lm_head.b.tensor.data[dec.eos_id] = -1e3  # decode all max_t steps
-        head, runs = dec.lm_head, []
-        for run in (lambda: dec.generate(enc, [2, 8, 13, 21], 10),
-                    lambda: ResponseDecoder.generate.__wrapped__(dec, enc, [2, 8, 13, 21], 10)):
+        """generate's tokens and every step's logits row, bit for bit, against
+        the graph composition over the same (1, n, d_model) caches. The desk
+        model and d_model 32: at 32, a head-major cache layout changed float32
+        logits in the last bits, as BLAS rounding follows operand layout."""
+        desk = dict(vocab_size=257, d_model=128, n_heads=4, d_ffn=256, max_positions=64,
+                    pooled_dim=128)
+        for seed, kw in ((9, {}), (10, desk)):
+            with ad.precision(precision):
+                enc, dec = _random_models(seed, **kw)
+            dec.lm_head.b.data[dec.eos_id] = -1e3  # decode all max_t steps
+            u = [2] + list(np.random.default_rng(seed).integers(6, 40, size=13))
+            tokens, graph_rows = op_builders.graph_greedy_steps(dec, enc, u, 24)
             rows = []
+            assert _cached_generate(dec, enc, u, 24, rows) == tokens
+            assert dec.generate(enc, u, 24) == tokens and len(tokens) == 24
+            assert all(r.requires_grad for r in graph_rows)
+            assert len(rows) == len(graph_rows)
+            for a, b in zip(rows, graph_rows):
+                assert a.dtype == np.dtype(precision)
+                assert np.array_equal(a, b.data[0, 0])
 
-            def recording_head(x, rows=rows):
-                rows.append(head(x))
-                return rows[-1]
-
-            dec.lm_head = recording_head
-            try:
-                runs.append((run(), rows))
-            finally:
-                dec.lm_head = head
-        (free_tokens, free_rows), (graph_tokens, graph_rows) = runs
-        assert free_tokens == graph_tokens and len(free_tokens) == 10
-        assert not any(r.requires_grad for r in free_rows)
-        assert all(r.requires_grad for r in graph_rows)
-        for a, b in zip(free_rows, graph_rows):
-            assert a.dtype == np.dtype(precision)
-            assert np.array_equal(a.data, b.data)
+    def test_decode_step_makes_no_tensor_and_draws_no_mask(self, monkeypatch):
+        """After the encoder pass, a step builds no Tensor and calls no dropout."""
+        enc, dec = _random_models(9)
+        dec.lm_head.b.data[dec.eos_id] = -1e3
+        calls = []
+        for name in ("_make", "_dropout_mask"):
+            fn = getattr(ad, name)
+            monkeypatch.setattr(ad, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        steps = dec._greedy_steps(enc, [2, 8, 13, 21], 6)
+        next(steps)
+        assert "_make" in calls  # the encoder pass runs graph nodes
+        calls.clear()
+        assert len(list(steps)) == 5
+        assert calls == []
 
     def test_embed_matches_per_chunk_encode_batch(self, encoder):
         rng = np.random.default_rng(4)

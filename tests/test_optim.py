@@ -10,7 +10,7 @@ from rsvp.optim import Parameter, adamw_step, global_grad_norm
 def test_first_step_moves_by_learning_rate(float64):
     # bias correction makes the very first update lr * g / (|g| + eps)
     p = Parameter("w", np.array([1.0]))
-    p.tensor.grad = np.array([1.0])
+    p.grad = np.array([1.0])
     adamw_step([p], lr=2e-5)
     assert abs((1.0 - p.data[0]) - 2e-5) < 1e-9
 
@@ -18,7 +18,7 @@ def test_first_step_moves_by_learning_rate(float64):
 def test_zero_grad_zero_decay_leaves_parameter(rng):
     w0 = rng.normal(size=5)
     p = Parameter("w", w0)
-    p.tensor.grad = np.zeros(5, dtype=np.float32)
+    p.grad = np.zeros(5, dtype=np.float32)
     adamw_step([p], lr=0.1, weight_decay=0.0)
     np.testing.assert_array_equal(p.data, w0.astype(np.float32))
 
@@ -26,7 +26,7 @@ def test_zero_grad_zero_decay_leaves_parameter(rng):
 def test_decay_shrinks_weights_without_gradient_signal(rng):
     w0 = rng.normal(size=5).astype(np.float32)
     p = Parameter("w", w0.copy())
-    p.tensor.grad = np.zeros(5, dtype=np.float32)
+    p.grad = np.zeros(5, dtype=np.float32)
     adamw_step([p], lr=0.1, weight_decay=0.01)
     np.testing.assert_allclose(p.data, w0 * (1 - 0.1 * 0.01), rtol=1e-6)
 
@@ -40,19 +40,19 @@ def test_missing_grad_names_parameter():
 def test_step_counter_and_grads_untouched():
     p = Parameter("w", np.ones(3))
     g = np.full(3, 0.5, dtype=np.float32)
-    p.tensor.grad = g.copy()
+    p.grad = g.copy()
     adamw_step([p], lr=1e-3)
     adamw_step([p], lr=1e-3)
     assert p.step == 2
-    np.testing.assert_array_equal(p.tensor.grad, g)
+    np.testing.assert_array_equal(p.grad, g)
 
 
 def test_clip_norm_scales_update():
     big = Parameter("a", np.zeros(2))
-    big.tensor.grad = np.array([30.0, 40.0], dtype=np.float32)  # norm 50
+    big.grad = np.array([30.0, 40.0], dtype=np.float32)  # norm 50
     assert abs(global_grad_norm([big]) - 50.0) < 1e-4
     ref = Parameter("b", np.zeros(2))
-    ref.tensor.grad = np.array([0.6, 0.8], dtype=np.float32)  # already norm 1
+    ref.grad = np.array([0.6, 0.8], dtype=np.float32)  # already norm 1
     adamw_step([big], lr=1e-2, clip_norm=1.0)
     adamw_step([ref], lr=1e-2)
     np.testing.assert_allclose(big.data, ref.data, rtol=1e-4)
@@ -68,7 +68,7 @@ def test_matches_reference_adamw_trajectory(rng, float64):
     v = np.zeros(4)
     lr, b1, b2, eps, wd = 1e-3, 0.9, 0.999, 1e-8, 0.05
     for t, g in enumerate(grads, start=1):
-        p.tensor.grad = g.copy()
+        p.grad = g.copy()
         adamw_step([p], lr=lr, weight_decay=wd)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g

@@ -240,7 +240,7 @@ class TestNonFiniteLoss:
         hub = SeedHub(0)
         enc = ConversationalEncoder(run_cfg.encoder_config(len(prepared.vocab)), hub.stream("encoder_init"))
         clf = IntentClassifier(run_cfg.pooled_dim, len(prepared.label_names), hub.stream("classifier_init"))
-        clf.lin2.b.tensor.data[self.WRONG] += 200.0
+        clf.lin2.b.data[self.WRONG] += 200.0
         train = [ex for ex in prepared.train if ex.label != self.WRONG]
         logits = enc.embed([ex.utterance_ids for ex in train], head=clf)
         gold = logits[np.arange(len(train)), [ex.label for ex in train]]
@@ -491,7 +491,7 @@ class TestGraphFreeScoring:
             probs = ad.softmax(clf(enc.encode_batch([ex.utterance_ids for ex in batch])), axis=-1)
             ad.backward(classification_loss(probs, np.array([ex.label for ex in batch])))
             params = enc.parameters() + clf.parameters()
-            return history, [p.data.copy() for p in params], [p.tensor.grad.copy() for p in params]
+            return history, [p.data.copy() for p in params], [p.grad.copy() for p in params]
 
         free = run()
         monkeypatch.setattr(tr, "score_utterances", _graph_scores)
