@@ -89,6 +89,14 @@ class StageConfig:
         if not self.seeds:
             raise ValueError("seeds must hold at least one seed")
         self.seeds = tuple(int(s) for s in self.seeds)
+        # a repeated seed would train twice into one checkpoint and one curve set
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        # NumPy's seeding refuses a negative seed without naming the key
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {list(self.seeds)}")
+        if self.split_seed < 0:
+            raise ValueError(f"split_seed must be nonnegative, got {self.split_seed}")
         self.split_ratios = _checked_ratios(self.split_ratios, "split_ratios")
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:

@@ -101,47 +101,22 @@ class LayerNorm(Module):
         return ad.residual_layer_norm(x, h, proj.w, proj.b, self.gamma, self.beta, dropout_p, rng)
 
 
-class MultiHeadAttention(Module):
-    """Scaled dot-product attention over full query/key projections."""
-
-    def __init__(self, name: str, d_model: int, n_heads: int, rng: np.random.Generator | None):
-        self.n_heads = n_heads
-        self.wq = Linear(f"{name}.wq", d_model, d_model, rng)
-        self.wk = Linear(f"{name}.wk", d_model, d_model, rng)
-        self.wv = Linear(f"{name}.wv", d_model, d_model, rng)
-        self.wo = Linear(f"{name}.wo", d_model, d_model, rng)
-
-    def project_kv(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values of all heads, each (B, Tk, d_model)."""
-        return self.wk(x_kv), self.wv(x_kv)
-
-    def attend(self, x_q: Tensor, k: Tensor, v: Tensor, bias, dropout_p, rng) -> Tensor:
-        """Attention of the queries projected from ``x_q`` over keys and
-        values from ``project_kv``; ``bias`` is added to the logits. Returns
-        the (B, Tq, d_model) context before ``wo``, which the caller's
-        ``LayerNorm.residual`` applies."""
-        return ad.attention(self.wq(x_q), k, v, self.n_heads, bias, dropout_p, rng)
-
-
-class FeedForward(Module):
-    """``lin2(gelu(lin1(x)))``; calling it returns the GELU activations,
-    and the caller's ``LayerNorm.residual`` applies ``lin2``."""
-
-    def __init__(self, name: str, d_model: int, d_ffn: int, rng: np.random.Generator | None):
-        self.lin1 = Linear(f"{name}.lin1", d_model, d_ffn, rng)
-        self.lin2 = Linear(f"{name}.lin2", d_ffn, d_model, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.gelu(self.lin1(x))
+def _attention_projections(name: str, d_model: int, rng: np.random.Generator | None) -> list:
+    """The query, key, value and output projections of an attention
+    sublayer, ``{name}.wq`` .. ``{name}.wo``, built (and drawn) in that order."""
+    return [Linear(f"{name}.{w}", d_model, d_model, rng) for w in ("wq", "wk", "wv", "wo")]
 
 
 class EncoderBlock(Module):
     """Post-norm transformer block: attention and FFN sublayers with residuals."""
 
     def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator | None):
-        self.attn = MultiHeadAttention(f"{name}.attn", cfg.d_model, cfg.n_heads, rng)
+        self.n_heads = cfg.n_heads
+        self.wq, self.wk, self.wv, self.wo = _attention_projections(f"{name}.attn", cfg.d_model,
+                                                                    rng)
         self.ln1 = LayerNorm(f"{name}.ln1", cfg.d_model)
-        self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.d_ffn, rng)
+        self.lin1 = Linear(f"{name}.ffn.lin1", cfg.d_model, cfg.d_ffn, rng)
+        self.lin2 = Linear(f"{name}.ffn.lin2", cfg.d_ffn, cfg.d_model, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", cfg.d_model)
 
     def __call__(self, x: Tensor, bias, dropout_p, rng, cls_only=False) -> Tensor:
@@ -150,12 +125,12 @@ class EncoderBlock(Module):
         its dropout masks are drawn for that row alone.
         """
         B, _, d = x.shape
-        k, v = self.attn.project_kv(x)
+        k, v = self.wk(x), self.wv(x)
         if cls_only:
             x = ad.token_at(x, 0).reshape(B, 1, d)
-        a = self.attn.attend(x, k, v, bias, dropout_p, rng)
-        x = self.ln1.residual(x, a, self.attn.wo, dropout_p, rng)
-        return self.ln2.residual(x, self.ffn(x), self.ffn.lin2, dropout_p, rng)
+        a = ad.attention(self.wq(x), k, v, self.n_heads, bias, dropout_p, rng)
+        x = self.ln1.residual(x, a, self.wo, dropout_p, rng)
+        return self.ln2.residual(x, ad.gelu(self.lin1(x)), self.lin2, dropout_p, rng)
 
 
 def pad_batch(seqs):
@@ -219,13 +194,12 @@ class _Embedded(Module):
         self.pos_emb = Parameter("pos_emb", _normal(rng, (cfg.max_positions, cfg.d_model)))
         self.emb_ln = LayerNorm("emb_ln", cfg.d_model)
 
-    def _embed(self, ids: np.ndarray, start: int = 0) -> Tensor:
-        """Layer-normed token plus position embeddings of (B, T) ``ids``
-        standing at positions start .. start + T - 1."""
-        stop = start + ids.shape[1]
-        if stop > self.cfg.max_positions:
-            raise _too_long(stop, self.cfg.max_positions)
-        x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb, np.arange(start, stop))
+    def _embed(self, ids: np.ndarray) -> Tensor:
+        """Layer-normed token plus position embeddings of (B, T) ``ids``."""
+        T = ids.shape[1]
+        if T > self.cfg.max_positions:
+            raise _too_long(T, self.cfg.max_positions)
+        x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb, np.arange(T))
         return self.emb_ln(x)
 
 
@@ -298,22 +272,27 @@ class DecoderBlock(Module):
     """Causal self-attention, cross-attention over encoder states, FFN."""
 
     def __init__(self, name: str, cfg: EncoderConfig, rng: np.random.Generator | None):
-        self.self_attn = MultiHeadAttention(f"{name}.attn", cfg.d_model, cfg.n_heads, rng)
+        self.n_heads = cfg.n_heads
+        self.wq, self.wk, self.wv, self.wo = _attention_projections(f"{name}.attn", cfg.d_model,
+                                                                    rng)
         self.ln1 = LayerNorm(f"{name}.ln1", cfg.d_model)
-        self.cross_attn = MultiHeadAttention(f"{name}.cross", cfg.d_model, cfg.n_heads, rng)
+        self.cross_wq, self.cross_wk, self.cross_wv, self.cross_wo = _attention_projections(
+            f"{name}.cross", cfg.d_model, rng)
         self.ln_cross = LayerNorm(f"{name}.ln_cross", cfg.d_model)
-        self.ffn = FeedForward(f"{name}.ffn", cfg.d_model, cfg.d_ffn, rng)
+        self.lin1 = Linear(f"{name}.ffn.lin1", cfg.d_model, cfg.d_ffn, rng)
+        self.lin2 = Linear(f"{name}.ffn.lin2", cfg.d_ffn, cfg.d_model, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", cfg.d_model)
 
-    def __call__(self, x, self_bias, cross_kv, cross_bias, dropout_p, rng):
-        """(B, T, d) states in, (B, T, d) out; ``cross_kv`` is
-        ``cross_attn.project_kv`` of the encoder states."""
-        k, v = self.self_attn.project_kv(x)
-        a = self.self_attn.attend(x, k, v, self_bias, dropout_p, rng)
-        x = self.ln1.residual(x, a, self.self_attn.wo, dropout_p, rng)
-        c = self.cross_attn.attend(x, *cross_kv, cross_bias, dropout_p, rng)
-        x = self.ln_cross.residual(x, c, self.cross_attn.wo, dropout_p, rng)
-        return self.ln2.residual(x, self.ffn(x), self.ffn.lin2, dropout_p, rng)
+    def __call__(self, x, self_bias, enc_hidden, cross_bias, dropout_p, rng):
+        """(B, T, d) states in, (B, T, d) out, attending over the (B, Tu, d)
+        encoder states ``enc_hidden``."""
+        ck, cv = self.cross_wk(enc_hidden), self.cross_wv(enc_hidden)
+        k, v = self.wk(x), self.wv(x)
+        a = ad.attention(self.wq(x), k, v, self.n_heads, self_bias, dropout_p, rng)
+        x = self.ln1.residual(x, a, self.wo, dropout_p, rng)
+        c = ad.attention(self.cross_wq(x), ck, cv, self.n_heads, cross_bias, dropout_p, rng)
+        x = self.ln_cross.residual(x, c, self.cross_wo, dropout_p, rng)
+        return self.ln2.residual(x, ad.gelu(self.lin1(x)), self.lin2, dropout_p, rng)
 
 
 def _weights(lin: Linear) -> tuple:
@@ -328,21 +307,21 @@ class _DecodeBlock:
 
     ``step`` runs the block on one position's row through the array kernels
     the graph nodes run (``_affine``, ``_attend``, ``_gelu``, ``_normalize``),
-    on operands of the shapes and memory layout ``DecoderBlock`` gives them
-    over the same cache, so its output has the same bits. It makes no
-    Tensor and draws no dropout mask.
+    on operands of the shapes and memory layout that the graph-node
+    reference in ``tests/op_builders.graph_greedy_steps`` gives them over
+    the same cache, so its output has the same bits. It makes no Tensor
+    and draws no dropout mask.
     """
 
     def __init__(self, blk: DecoderBlock, enc_hidden: np.ndarray, n: int, heads, dtype):
-        sa, ca = blk.self_attn, blk.cross_attn
         self.q_heads = (1, 1) + heads
         self.scale = ad._head_scale(heads[1], dtype)
-        self.wq, self.wk, self.wv, self.wo = map(_weights, (sa.wq, sa.wk, sa.wv, sa.wo))
-        self.cross_wq, self.cross_wo = _weights(ca.wq), _weights(ca.wo)
-        self.lin1, self.lin2 = _weights(blk.ffn.lin1), _weights(blk.ffn.lin2)
+        self.wq, self.wk, self.wv, self.wo = map(_weights, (blk.wq, blk.wk, blk.wv, blk.wo))
+        self.cross_wq, self.cross_wo = _weights(blk.cross_wq), _weights(blk.cross_wo)
+        self.lin1, self.lin2 = _weights(blk.lin1), _weights(blk.lin2)
         self.ln1, self.ln_cross, self.ln2 = blk.ln1, blk.ln_cross, blk.ln2
         self.cross_kh, self.cross_vh = (ad._split_heads(ad._affine(enc_hidden, *_weights(lin)), heads)
-                                        for lin in (ca.wk, ca.wv))
+                                        for lin in (blk.cross_wk, blk.cross_wv))
         self.k_cache, self.v_cache = (np.empty((1, n, heads[0] * heads[1]), dtype) for _ in "kv")
         self.kh, self.vh = (ad._split_heads(c, heads) for c in (self.k_cache, self.v_cache))
 
@@ -403,7 +382,7 @@ class ResponseDecoder(_Embedded):
         self_bias = _causal_bias(ids.shape[1], dtype) + _key_bias(mask, dtype)
         cross_bias = _key_bias(enc_mask, dtype)
         for blk in self.blocks:
-            x = blk(x, self_bias, blk.cross_attn.project_kv(enc_hidden), cross_bias, p, rng)
+            x = blk(x, self_bias, enc_hidden, cross_bias, p, rng)
         return self.lm_head(x), mask
 
     def generate(self, encoder: ConversationalEncoder, u_ids, max_t: int) -> list[int]:

@@ -72,27 +72,27 @@ def graph_greedy_steps(dec, enc, u_ids, max_t):
     if max_t <= 0:
         return [], []
     hidden, _ = enc.forward_hidden([list(u_ids)])
-    cross_kv = [blk.cross_attn.project_kv(hidden) for blk in dec.blocks]
+    cross_kv = [(blk.cross_wk(hidden), blk.cross_wv(hidden)) for blk in dec.blocks]
     shape = (1, min(max_t, dec.cfg.max_positions), dec.cfg.d_model)
     caches = [(np.empty(shape, dec.tok_emb.dtype), np.empty(shape, dec.tok_emb.dtype))
               for _ in dec.blocks]
     tok, tokens, logits = dec.bos_id, [], []
     for t in range(max_t):
-        x = dec._embed(np.array([[tok]]), start=t)
+        x = dec.emb_ln(ad.embedding(dec.tok_emb, [[tok]]) + ad.embedding(dec.pos_emb, [t]))
         for blk, cache, (ck, cv) in zip(dec.blocks, caches, cross_kv):
-            sa, ca, ffn = blk.self_attn, blk.cross_attn, blk.ffn
-            for buf, lin in zip(cache, (sa.wk, sa.wv)):
+            for buf, lin in zip(cache, (blk.wk, blk.wv)):
                 buf[:, t] = ad.linear(x, lin.w, lin.b).data[:, 0]
             # _as_tensor keeps the buffers' dtype; Tensor() would cast to the default
             k, v = (ad._as_tensor(buf[:, : t + 1], x) for buf in cache)
-            a = ad.attention(ad.linear(x, sa.wq.w, sa.wq.b), k, v, sa.n_heads, None, 0.0, None)
-            x = ad.residual_layer_norm(x, a, sa.wo.w, sa.wo.b, blk.ln1.gamma, blk.ln1.beta,
+            a = ad.attention(ad.linear(x, blk.wq.w, blk.wq.b), k, v, blk.n_heads, None, 0.0, None)
+            x = ad.residual_layer_norm(x, a, blk.wo.w, blk.wo.b, blk.ln1.gamma, blk.ln1.beta,
                                        0.0, None)
-            c = ad.attention(ad.linear(x, ca.wq.w, ca.wq.b), ck, cv, ca.n_heads, None, 0.0, None)
-            x = ad.residual_layer_norm(x, c, ca.wo.w, ca.wo.b, blk.ln_cross.gamma,
+            c = ad.attention(ad.linear(x, blk.cross_wq.w, blk.cross_wq.b), ck, cv, blk.n_heads,
+                             None, 0.0, None)
+            x = ad.residual_layer_norm(x, c, blk.cross_wo.w, blk.cross_wo.b, blk.ln_cross.gamma,
                                        blk.ln_cross.beta, 0.0, None)
-            f = ad.gelu(ad.linear(x, ffn.lin1.w, ffn.lin1.b))
-            x = ad.residual_layer_norm(x, f, ffn.lin2.w, ffn.lin2.b, blk.ln2.gamma, blk.ln2.beta,
+            f = ad.gelu(ad.linear(x, blk.lin1.w, blk.lin1.b))
+            x = ad.residual_layer_norm(x, f, blk.lin2.w, blk.lin2.b, blk.ln2.gamma, blk.ln2.beta,
                                        0.0, None)
         logits.append(ad.linear(x, dec.lm_head.w, dec.lm_head.b))
         tok = int(np.argmax(logits[-1].data[0, 0]))

@@ -766,6 +766,11 @@ class TestErrorPaths:
         (["--seeds", "0,,1"], "cannot read config value seeds='0,,1'"),
         (["--set", "seeds=0,,1"], "cannot read config value seeds='0,,1'"),
         (["--seed", "1.5"], "cannot read config value seeds='1.5'"),
+        (["--seeds", "0,0"], "seeds must be distinct, got [0, 0]"),
+        (["--seeds", "1,0,1"], "seeds must be distinct, got [1, 0, 1]"),
+        (["--set", "seeds=-1"], "seeds must be nonnegative, got [-1]"),
+        (["--seeds", "0,-2"], "seeds must be nonnegative, got [0, -2]"),
+        (["--set", "split_seed=-1"], "split_seed must be nonnegative, got -1"),
         (["--set", "lr=0"], "lr must be positive, got 0.0"),
         (["--set", "clip_norm=0"], "clip_norm must be positive"),
         (["--set", "weight_decay=-5"], "weight_decay must be nonnegative, got -5.0"),

@@ -11,6 +11,7 @@ from rsvp.config import StageConfig
 from rsvp.losses import generation_loss
 from rsvp.model import (
     _EVAL_TOKEN_BUDGET,
+    INIT_STD,
     ConversationalEncoder,
     EncoderConfig,
     IntentClassifier,
@@ -274,23 +275,20 @@ class TestEncodePair:
 class TestDecoder:
     def test_copied_weights_bitwise_and_independent(self, encoder):
         dec = init_decoder_from_encoder(encoder, SeedHub(5).stream("decoder_init"))
-        for dblk, eblk in zip(dec.blocks, encoder.blocks):
-            for dp, ep in zip(dblk.self_attn.parameters(), eblk.attn.parameters()):
-                assert np.array_equal(dp.data, ep.data)
-            for dp, ep in zip(dblk.ffn.parameters(), eblk.ffn.parameters()):
-                assert np.array_equal(dp.data, ep.data)
-        assert np.array_equal(dec.tok_emb.data, encoder.tok_emb.data)
+        enc = dict(encoder.named_parameters())
+        shared = [(p, enc[name]) for name, p in dec.named_parameters() if name in enc]
+        assert len(shared) == len(encoder.backbone_parameters())
+        for dp, ep in shared:
+            assert np.array_equal(dp.data, ep.data)
         # updating one side never moves the other
-        dec.blocks[0].self_attn.wq.w.data += 1.0
-        assert not np.array_equal(
-            dec.blocks[0].self_attn.wq.w.data, encoder.blocks[0].attn.wq.w.data
-        )
+        dec.blocks[0].wq.w.data += 1.0
+        assert not np.array_equal(dec.blocks[0].wq.w.data, encoder.blocks[0].wq.w.data)
 
     def test_zeroed_cross_attention_ignores_utterance(self, encoder):
         dec = init_decoder_from_encoder(encoder, SeedHub(5).stream("decoder_init"))
         for blk in dec.blocks:
-            blk.cross_attn.wo.w.data[...] = 0.0
-            blk.cross_attn.wo.b.data[...] = 0.0
+            blk.cross_wo.w.data[...] = 0.0
+            blk.cross_wo.b.data[...] = 0.0
         r = [4, 7, 8, 5]
         h1, m1 = encoder.forward_hidden([[2, 7, 9]])
         h2, m2 = encoder.forward_hidden([[2, 30, 31, 32, 33]])
@@ -331,9 +329,8 @@ class TestDecoder:
         loss.backward()
         cross_mass = sum(
             float(np.abs(p.grad).sum())
-            for blk in dec.blocks
-            for p in blk.cross_attn.parameters()
-            if p.grad is not None
+            for name, p in dec.named_parameters()
+            if ".cross." in name and p.grad is not None
         )
         assert cross_mass > 0
 
@@ -646,6 +643,31 @@ class TestParameterLayout:
                 assert name.startswith(("layer0.cross.", "layer1.cross.", "layer0.ln_cross.",
                                         "layer1.ln_cross.", "lm_head.")), name
                 assert np.array_equal(p.data, fresh[name].data), name
+
+
+class TestInitDrawOrder:
+    """Which init draw each weight gets: names and order alone do not pin
+    it, since building one projection before another keeps both."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("build", [
+        lambda rng: ConversationalEncoder(small_config(), rng),
+        lambda rng: ResponseDecoder(small_config(), rng, bos_id=4, eos_id=5),
+        lambda rng: IntentClassifier(16, 5, rng),
+    ], ids=["encoder", "decoder", "classifier"])
+    def test_weights_take_consecutive_draws(self, build, precision):
+        with ad.precision(precision):
+            model = build(np.random.default_rng(11))
+        draws = np.random.default_rng(11)
+        for name, p in model.named_parameters():
+            if name.endswith(".w") or name in ("tok_emb", "pos_emb"):
+                want = draws.normal(0.0, INIT_STD, p.data.shape).astype(p.data.dtype)
+                assert np.array_equal(p.data, want), name
+            elif name.endswith((".b", ".beta")):
+                assert not p.data.any(), name
+            else:
+                assert name.endswith(".gamma") and (p.data == 1).all(), name
+            assert p.data.dtype == np.dtype(precision), name
 
 
 class TestClassifier:
