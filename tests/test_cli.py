@@ -766,11 +766,6 @@ class TestErrorPaths:
         (["--seeds", "0,,1"], "cannot read config value seeds='0,,1'"),
         (["--set", "seeds=0,,1"], "cannot read config value seeds='0,,1'"),
         (["--seed", "1.5"], "cannot read config value seeds='1.5'"),
-        (["--seeds", "0,0"], "seeds must be distinct, got [0, 0]"),
-        (["--seeds", "1,0,1"], "seeds must be distinct, got [1, 0, 1]"),
-        (["--set", "seeds=-1"], "seeds must be nonnegative, got [-1]"),
-        (["--seeds", "0,-2"], "seeds must be nonnegative, got [0, -2]"),
-        (["--set", "split_seed=-1"], "split_seed must be nonnegative, got -1"),
         (["--set", "lr=0"], "lr must be positive, got 0.0"),
         (["--set", "clip_norm=0"], "clip_norm must be positive"),
         (["--set", "weight_decay=-5"], "weight_decay must be nonnegative, got -5.0"),
@@ -778,6 +773,11 @@ class TestErrorPaths:
         (["--set", "split_ratios=0.5,0.5"], "split_ratios must be three nonnegative values"),
         (["--set", "split_ratios=nan,0.5,0.5"], "split_ratios must be three nonnegative values"),
         (["--set", "max_len=1"], "max_len must be >= 2, got 1"),
+        (["--seeds", "0,0"], "seeds must be distinct, got [0, 0]"),
+        (["--seeds", "1,0,1"], "seeds must be distinct, got [1, 0, 1]"),
+        (["--set", "seeds=-1"], "seeds must be nonnegative, got [-1]"),
+        (["--seeds", "0,-2"], "seeds must be nonnegative, got [0, -2]"),
+        (["--set", "split_seed=-1"], "split_seed must be nonnegative, got -1"),
     ])
     def test_refused_setting_exits_1_with_one_error_line(self, argv, message, data_path,
                                                          tmp_path, capsys):
