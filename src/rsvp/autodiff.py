@@ -16,7 +16,11 @@ tensors of any size and ``math.erf`` for float64 ones.
 
 Inside ``no_grad()`` operations record nothing: they return plain
 tensors with the same values, and every intermediate is freed as soon as
-nothing reads it. Evaluation paths run there.
+nothing reads it. Evaluation paths run there, and most of them skip the
+ops altogether: the encoder's eval pass and greedy decoding's steps call
+the array kernels these nodes run (``_affine``, ``_attend``, ``_gelu``,
+``_normalize`` and the head reshapes) on plain arrays, with the bits the
+nodes give.
 """
 from __future__ import annotations
 
@@ -560,14 +564,20 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 # indexing ops
 
 
+def _checked_ids(ids, n_rows: int) -> np.ndarray:
+    """``ids`` as an int64 array of row indices into an ``n_rows``-row
+    table; ValueError when one lies outside [0, n_rows)."""
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise ValueError(
+            f"embedding ids out of range [0, {n_rows}): min {idx.min()}, max {idx.max()}"
+        )
+    return idx
+
+
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup ``table[ids]``; gradients sum back into the rows looked up."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ValueError(
-            f"embedding ids out of range [0, {table.data.shape[0]}): "
-            f"min {idx.min()}, max {idx.max()}"
-        )
+    idx = _checked_ids(ids, table.data.shape[0])
     data = table.data[idx]
 
     def grad_fn(g):

@@ -106,14 +106,16 @@ def export_embeddings(encoder, examples, label_names: list[str], path) -> None:
     d = encoder.cfg.pooled_dim
     header = "id,intent," + ",".join(f"e{i}" for i in range(d))
     lines = [header]
-    embeddings = encoder.embed([ex.utterance_ids for ex in examples]) if examples else []
-    for ex, q in zip(examples, embeddings):
+    # Python floats: a float32 value converts exactly, so repr writes the
+    # text repr(float(v)) of each NumPy scalar would, at a fraction of the calls
+    rows = encoder.embed([ex.utterance_ids for ex in examples]).tolist() if examples else []
+    for ex, row in zip(examples, rows):
         if isinstance(ex.label, (int, np.integer)):
             intent = label_names[int(ex.label)]
         else:
             active = [label_names[i] for i in np.flatnonzero(np.asarray(ex.label) > 0.5)]
             intent = "|".join(active)
-        values = ",".join(repr(float(v)) for v in q)
+        values = ",".join(map(repr, row))
         lines.append(f"{ex.example_id},{intent},{values}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")

@@ -107,6 +107,27 @@ def _attention_projections(name: str, d_model: int, rng: np.random.Generator | N
     return [Linear(f"{name}.{w}", d_model, d_model, rng) for w in ("wq", "wk", "wv", "wo")]
 
 
+def _weights(lin: Linear) -> tuple:
+    return lin.w.data, lin.b.data
+
+
+def _attend_rows(x, wq, kh, vh, heads, scale, bias=None) -> np.ndarray:
+    """``attention``'s forward without dropout on plain arrays: the (B, Tq,
+    d_model) context, before the output projection, of the queries that
+    the weights ``wq`` project from the (B, Tq, d_model) rows ``x``, over
+    (B, h, Tk, d_head) key and value heads; ``heads`` is (h, d_head)."""
+    qh = ad._split_heads(ad._affine(x, *wq), heads)
+    return ad._merge_heads(ad._attend(qh, kh, vh, scale, bias)[0])
+
+
+def _residual_rows(x, h, proj, norm) -> np.ndarray:
+    """``residual_layer_norm`` without dropout on plain arrays: norm(x +
+    proj(h)), ``proj`` the weights of the output projection."""
+    s = ad._affine(h, *proj)
+    s += x
+    return ad._normalize(s, norm.gamma, norm.beta)[0]
+
+
 class EncoderBlock(Module):
     """Post-norm transformer block: attention and FFN sublayers with residuals."""
 
@@ -131,6 +152,23 @@ class EncoderBlock(Module):
         a = ad.attention(self.wq(x), k, v, self.n_heads, bias, dropout_p, rng)
         x = self.ln1.residual(x, a, self.wo, dropout_p, rng)
         return self.ln2.residual(x, ad.gelu(self.lin1(x)), self.lin2, dropout_p, rng)
+
+    def _eval_arrays(self, x: np.ndarray, bias, cls_only=False) -> np.ndarray:
+        """``__call__`` in evaluation on plain (B, T, d) arrays: the kernels
+        its nodes run, on operands of the same shapes and memory layout, so
+        the output has the same bits. It makes no Tensor and draws no
+        dropout mask; its key and value heads are freed when it returns."""
+        B, _, d = x.shape
+        heads = (self.n_heads, d // self.n_heads)
+        kh, vh = (ad._split_heads(ad._affine(x, *_weights(lin)), heads)
+                  for lin in (self.wk, self.wv))
+        if cls_only:
+            x = x[:, 0, :].reshape(B, 1, d)
+        a = _attend_rows(x, _weights(self.wq), kh, vh, heads, ad._head_scale(heads[1], x.dtype),
+                         bias)
+        x = _residual_rows(x, a, _weights(self.wo), self.ln1)
+        return _residual_rows(x, ad._gelu(ad._affine(x, *_weights(self.lin1)))[0],
+                              _weights(self.lin2), self.ln2)
 
 
 def pad_batch(seqs):
@@ -194,13 +232,24 @@ class _Embedded(Module):
         self.pos_emb = Parameter("pos_emb", _normal(rng, (cfg.max_positions, cfg.d_model)))
         self.emb_ln = LayerNorm("emb_ln", cfg.d_model)
 
-    def _embed(self, ids: np.ndarray) -> Tensor:
-        """Layer-normed token plus position embeddings of (B, T) ``ids``."""
+    def _length(self, ids: np.ndarray) -> int:
         T = ids.shape[1]
         if T > self.cfg.max_positions:
             raise _too_long(T, self.cfg.max_positions)
+        return T
+
+    def _embed(self, ids: np.ndarray) -> Tensor:
+        """Layer-normed token plus position embeddings of (B, T) ``ids``."""
+        T = self._length(ids)
         x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb, np.arange(T))
         return self.emb_ln(x)
+
+    def _embed_arrays(self, ids: np.ndarray) -> np.ndarray:
+        """``_embed`` on plain arrays, with its bits."""
+        T = self._length(ids)
+        x = self.tok_emb.data[ad._checked_ids(ids, self.tok_emb.data.shape[0])]
+        x += self.pos_emb.data[:T]
+        return ad._normalize(x, self.emb_ln.gamma, self.emb_ln.beta)[0]
 
 
 class ConversationalEncoder(_Embedded):
@@ -227,18 +276,37 @@ class ConversationalEncoder(_Embedded):
         [CLS] row and hidden is (B, 1, d_model); that block then draws
         dropout masks for the [CLS] row only, so ``rng`` advances less than
         without it.
+
+        Evaluation under ``ad.no_grad()``, where ``embed`` and ``generate``
+        call it, records no graph, so it skips the graph nodes: the
+        embeddings and every block run on plain arrays through the kernels
+        those nodes run (``EncoderBlock._eval_arrays``), bit-equal to the
+        graph path, and hidden is one graph-free tensor in the parameters'
+        dtype. A batch without padding adds no key bias there, which
+        changes no bit: adding 0 only turns a score of -0.0 into +0.0.
         """
         p = _dropout_rate(training, dropout_p)
         ids, mask = pad_batch(seqs)
+        last = len(self.blocks) - 1
+        if not (training or ad._grad_enabled):
+            bias = None if mask.all() else _key_bias(mask, self.tok_emb.dtype)
+            x = self._embed_arrays(ids)
+            for i, blk in enumerate(self.blocks):
+                x = blk._eval_arrays(x, bias, cls_only=cls_only and i == last)
+            # _make keeps the dtype, where Tensor() would cast to the default
+            return ad._make(x, (), None), mask
         bias = _key_bias(mask, self.tok_emb.dtype)
         x = ad.dropout(self._embed(ids), p, rng)
-        last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
             x = blk(x, bias, p, rng, cls_only=cls_only and i == last)
         return x, mask
 
     def pool_cls(self, hidden: Tensor) -> Tensor:
-        """tanh(W h_cls + b): components always lie in (-1, 1)."""
+        """tanh(W h_cls + b): components always lie in (-1, 1). Under
+        ``ad.no_grad()`` it runs on plain arrays, with the bits of the nodes."""
+        if not ad._grad_enabled:
+            cls = hidden.data[:, 0, :]
+            return ad._make(np.tanh(ad._affine(cls, *_weights(self.pool))), (), None)
         return ad.tanh(self.pool(ad.token_at(hidden, 0)))
 
     def encode_batch(self, seqs, training=False, rng=None, dropout_p=None) -> Tensor:
@@ -251,7 +319,9 @@ class ConversationalEncoder(_Embedded):
 
     def embed(self, seqs, head=None) -> np.ndarray:
         """Eval-mode pooled embeddings of ``seqs`` as one (n, pooled_dim)
-        array, in input order, built graph-free under ``ad.no_grad()``.
+        array, in input order, built graph-free under ``ad.no_grad()``: the
+        encoder pass and the pooling run on plain arrays, bit-equal to the
+        graph path.
 
         Sequences run in consecutive chunks of at most ``_EVAL_TOKEN_BUDGET``
         padded tokens. ``head``, when given, maps each chunk's embedding
@@ -295,26 +365,23 @@ class DecoderBlock(Module):
         return self.ln2.residual(x, ad.gelu(self.lin1(x)), self.lin2, dropout_p, rng)
 
 
-def _weights(lin: Linear) -> tuple:
-    return lin.w.data, lin.b.data
-
-
 class _DecodeBlock:
     """One decoder block's state for one greedy reply, built once: its
     weights as arrays, the utterance's cross-attention keys and values, and
     a (1, n, d_model) self-attention key/value cache, each viewed as
     (1, h, T, d_head) heads once.
 
-    ``step`` runs the block on one position's row through the array kernels
-    the graph nodes run (``_affine``, ``_attend``, ``_gelu``, ``_normalize``),
-    on operands of the shapes and memory layout that the graph-node
-    reference in ``tests/op_builders.graph_greedy_steps`` gives them over
-    the same cache, so its output has the same bits. It makes no Tensor
-    and draws no dropout mask.
+    ``step`` runs the block on one position's (1, 1, d_model) row through
+    the array sublayers the encoder's eval pass runs too (``_attend_rows``,
+    ``_residual_rows``, ``_gelu``), on operands of the shapes and memory
+    layout that the graph-node reference in
+    ``tests/op_builders.graph_greedy_steps`` gives them over the same cache,
+    so its output has the same bits. It makes no Tensor and draws no
+    dropout mask.
     """
 
     def __init__(self, blk: DecoderBlock, enc_hidden: np.ndarray, n: int, heads, dtype):
-        self.q_heads = (1, 1) + heads
+        self.heads = heads
         self.scale = ad._head_scale(heads[1], dtype)
         self.wq, self.wk, self.wv, self.wo = map(_weights, (blk.wq, blk.wk, blk.wv, blk.wo))
         self.cross_wq, self.cross_wo = _weights(blk.cross_wq), _weights(blk.cross_wo)
@@ -325,29 +392,18 @@ class _DecodeBlock:
         self.k_cache, self.v_cache = (np.empty((1, n, heads[0] * heads[1]), dtype) for _ in "kv")
         self.kh, self.vh = (ad._split_heads(c, heads) for c in (self.k_cache, self.v_cache))
 
-    def _attend(self, x, wq, kh, vh):
-        """The (1, 1, d_model) context, before the output projection, of the
-        query projected from ``x`` over the key and value heads."""
-        qh = ad._affine(x, *wq).reshape(self.q_heads).transpose(0, 2, 1, 3)
-        return ad._merge_heads(ad._attend(qh, kh, vh, self.scale)[0])
-
-    @staticmethod
-    def _residual(x, h, proj, norm):
-        """``residual_layer_norm`` without dropout: norm(x + proj(h))."""
-        s = ad._affine(h, *proj)
-        s += x
-        return ad._normalize(s, norm.gamma, norm.beta)[0]
-
     def step(self, x: np.ndarray, t: int) -> np.ndarray:
-        """The block's output row at position ``t`` from its input row ``x``;
-        the row's self-attention key and value go into cache row ``t``."""
+        """The block's output row at position ``t`` from its (1, 1, d_model)
+        input row ``x``; the row's self-attention key and value go into
+        cache row ``t``."""
+        heads, scale = self.heads, self.scale
         self.k_cache[0, t] = ad._affine(x, *self.wk)
         self.v_cache[0, t] = ad._affine(x, *self.wv)
-        a = self._attend(x, self.wq, self.kh[:, :, : t + 1], self.vh[:, :, : t + 1])
-        x = self._residual(x, a, self.wo, self.ln1)
-        c = self._attend(x, self.cross_wq, self.cross_kh, self.cross_vh)
-        x = self._residual(x, c, self.cross_wo, self.ln_cross)
-        return self._residual(x, ad._gelu(ad._affine(x, *self.lin1))[0], self.lin2, self.ln2)
+        a = _attend_rows(x, self.wq, self.kh[:, :, : t + 1], self.vh[:, :, : t + 1], heads, scale)
+        x = _residual_rows(x, a, self.wo, self.ln1)
+        c = _attend_rows(x, self.cross_wq, self.cross_kh, self.cross_vh, heads, scale)
+        x = _residual_rows(x, c, self.cross_wo, self.ln_cross)
+        return _residual_rows(x, ad._gelu(ad._affine(x, *self.lin1))[0], self.lin2, self.ln2)
 
 
 class ResponseDecoder(_Embedded):
@@ -390,13 +446,14 @@ class ResponseDecoder(_Embedded):
         and graph-free.
 
         Decoding is incremental. Once per call, the utterance runs through the
-        encoder under ``ad.no_grad()``, and each block projects its
-        cross-attention keys/values from those states and allocates its
-        self-attention key/value cache. Each step then runs only the newest
-        token, one row, through every block and the LM head on plain arrays,
-        attending over the keys/values the earlier steps cached. Its logits
-        have the bits of the same step composed of the graph nodes that
-        teacher forcing runs, over the same cache. Step t emits what the last row of
+        encoder under ``ad.no_grad()``, which is the encoder's array pass,
+        and each block projects its cross-attention keys/values from those
+        states and allocates its self-attention key/value cache. Each step
+        then runs only the newest token, one row, through every block and
+        the LM head on plain arrays, attending over the keys/values the
+        earlier steps cached. Its logits have the bits of the same step
+        composed of the graph nodes that teacher forcing runs, over the same
+        encoder states and cache. Step t emits what the last row of
         ``forward_teacher_forced`` over [BOS] and the t tokens before it
         would pick, and raises ValueError where that sequence would exceed
         ``max_positions``.
@@ -419,7 +476,7 @@ class ResponseDecoder(_Embedded):
         lm_head = _weights(self.lm_head)
         tok = self.bos_id
         for t in range(n):
-            x = ad._normalize(tok_emb[tok] + pos_emb[t], ln.gamma, ln.beta)[0]
+            x = ad._normalize((tok_emb[tok] + pos_emb[t])[None, None], ln.gamma, ln.beta)[0]
             for blk in blocks:
                 x = blk.step(x, t)
             row = ad._affine(x, *lm_head).reshape(-1)

@@ -23,9 +23,11 @@ def test_head_against_working_tree_reports_every_unit():
     assert lines[0].startswith("# desk, parent HEAD, 2 repeats, cpu ")
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert tuple(rows) == UNITS
-    for unit, (parent_s, change_s, ratio, iqr, won) in rows.items():
+    assert lines[1].split()[-2:] == ["parent_flt", "change_flt"]
+    for unit, (parent_s, change_s, ratio, iqr, won, parent_flt, change_flt) in rows.items():
         assert float(parent_s) > 0 and float(change_s) > 0, unit
         assert math.isfinite(float(ratio)) and float(ratio) > 0, unit
         q1, q3 = (float(q) for q in iqr.split("-"))
         assert q1 <= float(ratio) <= q3, unit
         assert won in ("0/2", "1/2", "2/2"), unit
+        assert int(parent_flt) >= 0 and int(change_flt) >= 0, unit

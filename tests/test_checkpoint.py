@@ -8,7 +8,14 @@ import pytest
 
 from rsvp import autodiff as ad
 from rsvp import model
-from rsvp.checkpoint import CheckpointError, load_checkpoint, restore_component, save_checkpoint
+from rsvp.checkpoint import (
+    MAGIC,
+    VERSION,
+    CheckpointError,
+    load_checkpoint,
+    restore_component,
+    save_checkpoint,
+)
 from rsvp.config import StageConfig
 from rsvp.model import ConversationalEncoder, IntentClassifier, init_decoder_from_encoder
 from rsvp.rng import SeedHub
@@ -472,3 +479,39 @@ class TestLoadPath:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         load_stage_checkpoint(tmp_path / "m.ckpt")
         assert generators and all(rng is None for rng in generators)
+
+
+def _documented_layout(stage, components, config, labels=None) -> bytes:
+    """A checkpoint file's bytes, built independently of ``save_checkpoint``
+    from the layout the module docstring gives: magic, version, header
+    length, JSON header, header CRC, payload length, every array's
+    little-endian bytes in parameter order, payload CRC."""
+    entries, blobs, steps = [], [], {}
+    for comp_name, comp in components.items():
+        for pname, p in comp.named_parameters():
+            full = f"{comp_name}.{pname}"
+            for name, arr in ((full, p.data), (f"moment1.{full}", p.m), (f"moment2.{full}", p.v)):
+                raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+                entries.append({"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype),
+                                "offset": sum(map(len, blobs)), "nbytes": len(raw)})
+                blobs.append(raw)
+            steps[full] = p.step
+    header = json.dumps({"stage": stage, "config": config, "labels": labels, "steps": steps,
+                         "params": entries}, sort_keys=True).encode("utf-8")
+    head = MAGIC + VERSION.to_bytes(4, "little") + len(header).to_bytes(8, "little") + header
+    payload = b"".join(blobs)
+    return (head + zlib.crc32(head).to_bytes(4, "little") + len(payload).to_bytes(8, "little")
+            + payload + zlib.crc32(payload).to_bytes(4, "little"))
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_file_bytes_follow_the_documented_layout(tmp_path, precision):
+    _, modules = _trained_looking_modules(precision)
+    # a Fortran-ordered weight is stored in C order
+    p = modules["encoder"].pool.w
+    p.data = np.asfortranarray(p.data)
+    config = {"precision": precision, "note": "any JSON"}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, "finetuned", modules, config, labels=["A", "B", "C"])
+    assert path.read_bytes() == _documented_layout("finetuned", modules, config, ["A", "B", "C"])
+

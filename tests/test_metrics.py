@@ -222,3 +222,25 @@ class TestExportEmbeddings:
         path = tmp_path / "emb.csv"
         M.export_embeddings(enc, [], ["Refund", "Cancel"], path)
         assert path.read_text().splitlines() == ["id,intent," + ",".join(f"e{i}" for i in range(8))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_are_the_repr_of_each_float(self, tmp_path, dtype):
+        """Each value is written as ``repr(float(v))`` of its NumPy scalar
+        would write it, for -0.0, the float32 maximum and a subnormal."""
+        from types import SimpleNamespace
+
+        from rsvp.text import EncodedExample
+
+        tiny = np.finfo(dtype).smallest_subnormal
+        values = np.array([[-0.0, np.finfo(np.float32).max, tiny, 0.1],
+                           [1.0 / 3.0, -tiny, 0.0, -2.5e-8]], dtype=dtype)
+        enc = SimpleNamespace(cfg=SimpleNamespace(pooled_dim=4),
+                              embed=lambda seqs: values[: len(seqs)])
+        examples = [EncodedExample(f"ex{i}", np.array([2, 6]), np.array([4, 5]), i)
+                    for i in range(2)]
+        path = tmp_path / "emb.csv"
+        M.export_embeddings(enc, examples, ["A", "B"], path)
+        want = ["id,intent,e0,e1,e2,e3"] + [
+            f"ex{i},{'AB'[i]}," + ",".join(repr(float(v)) for v in values[i]) for i in range(2)]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+        assert path.read_text().split("\n")[1].startswith("ex0,A,-0.0,")

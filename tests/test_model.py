@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import tracemalloc
 
@@ -35,6 +36,17 @@ def small_config(**kw):
     )
     base.update(kw)
     return EncoderConfig(**base)
+
+
+# the desk model: float32 bits depend on layout at d_model 32, so
+# bit-equality tests run at both shapes
+DESK_SHAPE = dict(vocab_size=257, d_model=128, n_heads=4, d_ffn=256, max_positions=64,
+                  pooled_dim=128)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: unlike ``array_equal``, -0.0 is not 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture
@@ -698,9 +710,7 @@ class TestGraphFreeEval:
         the graph composition over the same (1, n, d_model) caches. The desk
         model and d_model 32: at 32, a head-major cache layout changed float32
         logits in the last bits, as BLAS rounding follows operand layout."""
-        desk = dict(vocab_size=257, d_model=128, n_heads=4, d_ffn=256, max_positions=64,
-                    pooled_dim=128)
-        for seed, kw in ((9, {}), (10, desk)):
+        for seed, kw in ((9, {}), (10, DESK_SHAPE)):
             with ad.precision(precision):
                 enc, dec = _random_models(seed, **kw)
             dec.lm_head.b.data[dec.eos_id] = -1e3  # decode all max_t steps
@@ -725,7 +735,7 @@ class TestGraphFreeEval:
             monkeypatch.setattr(ad, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
         steps = dec._greedy_steps(enc, [2, 8, 13, 21], 6)
         next(steps)
-        assert "_make" in calls  # the encoder pass runs graph nodes
+        assert calls == ["_make"]  # the encoder pass wraps its states in one Tensor
         calls.clear()
         assert len(list(steps)) == 5
         assert calls == []
@@ -760,3 +770,104 @@ class TestGraphFreeEval:
     def test_embed_rejects_an_empty_list(self, encoder):
         with pytest.raises(ValueError, match="empty"):
             encoder.embed([])
+
+
+class TestEvalArrayPass:
+    """Under ``no_grad()`` the encoder runs on plain arrays; its hidden
+    states, pooled embeddings and ``embed`` rows equal the graph path's
+    (gradients on) bit for bit."""
+
+    SHAPES = {"small": {}, "desk": DESK_SHAPE}
+    CASES = {
+        # lengths 1..24: every row but the longest is padded
+        "padded": [[2] + list(np.random.default_rng(5).integers(6, 40, size=n))
+                   for n in (0, 7, 23, 3, 12, 1, 18, 9)],
+        "batch_1": [[2, 7, 9, 11, 13]],
+        # no row padded: the array pass adds no key bias
+        "unpadded": [[2, 7, 9, 11], [2, 8, 10, 12], [2, 31, 32, 33]],
+    }
+
+    @staticmethod
+    def _model(shape, precision, seed=8):
+        with ad.precision(precision):
+            return ConversationalEncoder(small_config(**TestEvalArrayPass.SHAPES[shape]),
+                                         SeedHub(seed).stream("encoder_init"))
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", ["small", "desk"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("cls_only", [False, True], ids=["full", "cls_only"])
+    def test_forward_hidden_bit_equal_to_graph(self, precision, shape, case, cls_only):
+        enc, seqs = self._model(shape, precision), self.CASES[case]
+        with ad.precision(precision):
+            graph, graph_mask = enc.forward_hidden(seqs, cls_only=cls_only)
+            with ad.no_grad():
+                arrays, mask = enc.forward_hidden(seqs, cls_only=cls_only)
+        assert graph.requires_grad and not arrays.requires_grad and arrays._parents == ()
+        assert arrays.dtype == np.dtype(precision)
+        assert _same_bits(arrays.data, graph.data)
+        assert _same_bits(mask, graph_mask)
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", ["small", "desk"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_encode_batch_bit_equal_to_graph(self, precision, shape, case):
+        enc, seqs = self._model(shape, precision), self.CASES[case]
+        with ad.precision(precision):
+            graph = enc.encode_batch(seqs)
+            with ad.no_grad():
+                arrays = enc.encode_batch(seqs)
+        assert graph.requires_grad and not arrays.requires_grad and arrays._parents == ()
+        assert _same_bits(arrays.data, graph.data)
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", ["small", "desk"])
+    def test_embed_of_padded_chunks_bit_equal_to_graph(self, precision, shape):
+        enc = self._model(shape, precision)
+        rng = np.random.default_rng(6)
+        seqs = [[2] + list(rng.integers(6, 40, size=int(n))) for n in rng.integers(0, 24, size=90)]
+        seqs[3] = [2] + [7] * 23
+        chunks = list(_token_chunks(seqs, _EVAL_TOKEN_BUDGET))
+        assert len(chunks) > 1
+        with ad.precision(precision):
+            head = IntentClassifier(enc.cfg.pooled_dim, 3, SeedHub(1).stream("classifier_init"))
+            emb, logits = enc.embed(seqs), enc.embed(seqs, head=head)
+            graph = [enc.encode_batch(seqs[start:stop]) for start, stop in chunks]
+        assert _same_bits(emb, np.concatenate([q.data for q in graph]))
+        assert _same_bits(logits, np.concatenate([head(q).data for q in graph]))
+
+    @pytest.mark.parametrize("shape", ["small", "desk"])
+    def test_float64_model_under_float32_default(self, shape):
+        enc = self._model(shape, "float64")
+        assert ad.default_dtype() == np.float32
+        seqs = self.CASES["padded"]
+        for run in (lambda: enc.forward_hidden(seqs)[0], lambda: enc.encode_batch(seqs)):
+            graph = run()
+            with ad.no_grad():
+                arrays = run()
+            assert arrays.dtype == np.float64
+            assert _same_bits(arrays.data, graph.data)
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_makes_no_node_per_block_and_draws_no_mask(self, monkeypatch, n_layers):
+        enc = ConversationalEncoder(small_config(n_layers=n_layers),
+                                    SeedHub(8).stream("encoder_init"))
+        calls = []
+        for name in ("_make", "_dropout_mask"):
+            fn = getattr(ad, name)
+            monkeypatch.setattr(ad, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with ad.no_grad():
+            enc.forward_hidden(self.CASES["padded"], rng=gen)
+            assert calls == ["_make"]  # the hidden states, whatever the depth
+            calls.clear()
+            enc.encode_batch(self.CASES["padded"], rng=gen)
+            assert calls == ["_make", "_make"]  # the hidden states and the pooled rows
+        assert gen.bit_generator.state == state
+
+    def test_out_of_range_id_raises_as_in_the_graph(self, encoder):
+        for grad in (True, False):
+            with (contextlib.nullcontext() if grad else ad.no_grad()):
+                with pytest.raises(ValueError, match=r"ids out of range \[0, 40\)"):
+                    encoder.forward_hidden([[2, 7], [2, 40]])

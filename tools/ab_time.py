@@ -21,8 +21,15 @@ each unit the last line gives the median change/parent time ratio, its
 interquartile range and the repeats the change won. Decoding is timed per
 decoder step, so sides that stop at different lengths still compare.
 
-Both sides share one allocator, so memory figures and page-fault effects
-still need benchmark runs in separate processes.
+The last two columns, ``parent_flt`` and ``change_flt``, are each side's
+median count of minor page faults per run of the unit (``ru_minflt`` of
+``getrusage(RUSAGE_SELF)`` before and after it, for a whole run also in
+decoding). A fault is the first touch of a fresh page, so a change that
+keeps large temporaries alive longer, and makes the allocator map new
+pages for their successors, shows as a higher count. Both sides share one
+allocator and heap, so the counts are a hint of such a change, not the
+memory figure of either tree alone; peak memory still needs benchmark
+runs in separate processes.
 
 A/A calibration: ``--parent HEAD`` on an unchanged tree (``81c243c``),
 under ``taskset -c 1`` on a 2-vCPU AVX-512 Xeon, run twice at 6 and at
@@ -48,6 +55,7 @@ a measured difference.
 from __future__ import annotations
 
 import os
+import resource
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before NumPy loads
@@ -174,35 +182,42 @@ class Side:
         return run
 
 
-def timed(side: Side, unit: str) -> float:
-    """CPU seconds of one run of ``unit``, per decoder step for decoding."""
+def timed(side: Side, unit: str) -> tuple:
+    """CPU seconds of one run of ``unit``, per decoder step for decoding,
+    and the minor page faults of the run."""
     call = getattr(side, unit)()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.process_time()
     steps = call()
     elapsed = time.process_time() - start
-    return elapsed / steps if unit == "decode_step" else elapsed
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return (elapsed / steps if unit == "decode_step" else elapsed), faults
 
 
 def compare(parent: Side, change: Side, repeats: int, out=sys.stdout) -> dict:
     """Time every unit ``repeats`` times per side after one untimed warm-up
-    run each; returns {unit: (parent times, change times)}."""
+    run each; returns {unit: (parent runs, change runs)}, each run a
+    (seconds, minor page faults) pair."""
     for unit in UNITS:
         timed(parent, unit), timed(change, unit)
-    times = {unit: ([], []) for unit in UNITS}
+    runs = {unit: ([], []) for unit in UNITS}
     for rep in range(repeats):
         order = (0, 1) if rep % 2 == 0 else (1, 0)
         for unit in UNITS:
             for i in order:
-                times[unit][i].append(timed((parent, change)[i], unit))
-    print(f"{'unit':<18}{'parent_s':>11}{'change_s':>11}{'ratio':>8}  {'IQR':<13}won", file=out)
-    for unit, (a, b) in times.items():
+                runs[unit][i].append(timed((parent, change)[i], unit))
+    print(f"{'unit':<18}{'parent_s':>11}{'change_s':>11}{'ratio':>8}  {'IQR':<13}{'won':<7}"
+          f"{'parent_flt':>11}{'change_flt':>11}", file=out)
+    for unit, sides in runs.items():
+        (a, a_flt), (b, b_flt) = (zip(*side) for side in sides)
         ratios = [y / x for x, y in zip(a, b)]
         q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                      if len(ratios) > 1 else ratios * 3)
         won = sum(y < x for x, y in zip(a, b))
         print(f"{unit:<18}{statistics.median(a):>11.5f}{statistics.median(b):>11.5f}"
-              f"{statistics.median(ratios):>8.3f}  {q1:.3f}-{q3:.3f}  {won}/{repeats}", file=out)
-    return times
+              f"{statistics.median(ratios):>8.3f}  {q1:.3f}-{q3:.3f}  {f'{won}/{repeats}':<7}"
+              f"{statistics.median(a_flt):>11.0f}{statistics.median(b_flt):>11.0f}", file=out)
+    return runs
 
 
 def main(argv=None) -> int:
